@@ -449,9 +449,9 @@ class _Lines:
         return self.at >= len(self.items)
 
 
-def _numbers(no: int, text: str, count: int) -> list[float]:
+def _numbers(no: int, text: str, count: int | None = None) -> list[float]:
     parts = text.split()
-    if len(parts) != count:
+    if count is not None and len(parts) != count:
         raise ConicFormatError(f"line {no}: expected {count} numbers, found {len(parts)}")
     try:
         return [float(x) for x in parts]
@@ -565,16 +565,16 @@ def read_solution(text: str) -> SolutionFile:
     no, ln = lines.next("PRIMAL")
     if not ln.startswith("PRIMAL"):
         raise ConicFormatError(f"line {no}: expected 'PRIMAL'")
-    primal = np.array([float(x) for x in ln.split()[1:]])
+    primal = np.array(_numbers(no, ln[len("PRIMAL"):]))
     dual_eq = dual_cone = None
     while True:
         no, ln = lines.next("'DUAL_...' or 'END'")
         if ln == "END":
             break
         if ln.startswith("DUAL_EQ"):
-            dual_eq = np.array([float(x) for x in ln.split()[1:]])
+            dual_eq = np.array(_numbers(no, ln[len("DUAL_EQ"):]))
         elif ln.startswith("DUAL_CONE"):
-            dual_cone = np.array([float(x) for x in ln.split()[1:]])
+            dual_cone = np.array(_numbers(no, ln[len("DUAL_CONE"):]))
         else:
             raise ConicFormatError(f"line {no}: expected DUAL_EQ, DUAL_CONE or END")
     return SolutionFile(primal, dual_eq, dual_cone)

@@ -17,6 +17,14 @@ sqrt of a negative, division by zero) are skipped, matching the DomainError
 behaviour of scalar evaluation.  The vectorized path must mask those to nan
 itself: numpy maps log(0) to -inf, not nan, and masked comparisons must come
 out False.
+
+The vectorized scan evaluates on an open mesh: each axis is an array with its
+own dimension and size 1 on every other, so a constraint, a cone row or the
+objective is computed only over the axes it reads, and the per-constraint
+masks meet by broadcasting.  Every lattice point is still judged, in exactly
+the arithmetic of a pointwise evaluation.  No array is larger than a chunk,
+which holds at most CHUNK points whatever the box shape; on chain1's reduced
+problem only the combined mask and the guarded objective reach that size.
 """
 
 import itertools
@@ -236,34 +244,60 @@ def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> 
 # --- grid search ----------------------------------------------------------------
 
 
+def _chunks(shape: tuple[int, ...]):
+    """C-order blocks of the lattice, each holding at most CHUNK points.
+
+    Axes before the split axis take one index per block, the split axis a
+    run of indices, and every later axis its full range; the split axis is
+    the first one whose trailing axes fit in CHUNK together.  Yields one
+    index slice per axis.
+    """
+    split, inner = len(shape) - 1, 1
+    while split > 0 and inner * shape[split] <= CHUNK:
+        inner *= shape[split]
+        split -= 1
+    run = max(1, CHUNK // inner)
+    for prefix in itertools.product(*map(range, shape[:split])):
+        for lo in range(0, shape[split], run):
+            yield (
+                *(slice(i, i + 1) for i in prefix),
+                slice(lo, min(lo + run, shape[split])),
+                *(slice(None),) * (len(shape) - split - 1),
+            )
+
+
 def _scan_grid(axes: tuple[Axis, ...], fill_env, mask_and_obj):
     """Chunked argmin over the lattice product.
 
-    Returns (best flat index, best value, env at best, feasible count) with
-    ties resolved to the smallest flat index, which is lexicographic order in
-    axis values.
+    Each axis enters env as an open-mesh array (its own dimension, size 1 on
+    every other), so an expression comes out shaped over only the axes it
+    reads, and mask_and_obj's results broadcast to the chunk.  Returns (env
+    at best, best value, feasible count) with ties resolved to the smallest
+    flat index, which is lexicographic order in axis values.
     """
     shape = tuple(ax.points for ax in axes)
     values = [ax.values() for ax in axes]
-    total = math.prod(shape)
-    best_idx, best_val, feasible = -1, math.inf, 0
-    for start in range(0, total, CHUNK):
-        stop = min(start + CHUNK, total)
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        env = {ax.name: values[d][multi[d]] for d, ax in enumerate(axes)}
+    n = len(axes)
+    best_idx, best_val, feasible, start = -1, math.inf, 0, 0
+    for index in _chunks(shape):
+        env = {
+            ax.name: values[d][index[d]].reshape([-1 if k == d else 1 for k in range(n)])
+            for d, ax in enumerate(axes)
+        }
+        block = tuple(env[ax.name].size for ax in axes)
         fill_env(env)
         with np.errstate(all="ignore"):
             mask, obj = mask_and_obj(env)
-        mask = mask & ~np.isnan(obj)
-        count = int(mask.sum())
+            mask = np.broadcast_to(mask & ~np.isnan(obj), block)
+        count = int(np.count_nonzero(mask))
         feasible += count
-        if not count:
-            continue
-        guarded = np.where(mask, obj, math.inf)
-        local = int(np.argmin(guarded))
-        if guarded[local] < best_val:
-            best_val = float(guarded[local])
-            best_idx = start + local
+        if count:
+            guarded = np.where(mask, obj, math.inf).ravel()
+            local = int(np.argmin(guarded))
+            if guarded[local] < best_val:
+                best_val = float(guarded[local])
+                best_idx = start + local
+        start += math.prod(block)
     if best_idx < 0:
         raise Infeasible("no feasible lattice point")
     multi = np.unravel_index(best_idx, shape)
@@ -315,18 +349,16 @@ def grid_minimize(
         env.update(params)
 
     def mask_and_obj(env):
-        mask = np.ones(np.shape(env[axes[0].name]), dtype=bool)
+        mask = np.True_
         if elim is not None:
             ax = full.axis(elim.var)
             v = env[elim.var]
-            mask &= (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
+            mask = (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
         for i, c in enumerate(p.constraints):
             if i in skip:
                 continue
-            mask &= _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
-        return mask, np.broadcast_to(
-            np.asarray(_veval(p.objective, env), dtype=float), mask.shape
-        )
+            mask = mask & _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
+        return mask, np.asarray(_veval(p.objective, env), dtype=float)
 
     env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
     point = {v: float(env[v]) for v in p.variables}
@@ -386,12 +418,19 @@ def _grid_sequential(p, params, box, tol, elim) -> GridResult:
 # --- conic grid search ----------------------------------------------------------
 
 
-def _cone_mask(kind: str, s: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized membership for one block; s has shape (dim, chunk)."""
+def _cone_mask(kind: str, s: list, tol: float) -> np.ndarray:
+    """Vectorized membership for one block; s holds its slack rows, which
+    broadcast against each other."""
     if kind == "ORTHANT":
-        return (s >= -tol).all(axis=0)
+        mask = np.True_
+        for r in s:
+            mask = mask & (r >= -tol)
+        return mask
     if kind == "SOC":
-        return s[0] + tol >= np.sqrt((s[1:] ** 2).sum(axis=0))
+        sq = 0.0
+        for r in s[1:]:
+            sq = sq + r**2
+        return s[0] + tol >= np.sqrt(sq)
     if kind == "EXP":
         x1, x2, x3 = s
         safe = np.where(np.abs(x2) > tol, x2, 1.0)
@@ -446,24 +485,26 @@ def grid_minimize_conic(
                     acc = acc - row[i] * env[v]
             env[cp.variables[j]] = acc / row[j]
 
+    def affine(row, env):
+        # Only the nonzero columns, in column order, so the result is
+        # shaped over just the axes the row reads.
+        acc = 0.0
+        for i in np.flatnonzero(row):
+            acc = acc + row[i] * env[cp.variables[i]]
+        return acc
+
     def mask_and_obj(env):
-        x = np.vstack([
-            np.broadcast_to(np.asarray(env[v], dtype=float), np.shape(env[axes[0].name]))
-            for v in cp.variables
-        ])
-        mask = np.ones(x.shape[1], dtype=bool)
+        mask = np.True_
         if solved is not None:
-            j = solved[0]
-            ax = full.axis(cp.variables[j])
-            mask &= (x[j] >= ax.lo) & (x[j] <= ax.hi) & np.isfinite(x[j])
-        rows = cp.A[1:] if solved is not None else cp.A
-        vals = cp.b[1:] if solved is not None else cp.b
-        if rows.shape[0]:
-            mask &= (np.abs(rows @ x - vals[:, None]) <= tol).all(axis=0)
-        s = cp.G @ x - cp.h[:, None]
+            v = env[cp.variables[solved[0]]]
+            ax = full.axis(cp.variables[solved[0]])
+            mask = (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
+        for r in range(0 if solved is None else 1, cp.A.shape[0]):
+            mask = mask & (np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
         for bl, sl in cp.block_slices():
-            mask &= _cone_mask(bl.kind, s[sl], tol)
-        return mask, cp.c @ x
+            s = [affine(cp.G[r], env) - cp.h[r] for r in range(sl.start, sl.stop)]
+            mask = mask & _cone_mask(bl.kind, s, tol)
+        return mask, affine(cp.c, env)
 
     env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
     point = {v: float(env[v]) for v in cp.variables}

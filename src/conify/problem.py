@@ -180,7 +180,11 @@ def evaluate(e: Expr, point: Assignment) -> float:
     if op == "neg":
         return -a[0]
     if op == "pow":
-        return a[0] ** int(a[1])
+        k = int(a[1])
+        try:
+            return a[0] ** k
+        except OverflowError:
+            return math.copysign(math.inf, a[0]) if k % 2 else math.inf
     if op == "exp":
         try:
             return math.exp(a[0])

@@ -290,6 +290,16 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_unreadable_solution_number_exits_two(self, tmp_path, chain_file, capsys):
+        trace, _ = self.make_artifacts(tmp_path, chain_file, capsys)
+        bad = tmp_path / "bad.sol"
+        bad.write_text("SOLUTION 1\nPRIMAL 1.0 abc\nEND\n")
+        code = main(
+            ["verify", str(chain_file), str(trace), str(bad), *UNIT_ARGS]
+        )
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestCorpusPipeline:
     """canon, solve-oracle, and verify chain cleanly on every canonizable entry."""

@@ -345,3 +345,15 @@ class TestConicFiles:
     def test_solution_garbage_rejected(self):
         with pytest.raises(ConicFormatError):
             read_solution("SOLUTION 2\nEND\n")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("SOLUTION 1\nPRIMAL 1.0 abc\nEND\n", 2),
+            ("SOLUTION 1\nPRIMAL 1.0\nDUAL_EQ x\nEND\n", 3),
+            ("SOLUTION 1\nPRIMAL 1.0\nDUAL_CONE 1 2 -\nEND\n", 3),
+        ],
+    )
+    def test_solution_unreadable_number_names_its_line(self, text, line):
+        with pytest.raises(ConicFormatError, match=rf"line {line}: unreadable number"):
+            read_solution(text)

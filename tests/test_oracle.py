@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from conify import oracle
 from conify.conic import emit
 from conify.dsl import parse
 from conify.oracle import (
@@ -15,8 +16,8 @@ from conify.oracle import (
     grid_minimize_conic,
     sample_feasible,
 )
-from conify.problem import check_feasible
-from conify.reduce import reduce_problem
+from conify.problem import _names, check_feasible
+from conify.reduce import forward_map, reduce_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 UNIT = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
@@ -131,6 +132,98 @@ class TestSequentialTwin:
         assert fast.point == slow.point
         assert fast.feasible_count == slow.feasible_count
 
+    def test_pow_overflow_agrees(self):
+        # (5e199)^3 overflows to inf and (-1e200)^3 to -inf on both paths
+        p = mini("x ^ 3 <= 1")
+        box = SearchBox.uniform(("x",), -1e200, 1e200, 5)
+        fast = grid_minimize(p, {}, box)
+        slow = grid_minimize(p, {}, box, method="sequential")
+        assert fast == slow
+        assert fast.point == {"x": -1e200} and fast.feasible_count == 3
+
+
+def chain1_small_box():
+    # all five chain1 variables around the unit-parameter optimum; y is
+    # eliminated, so its axis only bounds the solved value
+    return (
+        SearchBox.uniform(("x",), 1.0, 1.8, 9)
+        .with_axis("y", -4.0, 2.0, 2)
+        .with_axis("t1", 0.6, 1.0, 9)
+        .with_axis("t2", 1.0, 1.4, 9)
+        .with_axis("t3", 0.6, 1.0, 9)
+    )
+
+
+class TestMultiAxisScan:
+    """Four scanned axes, each read by a different set of constraints."""
+
+    def test_constraints_read_different_axes(self, chain1_trace):
+        reads = set()
+        for c in chain1_trace.final.constraints:
+            vs = set()
+            _names(c.lhs, vs, set())
+            _names(c.rhs, vs, set())
+            reads.add(frozenset(vs))
+        assert len(reads) == len(chain1_trace.final.constraints)
+        assert set().union(*reads) == {"x", "y", "t1", "t2", "t3"}
+        assert all(len(r) <= 2 for r in reads)
+
+    def test_sequential_twin_agrees(self, chain1_trace):
+        p, box = chain1_trace.final, chain1_small_box()
+        fast = grid_minimize(p, UNIT, box, eliminate="y")
+        slow = grid_minimize(p, UNIT, box, eliminate="y", method="sequential")
+        assert fast.point == slow.point
+        assert fast.value == slow.value
+        assert fast.feasible_count == slow.feasible_count > 0
+
+    def test_conic_scan_agrees_with_tree_scan(self, chain1_trace):
+        box = chain1_small_box()
+        tree = grid_minimize(chain1_trace.final, UNIT, box, eliminate="y")
+        cone = grid_minimize_conic(emit(chain1_trace.final, UNIT), box, eliminate="y")
+        assert cone == tree
+
+
+class TestChunking:
+    """Chunk size changes memory, never the answer or its tie-break."""
+
+    TIE = mini("0.5 <= x + z, 0 <= y", vars="x y z", objective="y")
+    TIE_BOX = SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 5)
+
+    def scans(self, chain1_trace):
+        tie_cone = emit(self.TIE, {})
+        final, box = chain1_trace.final, chain1_small_box()
+        cone = emit(final, UNIT)
+        return [
+            lambda: grid_minimize(self.TIE, {}, self.TIE_BOX),
+            lambda: grid_minimize_conic(tie_cone, self.TIE_BOX),
+            lambda: grid_minimize(final, UNIT, box, eliminate="y"),
+            lambda: grid_minimize_conic(cone, box, eliminate="y"),
+        ]
+
+    def test_tie_spans_chunks(self):
+        # y = 0 is optimal for every feasible (x, z); the first in C order wins
+        r = grid_minimize(self.TIE, {}, self.TIE_BOX)
+        assert r.point == {"x": -0.5, "y": 0.0, "z": 1.0}
+        assert r.feasible_count == 3 * 10
+
+    # 1 and 7 split the last axis; 50 and 100 are below one leading-axis row
+    # of the chain1 box (729 points) and split its third and second axes
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 100])
+    def test_same_result_for_any_chunk_size(self, chain1_trace, monkeypatch, chunk):
+        scans = self.scans(chain1_trace)
+        expected = [scan() for scan in scans]
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        assert [scan() for scan in scans] == expected
+
+    def test_chunks_stay_bounded_when_one_row_is_too_big(self):
+        shape = (3, 2_000_000)
+        sizes = [
+            np.prod([len(range(*sl.indices(n))) for sl, n in zip(index, shape)])
+            for index in oracle._chunks(shape)
+        ]
+        assert max(sizes) <= oracle.CHUNK
+        assert sum(sizes) == np.prod(shape)
+
 
 class TestElimination:
     def test_largest_coefficient_wins(self):
@@ -191,6 +284,30 @@ class TestGoldenChainOptimum:
         r = grid_minimize(chain1, params, self.BOX, eliminate="y")
         assert r.point["x"] == pytest.approx(1.41)
         assert r.value == pytest.approx(1.41)
+
+
+class TestGoldenScanCounts:
+    """Criterion 4's 401 x 51^3 scans: tree and cone scans agree exactly."""
+
+    BOX = SearchBox.uniform(("x",), 0.0, 4.0, 401).with_axis("y", -4.0, 2.0, 401)
+    GOLDEN = {
+        (1.0, 1.0, 1.0, 1.0): (1.28, -0.28, 4298607),
+        (2.0, 1.0, 1.0, 3.0): (1.41, 0.18000000000000016, 3580301),
+        (1.0, 2.0, 1.0, 1.0): (0.86, 0.07, 4892835),
+    }
+
+    @pytest.mark.parametrize("abcd", list(GOLDEN))
+    def test_feasible_counts(self, chain1_trace, abcd):
+        gx, gy, gcount = self.GOLDEN[abcd]
+        params = dict(zip("abcd", abcd))
+        center = forward_map(chain1_trace, {"x": gx, "y": gy, **params})
+        box = self.BOX
+        for t in ("t1", "t2", "t3"):
+            box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
+        cone = grid_minimize_conic(emit(chain1_trace.final, params), box, eliminate="y")
+        tree = grid_minimize(chain1_trace.final, params, box, eliminate="y")
+        assert cone == tree
+        assert cone.feasible_count == gcount
 
 
 class TestConicGrid:

@@ -108,6 +108,11 @@ class TestEvaluate:
     def test_exp_overflow_is_infinite(self):
         assert evaluate(call("exp", X), {"x": 1e4}) == math.inf
 
+    def test_pow_overflow_is_signed_infinity(self):
+        assert evaluate(call("pow", X, c(3)), {"x": 1e200}) == math.inf
+        assert evaluate(call("pow", X, c(3)), {"x": -1e200}) == -math.inf
+        assert evaluate(call("pow", X, c(2)), {"x": -1e200}) == math.inf
+
     def test_atoms_match_math(self):
         pt: Assignment = {"x": 2.25}
         assert evaluate(call("sqrt", X), pt) == math.sqrt(2.25)
@@ -153,6 +158,11 @@ class TestCheckFeasible:
     def test_first_violation_reported(self):
         v = check_feasible(self.p, {"x": -1.0})
         assert not v.feasible and v.index == 0 and v.residual == 1.0
+
+    def test_pow_overflow_is_a_violation_not_a_crash(self):
+        p = Problem(("x",), (), X, (Constraint(call("pow", X, c(3)), "<=", c(1)),))
+        assert not check_feasible(p, {"x": 1e200}).feasible
+        assert check_feasible(p, {"x": -1e200}).feasible
 
     def test_domain_error_reported_with_index(self):
         p = Problem(("x",), (), X, (Constraint(call("log", X), "<=", c(1)),))
