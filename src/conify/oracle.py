@@ -25,6 +25,10 @@ masks meet by broadcasting.  Every lattice point is still judged, in exactly
 the arithmetic of a pointwise evaluation.  No array is larger than a chunk,
 which holds at most CHUNK points whatever the box shape; on chain1's reduced
 problem only the combined mask and the guarded objective reach that size.
+
+Feasible sampling is the one place that narrows a box: sample_feasible first
+shrinks it by interval propagation, which cannot drop a point it would
+accept.  The lattice scans never do, since their nodes are defined by the box.
 """
 
 import itertools
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import ConicProblem, _linear, _NotAffine
+from .dsl import print_constraint
 from .problem import (
     Assignment,
     Call,
@@ -44,6 +49,7 @@ from .problem import (
     Problem,
     UnboundName,
     Var,
+    _names,
     comparison_holds,
     evaluate,
     objective_value,
@@ -380,7 +386,7 @@ def _grid_sequential(p, params, box, tol, elim) -> GridResult:
                     coeff = elim.row[j]
                 elif elim.row[j] != 0.0:
                     acc -= elim.row[j] * point[name]
-            v = acc / coeff
+            v = float(acc / coeff)
             ax = box.axis(elim.var)
             if not (ax.lo <= v <= ax.hi) or not math.isfinite(v):
                 continue
@@ -514,6 +520,165 @@ def grid_minimize_conic(
 # --- feasible sampling ----------------------------------------------------------
 
 
+class _Empty(Exception):
+    """A subterm's enclosure and its allowed range do not meet."""
+
+
+def _out(lo, hi):
+    """Push [lo, hi] outward by four ulps, so that the enclosure also covers
+    the rounding of the arithmetic that computed it and of the sampler's own
+    evaluation; nan endpoints become unbounded."""
+    lo, hi = -math.inf if lo != lo else lo, math.inf if hi != hi else hi
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _root(z, k: int, up: bool):
+    """k-th root of z >= 0, stepped until r**k lies above (up) or below z."""
+    r = np.float64(z) ** (1.0 / k)
+    while (r**k < z) if up else (r**k > z):
+        r = np.nextafter(r, math.inf if up else -math.inf)
+    return r
+
+
+def _hull(e: Expr, box, params):
+    """Forward pass: (lo, hi, argument passes), [lo, hi] enclosing e's value
+    at every point of box where it is defined."""
+    if isinstance(e, Const):
+        return e.value, e.value, ()
+    if isinstance(e, Var):
+        return (*box[e.name], ())
+    if isinstance(e, Param):
+        if e.name not in params:
+            raise UnboundName(e.name)
+        return params[e.name], params[e.name], ()
+    kids = tuple(_hull(x, box, params) for x in e.args)
+    (a, b), (c, d) = kids[0][:2], kids[-1][:2]
+    op = e.atom
+    if (op == "log" and b <= 0) or (op == "sqrt" and b < 0) or (op == "div" and c == d == 0):
+        raise _Empty(e)
+    if op == "neg":
+        lo, hi = -b, -a
+    elif op in ("exp", "log", "sqrt"):
+        f = getattr(np, op)
+        lo, hi = (f(a) if op == "exp" or a > 0 else f(0.0)), f(b)
+    elif op == "abs":
+        lo, hi = (a, b) if a >= 0 else (-b, -a) if b <= 0 else (0.0, max(-a, b))
+    elif op == "pow":
+        k = int(c)
+        lo, hi = sorted((np.float64(a) ** k, np.float64(b) ** k))
+        if k % 2 == 0 and a < 0 < b:
+            lo = 0.0
+    elif op == "add":
+        lo, hi = a + c, b + d
+    elif op == "sub":
+        lo, hi = a - d, b - c
+    elif op == "div" and c <= 0 <= d:
+        lo, hi = -math.inf, math.inf
+    else:
+        ends = [x * y if op == "mul" else x / y for x in (a, b) for y in (c, d)]
+        lo, hi = (-math.inf, math.inf) if any(v != v for v in ends) else (min(ends), max(ends))
+    return (*_out(lo, hi), kids)
+
+
+def _narrow(e: Expr, lo, hi, node, box) -> None:
+    """Backward pass: e's value must lie in [lo, hi].  Narrows the box at
+    variables; raises _Empty where a range empties."""
+    if isinstance(e, Var):
+        node = box[e.name]
+    lo, hi = max(lo, node[0]), min(hi, node[1])
+    if lo > hi:
+        raise _Empty(e)
+    if isinstance(e, Var):
+        box[e.name] = (lo, hi)
+    if not isinstance(e, Call):
+        return
+    kids = node[2]
+    z0, z1 = _out(lo, hi)
+    (a, b), (c, d) = kids[0][:2], kids[-1][:2]
+    op = e.atom
+    want = {}
+    if op == "neg":
+        want[0] = (-z1, -z0)
+    elif op == "add":
+        want = {0: (z0 - d, z1 - c), 1: (z0 - b, z1 - a)}
+    elif op == "sub":
+        want = {0: (z0 + c, z1 + d), 1: (a - z1, b - z0)}
+    elif op in ("mul", "div"):
+        # Only a factor against a point interval, or a numerator over one.
+        for i in (0, 1) if op == "mul" else (0,):
+            k0, k1 = kids[1 - i][:2]
+            if k0 == k1 != 0:
+                ends = (z0 / k0, z1 / k0) if op == "mul" else (z0 * k0, z1 * k0)
+                want[i] = (min(ends), max(ends))
+    elif op == "exp":
+        if z1 <= 0:
+            raise _Empty(e)
+        want[0] = (np.log(z0) if z0 > 0 else -math.inf, np.log(z1))
+    elif op == "log":
+        want[0] = (np.exp(z0), np.exp(z1))
+    elif op == "pow" and int(c) % 2:
+        k = int(c)
+        want[0] = tuple(math.copysign(_root(abs(z), k, up), z) for z, up in ((z0, z0 < 0), (z1, z1 >= 0)))
+    elif op in ("sqrt", "pow", "abs"):
+        if z1 < 0:
+            raise _Empty(e)
+        if op == "sqrt":
+            want[0] = (np.square(max(z0, 0.0)), np.square(z1))
+        else:
+            # |x| lies in [inner, r]; keep the sign halves that meet [a, b].
+            k = int(c) if op == "pow" else 1
+            r, inner = _root(z1, k, True), _root(max(z0, 0.0), k, False)
+            want[0] = (-r if a <= -inner else inner, r if b >= inner else -inner)
+    for i, (t0, t1) in want.items():
+        _narrow(e.args[i], *_out(t0, t1), kids[i], box)
+
+
+def _tighten(p: Problem, params: Assignment, full: SearchBox, tol: float, elim) -> dict:
+    """Shrink full to a sub-box that still holds every point the sampler can
+    accept, by HC4-style hull consistency (Benhamou, Goualard, Granvilliers &
+    Puget, 1999): forward/backward passes over every constraint, swept until
+    no bound moves, at most 16 times.  Raises Infeasible when it empties."""
+    box = {ax.name: (ax.lo, ax.hi) for ax in full.axes}
+    rows = []
+    for i, c in enumerate(p.constraints):
+        lhs, op, rhs, t = c.lhs, c.op, c.rhs, tol
+        if elim is not None and i == elim.constraint:
+            # The sampler solves this one; propagate its formula, which it
+            # evaluates in exactly this order, at tol 0.
+            acc = Const(float(elim.rhs))
+            for j, name in enumerate(p.variables):
+                if name == elim.var:
+                    coeff = float(elim.row[j])
+                elif elim.row[j] != 0.0:
+                    acc = Call("sub", (acc, Call("mul", (Const(float(elim.row[j])), Var(name)))))
+            lhs, rhs, t = Var(elim.var), Call("div", (acc, Const(coeff))), 0.0
+        elif op in (">=", ">"):
+            lhs, rhs = rhs, lhs
+        if op in ("<", ">"):
+            t = 0.0
+        rows.append((i, lhs, op == "=", rhs, t))
+    with np.errstate(all="ignore"):
+        for _ in range(16):
+            before = dict(box)
+            for i, lhs, eq, rhs, t in rows:
+                try:
+                    L, R = _hull(lhs, box, params), _hull(rhs, box, params)
+                    _narrow(lhs, *_out(R[0] - t if eq else -math.inf, R[1] + t), L, box)
+                    _narrow(rhs, *_out(L[0] - t, L[1] + t if eq else math.inf), R, box)
+                except _Empty as err:
+                    names: set = set()
+                    _names(err.args[0], names, set())
+                    raise Infeasible(
+                        f"constraint {i} ({print_constraint(p.constraints[i])}) cannot "
+                        "hold in the box" + (f": no room left for {', '.join(sorted(names))}" if names else "")
+                    ) from None
+            if box == before:
+                break
+    return box
+
+
 def sample_feasible(
     p: Problem,
     params: Assignment,
@@ -523,13 +688,23 @@ def sample_feasible(
     tol: float = 0.0,
     max_batches: int = 4000,
 ) -> list[Assignment]:
-    """Rejection-sample n feasible points, uniform over the box.
+    """Rejection-sample n feasible points, uniform over the feasible part of
+    the box.
 
     An affine equality, if present, is solved for one variable instead of
     being tested: a random box never hits a hyperplane, and at tol 0 even a
     lattice rarely does.  The solved variable must land inside its box
     bounds.  The solved equality holds by construction (to rounding); every
     other constraint is tested at the given tol, which defaults to exact.
+
+    Draws come from a tightened box: interval constraint propagation first
+    shrinks each axis to the hull it proves every acceptable point lies in
+    (outward-rounded, so that hull holds under floating-point evaluation
+    too).  Every constraint is still tested on every candidate, so the
+    accepted set is the same as from the caller's box and uniform draws
+    restricted to it keep the same distribution; fewer draws are wasted, and
+    a given seed gives different points.  A box the propagation empties
+    raises Infeasible before any draw.
     """
     full = _as_box(box, p.variables)
     missing = set(p.variables) - set(full.names)
@@ -548,13 +723,14 @@ def sample_feasible(
             "sampled exactly; raise tol or reformulate"
         )
 
+    bounds = _tighten(p, params, full, tol, elim)
     rng = np.random.default_rng(seed)
-    free = [ax for ax in full.axes if elim is None or ax.name != elim.var]
+    free = [ax.name for ax in full.axes if elim is None or ax.name != elim.var]
     out: list[Assignment] = []
     batch = max(256, min(8192, 8 * n))
     for _ in range(max_batches):
         env: dict[str, np.ndarray | float] = {
-            ax.name: rng.uniform(ax.lo, ax.hi, size=batch) for ax in free
+            name: rng.uniform(*bounds[name], size=batch) for name in free
         }
         mask = np.ones(batch, dtype=bool)
         if elim is not None:

@@ -196,7 +196,7 @@ def graph_expand(p: Problem, path: OccPath, fresh_index: int | None = None) -> t
             f"expanding {dsl.print_expr(g)} needs {bound}{dsl.print_expr(g.args[0])} "
             "among the constraints"
         )
-    occs = find_occurrences(p, g)
+    occs = [o for o in find_occurrences(p, g) if polarity_of(p, o) == want]
     name, _ = _fresh_name(p, fresh_index)
     q = _replace_everywhere(p, occs, Var(name), p.variables + (name,))
     described = impl.build_constraint(Var(name), g.args)
@@ -483,19 +483,21 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
         if m is None:
             raise TraceFormatError(f"unreadable step line: {ln!r}")
         schema = m.group("schema")
-        path = OccPath.parse(m.group("at").split(",")[0]) if m.group("at") else None
-        removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
-        cur, st = apply_step(cur, schema, path, removed, fresh_index=fresh)
+        try:
+            path = OccPath.parse(m.group("at").split(",")[0]) if m.group("at") else None
+            removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
+            cur, st = apply_step(cur, schema, path, removed, fresh_index=fresh)
+            want = dsl.parse_expr_in(m.group("def").strip(), cur) if m.group("def") else None
+        except (dsl.DslError, ValueError, IndexError) as e:
+            raise TraceFormatError(f"step line {ln.strip()!r}: {e}") from None
         if st.fresh is not None:
             fresh += 1
             if m.group("fresh") and m.group("fresh") != st.fresh:
                 raise TraceFormatError(
                     f"replay produced fresh name {st.fresh}, trace says {m.group('fresh')}"
                 )
-        if m.group("def"):
-            want = dsl.parse_expr_in(m.group("def").strip(), cur)
-            if want != st.forward_def:
-                raise TraceFormatError(f"replayed definition differs for step {m.group('k')}")
+        if want is not None and want != st.forward_def:
+            raise TraceFormatError(f"replayed definition differs for step {m.group('k')}")
         steps.append(st)
     return ReductionTrace(original, tuple(steps), cur)
 

@@ -135,6 +135,17 @@ class TestStep:
         assert code == 1
         assert "NotProvablyRedundant" in capsys.readouterr().err
 
+    def test_graph_expand_keeps_other_polarity(self, capsys, tmp_path):
+        src = tmp_path / "p.opt"
+        src.write_text(
+            "minimization\n!vars x\n!objective x\n!constraints\n"
+            "1 <= sqrt(x), sqrt(x) <= 2, 0 <= x\n"
+        )
+        code = main(["step", str(src), "--schema", "graph_expand", "--path", "c0/rhs"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sqrt(x) <= 2" in out and "t1 <= 2" not in out
+
     def test_malformed_path_exits_two(self, capsys):
         code = main(
             ["step", str(CORPUS / "chain1.opt"), "--schema", "linearize",
@@ -289,6 +300,16 @@ class TestVerify:
             ["verify", str(chain_file), str(trace), str(bad), *UNIT_ARGS]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("old,new", [("DEF exp(y)", "DEF exp((y)"), ("AT c0/lhs", "AT c0/zz")])
+    def test_malformed_trace_exits_two(self, tmp_path, chain_file, capsys, old, new):
+        trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
+        text = trace.read_text()
+        assert old in text
+        trace.write_text(text.replace(old, new, 1))
+        code = main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS])
+        assert code == 2
+        assert "trace: step line 'STEP 1 " in capsys.readouterr().err
 
     def test_unreadable_solution_number_exits_two(self, tmp_path, chain_file, capsys):
         trace, _ = self.make_artifacts(tmp_path, chain_file, capsys)

@@ -1,7 +1,10 @@
+import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conify import oracle
 from conify.conic import emit
@@ -16,7 +19,18 @@ from conify.oracle import (
     grid_minimize_conic,
     sample_feasible,
 )
-from conify.problem import _names, check_feasible
+from conify.problem import (
+    Call,
+    Const,
+    Constraint,
+    DomainError,
+    Param,
+    ParamDecl,
+    Problem,
+    Var,
+    _names,
+    check_feasible,
+)
 from conify.reduce import forward_map, reduce_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
@@ -131,6 +145,15 @@ class TestSequentialTwin:
         assert fast.value == slow.value
         assert fast.point == slow.point
         assert fast.feasible_count == slow.feasible_count
+
+    @pytest.mark.parametrize("method", ["vectorized", "sequential"])
+    @pytest.mark.parametrize("name,params,names,rng,eliminate", CASES)
+    def test_point_values_are_python_floats(self, name, params, names, rng, eliminate, method):
+        p = parse(CORPUS.joinpath(name).read_text())
+        box = SearchBox.uniform(names, rng[0], rng[1], 13)
+        point = grid_minimize(p, params, box, eliminate=eliminate, method=method).point
+        assert set(point) == set(p.variables)
+        assert all(type(v) is float for v in point.values())
 
     def test_pow_overflow_agrees(self):
         # (5e199)^3 overflows to inf and (-1e200)^3 to -inf on both paths
@@ -370,3 +393,172 @@ class TestSampleFeasible:
         p = mini("x <= -10")
         with pytest.raises(Infeasible):
             sample_feasible(p, {}, (0.0, 5.0), 5, max_batches=3)
+
+
+# --- the tightened sampling box -------------------------------------------------
+
+
+def _plain_rejection(p, params, box, cols, tol=0.0):
+    """The sampler's acceptance test on candidates from the untightened box:
+    (env, mask) with every variable's column broadcast to the candidates."""
+    elim = find_elimination(p, params)
+    size = len(next(iter(cols.values())))
+    env = dict(cols)
+    mask = np.ones(size, dtype=bool)
+    with np.errstate(all="ignore"):
+        if elim is not None:
+            v = np.broadcast_to(elim.solve(env, p.variables), (size,))
+            env[elim.var] = v
+            mask &= (v >= box[0]) & (v <= box[1]) & np.isfinite(v)
+        env.update(params)
+        for i, c in enumerate(p.constraints):
+            if elim is None or i != elim.constraint:
+                lv, rv = oracle._veval(c.lhs, env), oracle._veval(c.rhs, env)
+                mask &= oracle._mask_ok(c.op, lv, rv, tol)
+    return env, mask
+
+
+def _candidates(p, params, box, n, res, seed=0):
+    """n uniform draws plus a res-point-per-axis lattice (which hits the box
+    faces and round values exactly) over the free axes."""
+    elim = find_elimination(p, params)
+    free = [v for v in p.variables if elim is None or v != elim.var]
+    rng = np.random.default_rng(seed)
+    grid = np.meshgrid(*[np.linspace(box[0], box[1], res)] * len(free), indexing="ij")
+    return {
+        v: np.concatenate([rng.uniform(box[0], box[1], n), g.ravel()])
+        for v, g in zip(free, grid)
+    }
+
+
+def _assert_inside(p, params, box, cols, tol=0.0):
+    """Every candidate plain rejection accepts lies in the tightened box;
+    returns how many were accepted."""
+    full = SearchBox.uniform(p.variables, box[0], box[1], 2)
+    env, mask = _plain_rejection(p, params, box, cols, tol)
+    try:
+        bounds = oracle._tighten(p, params, full, tol, find_elimination(p, params))
+    except Infeasible:
+        assert not mask.any()
+        return 0
+    for v in p.variables:
+        lo, hi = bounds[v]
+        assert box[0] <= lo <= hi <= box[1]
+        inside = (env[v] >= lo) & (env[v] <= hi)
+        assert inside[mask].all(), (v, (lo, hi), env[v][mask & ~inside][:5])
+    return int(mask.sum())
+
+
+def _corpus_cases():
+    manifest = json.loads(CORPUS.joinpath("manifest.json").read_text())
+    for name in sorted(manifest):
+        if manifest[name]["canonizable"]:
+            for which in ("original", "final"):
+                yield pytest.param(name, manifest[name].get("params", {}), which, id=f"{name}-{which}")
+
+
+_small_leaves = st.one_of(
+    st.sampled_from([Var("x"), Var("y"), Param("a")]),
+    st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]).map(Const),
+)
+
+
+def _small_compound(children):
+    unary = st.sampled_from(["neg", "exp", "log", "sqrt", "abs"]).flatmap(
+        lambda op: children.map(lambda e: Call(op, (e,)))
+    )
+    binary = st.sampled_from(["add", "sub", "mul", "div"]).flatmap(
+        lambda op: st.tuples(children, children).map(lambda ab: Call(op, ab))
+    )
+    power = st.tuples(children, st.integers(min_value=1, max_value=4)).map(
+        lambda ek: Call("pow", (ek[0], Const(float(ek[1]))))
+    )
+    return st.one_of(unary, binary, power)
+
+
+_small_constraints = st.tuples(
+    st.recursive(_small_leaves, _small_compound, max_leaves=5),
+    st.sampled_from(["<=", "<", "=", ">=", ">"]),
+    st.recursive(_small_leaves, _small_compound, max_leaves=5),
+).map(lambda t: Constraint(*t))
+
+
+class TestTightenedBox:
+    @pytest.mark.parametrize("box", [(-2.0, 1.5), (0.5, 3.0), (-3.0, -0.25), (0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "text", ["-x", "exp(x)", "log(x)", "sqrt(x)", "abs(x)", "x ^ 2", "x ^ 3",
+                 "x + y", "x - y", "x * y", "x / y", "x / 2", "y / (x - 1)"],
+    )
+    def test_forward_hull_encloses_every_atom(self, text, box):
+        p = mini(f"{text} <= 0", vars="x y")
+        e = p.constraints[0].lhs
+        rng = np.random.default_rng(0)
+        ends = np.array([box[0], box[1], 0.0, 1.0])
+        env = {v: np.concatenate([rng.uniform(*box, 5000), ends[(ends >= box[0]) & (ends <= box[1])]])
+               for v in ("x", "y")}
+        env["y"] = env["y"][::-1].copy()
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(oracle._veval(e, env), env["x"].shape)
+        try:
+            lo, hi, _ = oracle._hull(e, {"x": box, "y": box}, {})
+        except oracle._Empty:
+            assert np.isnan(vals).all()
+            return
+        vals = vals[~np.isnan(vals)]
+        assert ((vals >= lo) & (vals <= hi)).all(), (lo, hi, vals.min(), vals.max())
+
+    @pytest.mark.parametrize("name,params,which", _corpus_cases())
+    def test_corpus_accepted_points_lie_inside(self, name, params, which):
+        p = parse(CORPUS.joinpath(name).read_text())
+        if which == "final":
+            p = reduce_problem(p).final
+        free = len(p.variables) - (find_elimination(p, params) is not None)
+        cols = _candidates(p, params, (-5.0, 5.0), 200_000, {1: 2001, 2: 201, 3: 41}.get(free, 17))
+        assert _assert_inside(p, params, (-5.0, 5.0), cols) > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cs=st.lists(_small_constraints, min_size=1, max_size=3),
+        a=st.sampled_from([-1.5, 0.0, 2.0]),
+        box=st.sampled_from([(-3.0, 3.0), (0.0, 2.0), (-1.0, 0.5)]),
+        tol=st.sampled_from([0.0, 1e-3, 0.25]),
+    )
+    def test_small_problems_accepted_points_lie_inside(self, cs, a, box, tol):
+        p = Problem(("x", "y"), (ParamDecl("a"),), Var("x"), tuple(cs))
+        try:
+            find_elimination(p, {"a": a})
+        except DomainError:
+            assume(False)  # an equality like x = log(a) at a < 0
+        cols = _candidates(p, {"a": a}, box, 4000, 61, seed=len(cs))
+        _assert_inside(p, {"a": a}, box, cols, tol)
+
+    def test_distribution_unchanged(self):
+        # t1 may exceed sqrt(x): the region x < 1 holds 1/24 of the area.
+        p = mini("1 <= t1, 0 <= x, t1 <= x + 1", vars="x t1")
+        pts = sample_feasible(p, {}, (0.0, 5.0), 20_000)
+        share = sum(pt["x"] < 1.0 for pt in pts) / len(pts)
+        sigma = (1 / 24 * 23 / 24 / len(pts)) ** 0.5
+        assert abs(share - 1 / 24) <= 4 * sigma
+
+    def test_empty_box_raises_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", no_draws)
+        p = mini("x <= -10")
+        with pytest.raises(Infeasible, match=r"constraint 0 \(x <= -10\).*x"):
+            sample_feasible(p, {}, (0.0, 5.0), 5)
+
+    def test_deterministic_for_a_seed_on_a_tightened_box(self, chain1_trace):
+        p = chain1_trace.final
+        a = sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9)
+        assert a == sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9)
+        assert a != sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=10)
+        for pt in a:
+            assert check_feasible(p, {**pt, **UNIT}, tol=1e-9).feasible
+
+    def test_lattice_scans_ignore_the_tightening(self, monkeypatch, chain1_trace):
+        monkeypatch.setattr(oracle, "_tighten", None)
+        box = chain1_small_box()
+        tree = grid_minimize(chain1_trace.final, UNIT, box, eliminate="y")
+        assert grid_minimize_conic(emit(chain1_trace.final, UNIT), box, eliminate="y") == tree

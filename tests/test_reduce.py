@@ -128,6 +128,16 @@ class TestGraphExpand:
         with pytest.raises(NoGraphImpl, match="exp"):
             apply_step(chain1, "graph_expand", OccPath.parse("c0/lhs"))
 
+    def test_occurrences_of_the_other_polarity_kept(self):
+        # Rewriting sqrt(x) <= 2 as well would leave t1 <= 2, t1 ^ 2 <= x,
+        # which admits x = 100.
+        p = mini("1 <= sqrt(x), sqrt(x) <= 2, 0 <= x", vars="x")
+        q, step = apply_step(p, "graph_expand", OccPath.parse("c0/rhs"))
+        assert [str(t) for t in step.targets] == ["c0/rhs"]
+        assert cons(q) == ["1 <= t1", "sqrt(x) <= 2", "0 <= x", "t1 ^ 2 <= x"]
+        report = verify_trace_sampled(ReductionTrace(p, (step,), q), {}, box=(0.0, 5.0))
+        assert report.ok, report.failures
+
     def test_wrong_polarity_rejected(self):
         p = mini("sqrt(x) <= 1, 0 <= x", vars="x")
         with pytest.raises(PolarityMismatch, match="monotone polarity, got antimonotone"):
@@ -275,6 +285,21 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError):
             read_trace("TRACE 1\nWALTZ 1\nEND", chain1)
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("DEF exp(y)", "DEF exp((y)", r"'STEP 1 .*DEF exp\(\(y\).*': 1:\d+: expected '\)'"),
+            ("AT c0/lhs", "AT c0/zz", r"'STEP 1 .*AT c0/zz .*': bad occurrence path 'c0/zz'"),
+            ("AT c0/lhs", "AT c0/lhs/5", r"'STEP 1 .*': path c0/lhs/5 leaves the expression"),
+            ("AT c0/lhs", "AT c9/lhs", r"'STEP 1 .*AT c9/lhs .*': "),
+        ],
+    )
+    def test_unparsable_step_fields_name_the_line(self, chain1, chain1_trace, old, new, match):
+        text = write_trace(chain1_trace)
+        assert old in text
+        with pytest.raises(TraceFormatError, match=match):
+            read_trace(text.replace(old, new, 1), chain1)
+
     def test_unknown_schema_in_replay_rejected(self, chain1):
         with pytest.raises(ReduceError, match="unknown schema"):
             read_trace("TRACE 1\nSTEP 1 dance AT c0/lhs\nEND", chain1)
@@ -331,6 +356,8 @@ class TestVerifyTraceSampled:
             added=(2,),
         )
         trace = ReductionTrace(orig, (step,), bad_final)
-        report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=60)
+        # The bad region holds 1/24 of the final problem's feasible area, so
+        # 400 samples all miss it with probability (23/24)^400, about 4e-8.
+        report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=400)
         assert not report.ok
         assert any("backward" in f or "constraint" in f for f in report.failures)
