@@ -11,6 +11,7 @@ infeasible grid), 2 unreadable input (parse or file format errors).
 """
 
 import argparse
+import functools
 import pathlib
 import sys
 
@@ -309,7 +310,10 @@ def _cmd_verify(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged and
+    # gives each call a fresh Namespace, and append copies its default list.
     ap = argparse.ArgumentParser(prog="conify", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -35,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcp import curvature_of
+from .dsl import print_expr
 from .problem import (
     Assignment,
     Call,
     Const,
     Constraint,
+    DomainError,
     Expr,
     Param,
     Problem,
@@ -185,6 +187,8 @@ def _const_value(e: Expr, params: Assignment) -> float:
         return evaluate(e, params)
     except UnboundName as err:
         raise UnboundParameter(f"unbound parameter {err.name}") from None
+    except DomainError as err:
+        raise ConicError(f"constant {print_expr(e)} is undefined: {err}") from None
 
 
 def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarray, float]:

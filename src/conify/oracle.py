@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConicProblem, _linear, _NotAffine
+from .conic import ConicError, ConicProblem, _linear, _NotAffine
 from .dsl import print_constraint
 from .problem import (
     Assignment,
@@ -49,7 +49,9 @@ from .problem import (
     Problem,
     UnboundName,
     Var,
+    _mask_ok,
     _names,
+    _veval,
     comparison_holds,
     evaluate,
     objective_value,
@@ -137,64 +139,6 @@ class GridResult:
     feasible_count: int
 
 
-# --- vectorized evaluation ------------------------------------------------------
-
-
-def _veval(e: Expr, env: dict[str, np.ndarray | float]):
-    """Evaluate over arrays; out-of-domain entries become nan."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundName(e.name) from None
-    assert isinstance(e, Call)
-    a = _veval(e.args[0], env)
-    if e.atom == "neg":
-        return -a
-    if e.atom == "exp":
-        return np.exp(a)
-    if e.atom == "log":
-        a = np.asarray(a, dtype=float)
-        return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), np.nan)
-    if e.atom == "sqrt":
-        a = np.asarray(a, dtype=float)
-        return np.where(a >= 0, np.sqrt(np.where(a >= 0, a, 0.0)), np.nan)
-    if e.atom == "abs":
-        return np.abs(a)
-    b = _veval(e.args[1], env)
-    if e.atom == "add":
-        return a + b
-    if e.atom == "sub":
-        return a - b
-    if e.atom == "mul":
-        return a * b
-    if e.atom == "div":
-        b = np.asarray(b, dtype=float)
-        return np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan)
-    if e.atom == "pow":
-        return np.asarray(a, dtype=float) ** int(b)
-    raise AssertionError(e.atom)
-
-
-def _mask_ok(op: str, lv, rv, tol: float) -> np.ndarray:
-    """Vector twin of comparison_holds; nan on either side compares False."""
-    lv = np.asarray(lv, dtype=float)
-    rv = np.asarray(rv, dtype=float)
-    if op == "<=":
-        return lv <= rv + tol
-    if op == "<":
-        return lv < rv
-    if op == "=":
-        return np.abs(lv - rv) <= tol
-    if op == ">=":
-        return lv + tol >= rv
-    if op == ">":
-        return lv > rv
-    raise AssertionError(op)
-
-
 # --- equality elimination -------------------------------------------------------
 
 
@@ -222,7 +166,9 @@ def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> 
     """First affine equality that can be solved for a variable.
 
     With var unset, the solved variable is the one with the largest
-    coefficient magnitude, later declaration winning ties.
+    coefficient magnitude, later declaration winning ties.  Raises
+    OracleError when an equality's constant part cannot be evaluated, such
+    as sqrt(0 - 2) or an unbound parameter.
     """
     vidx = {v: i for i, v in enumerate(p.variables)}
     for i, c in enumerate(p.constraints):
@@ -233,6 +179,8 @@ def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> 
             rr, cr = _linear(c.rhs, vidx, params)
         except _NotAffine:
             continue
+        except ConicError as err:
+            raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
         row = rl - rr
         if var is not None:
             if row[vidx[var]] != 0.0:
@@ -726,7 +674,8 @@ def sample_feasible(
     bounds = _tighten(p, params, full, tol, elim)
     rng = np.random.default_rng(seed)
     free = [ax.name for ax in full.axes if elim is None or ax.name != elim.var]
-    out: list[Assignment] = []
+    cols: dict[str, list[np.ndarray]] = {v: [] for v in p.variables}
+    found = 0
     batch = max(256, min(8192, 8 * n))
     for _ in range(max_batches):
         env: dict[str, np.ndarray | float] = {
@@ -744,11 +693,14 @@ def sample_feasible(
                 if elim is not None and i == elim.constraint:
                     continue
                 mask &= _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
-        for k in np.flatnonzero(mask):
-            out.append({v: float(env[v][k] if np.ndim(env[v]) else env[v]) for v in p.variables})
-            if len(out) == n:
-                return out
+        kept = np.flatnonzero(mask)[: n - found]
+        for v in p.variables:
+            cols[v].append(np.broadcast_to(env[v], (batch,))[kept])
+        found += len(kept)
+        if found == n:
+            values = [np.concatenate(cols[v]).tolist() for v in p.variables]
+            return [dict(zip(p.variables, row)) for row in zip(*values)]
     raise Infeasible(
-        f"rejection sampling found {len(out)} of {n} requested points; "
+        f"rejection sampling found {found} of {n} requested points; "
         "the feasible region may be too thin for this box"
     )

@@ -3,10 +3,14 @@
 A problem is a minimization over declared scalar variables, with named
 parameters that stay symbolic until a numeric context binds them.  Evaluation
 is real-valued; leaving an atom's domain raises DomainError rather than
-producing extended reals.
+producing extended reals.  The vector twins (_veval, _mask_ok,
+_vcheck_feasible) evaluate many points at once over numpy arrays and mark such
+points nan instead; a nan never satisfies a comparison.
 """
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ConifyError(Exception):
@@ -218,6 +222,61 @@ def comparison_holds(op: str, lv: float, rv: float, tol: float) -> bool:
     raise AssertionError(op)
 
 
+def _veval(e: Expr, env: dict[str, np.ndarray | float]):
+    """Vector twin of evaluate over arrays; out-of-domain entries become nan."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, Param)):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnboundName(e.name) from None
+    assert isinstance(e, Call)
+    a = _veval(e.args[0], env)
+    if e.atom == "neg":
+        return -a
+    if e.atom == "exp":
+        return np.exp(a)
+    if e.atom == "log":
+        a = np.asarray(a, dtype=float)
+        return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), np.nan)
+    if e.atom == "sqrt":
+        a = np.asarray(a, dtype=float)
+        return np.where(a >= 0, np.sqrt(np.where(a >= 0, a, 0.0)), np.nan)
+    if e.atom == "abs":
+        return np.abs(a)
+    b = _veval(e.args[1], env)
+    if e.atom == "add":
+        return a + b
+    if e.atom == "sub":
+        return a - b
+    if e.atom == "mul":
+        return a * b
+    if e.atom == "div":
+        b = np.asarray(b, dtype=float)
+        return np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan)
+    if e.atom == "pow":
+        return np.asarray(a, dtype=float) ** int(b)
+    raise AssertionError(e.atom)
+
+
+def _mask_ok(op: str, lv, rv, tol: float) -> np.ndarray:
+    """Vector twin of comparison_holds; nan on either side compares False."""
+    lv = np.asarray(lv, dtype=float)
+    rv = np.asarray(rv, dtype=float)
+    if op == "<=":
+        return lv <= rv + tol
+    if op == "<":
+        return lv < rv
+    if op == "=":
+        return np.abs(lv - rv) <= tol
+    if op == ">=":
+        return lv + tol >= rv
+    if op == ">":
+        return lv > rv
+    raise AssertionError(op)
+
+
 def violation(op: str, lv: float, rv: float) -> float:
     if op in ("<=", "<"):
         return lv - rv
@@ -247,6 +306,18 @@ def check_feasible(p: Problem, point: Assignment, tol: float = 1e-7) -> Feasibil
         if not comparison_holds(c.op, lv, rv, tol):
             return Feasibility(False, index=i, residual=violation(c.op, lv, rv))
     return Feasibility(True)
+
+
+def _vcheck_feasible(p: Problem, env: dict[str, np.ndarray | float], tol: float = 1e-7) -> np.ndarray:
+    """Vector twin of check_feasible over an env of equal-length arrays: for
+    each point, the index of the first failing constraint, or -1.  A nan on
+    either side fails, where the scalar path reports a DomainError."""
+    first = np.full(np.broadcast_shapes(*map(np.shape, env.values())), -1)
+    with np.errstate(all="ignore"):
+        for i, c in enumerate(p.constraints):
+            ok = _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
+            first[(first < 0) & ~ok] = i
+    return first
 
 
 def objective_value(p: Problem, point: Assignment) -> float:

@@ -22,6 +22,8 @@ anything else.
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atoms import Curvature, atom_lookup, graph_impl
 from .dcp import (
     OccPath,
@@ -43,6 +45,8 @@ from .problem import (
     Problem,
     UnboundName,
     Var,
+    _vcheck_feasible,
+    _veval,
     evaluate,
 )
 from . import dsl
@@ -526,34 +530,45 @@ def verify_trace_sampled(
 ) -> TraceCheckReport:
     """Sample exactly-feasible points of the final problem, map them back, and
     require original feasibility at tol with identical objective value; then
-    mirror the check forward from original-feasible samples."""
-    from .oracle import sample_feasible
+    mirror the check forward from original-feasible samples.
 
-    from .problem import check_feasible, objective_value
+    The sampled points are checked all at once, as one array per variable,
+    with the evaluator the sampler uses.  A point where an expression is
+    undefined (nan) counts as infeasible, and a nan objective difference as
+    a changed objective.  Failures are listed point by point in sample
+    order, backward ones first.
+    """
+    from .oracle import sample_feasible
 
     report = TraceCheckReport()
     final_pts = sample_feasible(trace.final, params, box, n, seed=seed, tol=0.0)
-    for pt in final_pts:
-        back = backmap(trace, pt)
-        full = {**params, **back}
-        verdict = check_feasible(trace.original, full, tol)
-        if not verdict.feasible:
-            report.failures.append(
-                f"backmapped point infeasible at constraint {verdict.index}: {back}"
-            )
-            continue
-        if abs(objective_value(trace.original, full) - objective_value(trace.final, {**params, **pt})) > tol:
+    env = {**params, **_columns(final_pts, trace.final.variables)}
+    back_env = {**params, **{v: env[v] for v in trace.original.variables}}
+    first = _vcheck_feasible(trace.original, back_env, tol)
+    with np.errstate(all="ignore"):
+        diff = _veval(trace.original.objective, back_env) - _veval(trace.final.objective, env)
+    moved = (first < 0) & ~(np.abs(diff) <= tol)
+    for k in np.flatnonzero((first >= 0) | moved):
+        back = backmap(trace, final_pts[k])
+        if first[k] >= 0:
+            report.failures.append(f"backmapped point infeasible at constraint {first[k]}: {back}")
+        else:
             report.failures.append(f"objective changed under backmap at {back}")
-        report.backward_checked += 1
+    report.backward_checked = int(np.count_nonzero(first < 0))
 
     orig_pts = sample_feasible(trace.original, params, box, n, seed=seed + 1, tol=0.0)
-    for pt in orig_pts:
-        fwd = forward_map(trace, {**params, **pt})
-        verdict = check_feasible(trace.final, fwd, tol)
-        if not verdict.feasible:
-            report.failures.append(
-                f"forward-mapped point infeasible at constraint {verdict.index}"
-            )
-            continue
-        report.forward_checked += 1
+    env = {**params, **_columns(orig_pts, trace.original.variables)}
+    with np.errstate(all="ignore"):
+        for s in trace.steps:
+            if s.fresh is not None:
+                env[s.fresh] = _veval(s.forward_def, env)
+    first = _vcheck_feasible(trace.final, env, tol)
+    for k in np.flatnonzero(first >= 0):
+        report.failures.append(f"forward-mapped point infeasible at constraint {first[k]}")
+    report.forward_checked = int(np.count_nonzero(first < 0))
     return report
+
+
+def _columns(points: list[Assignment], names) -> dict[str, np.ndarray]:
+    """One array per name over a list of points."""
+    return {v: np.array([pt[v] for pt in points], dtype=float) for v in names}

@@ -11,6 +11,9 @@ from conify.reduce import read_trace
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 UNIT_ARGS = ["--param", "a=1", "--param", "b=1", "--param", "c=1", "--param", "d=1"]
+# The constant side leaves sqrt's domain, so folding it to a number fails.
+UNDEFINED_CONSTANT = "minimization\n!vars x y\n!objective x\n!constraints\nx + y = sqrt(0 - 2), 0 <= x, x <= 1\n"
+SQRT_MESSAGE = "constant sqrt(0 - 2) is undefined: sqrt applied outside its domain (argument -2.0)"
 
 
 @pytest.fixture
@@ -94,6 +97,12 @@ class TestCanon:
     def test_bad_param_syntax_exits_two(self, chain_file, capsys):
         assert main(["canon", str(chain_file), "--param", "a"]) == 2
         assert "expected name=value" in capsys.readouterr().err
+
+    def test_undefined_constant_fails_in_one_line(self, tmp_path, capsys):
+        src = tmp_path / "dom.opt"
+        src.write_text(UNDEFINED_CONSTANT)
+        assert main(["canon", str(src)]) == 1
+        assert capsys.readouterr().err == SQRT_MESSAGE + "\n"
 
 
 class TestStep:
@@ -211,6 +220,28 @@ class TestSolveOracle:
              "--box", "x=0:4", "--box", "y=-4:2", "--res", "11"]
         )
         assert code == 1
+        assert "unbound parameter a" in capsys.readouterr().err
+
+    def test_undefined_constant_with_elimination_fails_in_one_line(self, tmp_path, capsys):
+        src = tmp_path / "dom.opt"
+        src.write_text(UNDEFINED_CONSTANT)
+        code = main(
+            ["solve-oracle", str(src), "--box", "x=0:1", "--box", "y=0:1",
+             "--res", "5", "--eliminate", "auto"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"constraint 0 (x + y = sqrt(0 - 2)): {SQRT_MESSAGE}\n"
+
+    def test_repeated_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        src = tmp_path / "p.opt"
+        src.write_text("minimization\n!params a\n!vars x y\n!objective x + y\n!constraints\na <= x, 0 <= y\n")
+        base = ["solve-oracle", str(src), "--res", "3", "--box", "y=0:2"]
+        assert main([*base, "--param", "a=1", "--box", "x=0:2"]) == 0
+        assert "at x=1.0, y=0.0 " in capsys.readouterr().out
+        # x back on its default box [-5, 5], with only this call's a.
+        assert main([*base, "--param", "a=-5"]) == 0
+        assert "at x=-5.0, y=0.0 " in capsys.readouterr().out
+        assert main(base) == 1
         assert "unbound parameter a" in capsys.readouterr().err
 
 

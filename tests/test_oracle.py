@@ -3,7 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conify import oracle
@@ -23,7 +23,6 @@ from conify.problem import (
     Call,
     Const,
     Constraint,
-    DomainError,
     Param,
     ParamDecl,
     Problem,
@@ -394,6 +393,21 @@ class TestSampleFeasible:
         with pytest.raises(Infeasible):
             sample_feasible(p, {}, (0.0, 5.0), 5, max_batches=3)
 
+    @pytest.mark.parametrize("case", ["chain1-final", "pinned", "socp_ball"])
+    def test_points_match_pointwise_construction(self, case, chain1_trace):
+        if case == "chain1-final":
+            p, params = chain1_trace.final, UNIT
+        elif case == "pinned":
+            # x = 0.5 solves to a scalar, not an array.
+            p, params = mini("x = 0.5, y <= x", vars="x y"), {}
+        else:
+            p, params = parse(CORPUS.joinpath("socp_ball.opt").read_text()), {}
+        for seed, n in [(0, 1), (1, 37), (2, 300), (3, 1000)]:
+            pts = sample_feasible(p, params, (-5.0, 5.0), n, seed=seed)
+            assert pts == _sample_pointwise(p, params, (-5.0, 5.0), n, seed=seed)
+            assert all(type(v) is float for pt in pts for v in pt.values())
+            assert [list(pt) for pt in pts] == [list(p.variables)] * n
+
 
 # --- the tightened sampling box -------------------------------------------------
 
@@ -416,6 +430,23 @@ def _plain_rejection(p, params, box, cols, tol=0.0):
                 lv, rv = oracle._veval(c.lhs, env), oracle._veval(c.rhs, env)
                 mask &= oracle._mask_ok(c.op, lv, rv, tol)
     return env, mask
+
+
+def _sample_pointwise(p, params, box, n, seed=0, tol=0.0):
+    """sample_feasible's draws with each accepted point built on its own,
+    as the reference for its column-wise construction."""
+    elim = find_elimination(p, params)
+    full = SearchBox.uniform(p.variables, box[0], box[1], 2)
+    bounds = oracle._tighten(p, params, full, tol, elim)
+    rng = np.random.default_rng(seed)
+    batch = max(256, min(8192, 8 * n))
+    out = []
+    while len(out) < n:
+        draws = {v: rng.uniform(*bounds[v], size=batch) for v in p.variables if elim is None or v != elim.var}
+        env, mask = _plain_rejection(p, params, box, draws, tol)
+        for k in np.flatnonzero(mask)[: n - len(out)]:
+            out.append({v: float(env[v][k]) for v in p.variables})
+    return out
 
 
 def _candidates(p, params, box, n, res, seed=0):
@@ -527,8 +558,12 @@ class TestTightenedBox:
         p = Problem(("x", "y"), (ParamDecl("a"),), Var("x"), tuple(cs))
         try:
             find_elimination(p, {"a": a})
-        except DomainError:
-            assume(False)  # an equality like x = log(a) at a < 0
+        except OracleError:
+            # An equality like x = log(a) at a < 0 can never hold: the
+            # sampler refuses it with the same error, never a DomainError.
+            with pytest.raises(OracleError, match="outside its domain"):
+                sample_feasible(p, {"a": a}, box, 5, tol=tol)
+            return
         cols = _candidates(p, {"a": a}, box, 4000, 61, seed=len(cs))
         _assert_inside(p, {"a": a}, box, cols, tol)
 

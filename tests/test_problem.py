@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conify.problem import (
@@ -13,6 +14,7 @@ from conify.problem import (
     Problem,
     UnboundName,
     Var,
+    _vcheck_feasible,
     bound_problem,
     check_feasible,
     comparison_holds,
@@ -168,6 +170,25 @@ class TestCheckFeasible:
         p = Problem(("x",), (), X, (Constraint(call("log", X), "<=", c(1)),))
         v = check_feasible(p, {"x": 0.0})
         assert not v.feasible and v.index == 0 and isinstance(v.error, DomainError)
+
+    def test_vector_twin_gives_the_same_first_failure(self):
+        # pow overflows at the ends of the grid and the later constraints
+        # leave their domains: nan must fail exactly where DomainError does.
+        p = Problem(("x", "y"), (ParamDecl("a"),), X, (
+            Constraint(call("pow", X, c(3)), "<", c(1e10)),
+            Constraint(call("sqrt", call("sub", X, Param("a"))), "<=", Y),
+            Constraint(call("div", c(1), Y), ">", c(-4)),
+            Constraint(call("log", call("mul", X, Y)), "=", c(0)),
+        ))
+        values = [-1e300, -2.0, -0.5, -0.25, 0.0, 0.5, 1.0, 2.0, 1e300]
+        xs, ys = zip(*[(x, y) for x in values for y in values])
+        env = {"x": np.array(xs), "y": np.array(ys), "a": -0.5}
+        want = []
+        for x, y in zip(xs, ys):
+            v = check_feasible(p, {"x": x, "y": y, "a": -0.5}, tol=0.5)
+            want.append(-1 if v.feasible else v.index)
+        assert _vcheck_feasible(p, env, tol=0.5).tolist() == want
+        assert set(want) == {-1, 0, 1, 2, 3}
 
 
 class TestDerivedProblems:

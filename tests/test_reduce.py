@@ -1,11 +1,14 @@
+import json
 import math
 import pathlib
+import sys
 
 import pytest
 
 from conify.dcp import OccPath
-from conify.dsl import parse, print_constraint, print_expr, print_problem
-from conify.problem import Call, Const, Var
+from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
+from conify.oracle import sample_feasible
+from conify.problem import Call, Const, DomainError, Var, check_feasible, evaluate
 from conify.reduce import (
     AffineTarget,
     MissingDomainFact,
@@ -16,6 +19,7 @@ from conify.reduce import (
     PolarityUnknown,
     ReduceError,
     ReductionTrace,
+    TraceCheckReport,
     TraceFormatError,
     TraceStep,
     apply_step,
@@ -361,3 +365,100 @@ class TestVerifyTraceSampled:
         report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=400)
         assert not report.ok
         assert any("backward" in f or "constraint" in f for f in report.failures)
+
+
+# --- the array check against a pointwise reference ---------------------------
+
+
+def _value(e, point):
+    try:
+        return evaluate(e, point)
+    except DomainError:
+        return math.nan
+
+
+def _verify_pointwise(trace, params, box=(-5.0, 5.0), n=200, seed=0, tol=1e-7):
+    """Reference for verify_trace_sampled: the same samples, checked one point
+    at a time with the scalar evaluator.  A definition that leaves its
+    domain gives nan, and a nan objective difference counts as changed, as
+    the array path has it."""
+    report = TraceCheckReport()
+    for pt in sample_feasible(trace.final, params, box, n, seed=seed, tol=0.0):
+        back = backmap(trace, pt)
+        full = {**params, **back}
+        verdict = check_feasible(trace.original, full, tol)
+        if not verdict.feasible:
+            report.failures.append(f"backmapped point infeasible at constraint {verdict.index}: {back}")
+            continue
+        if not abs(_value(trace.original.objective, full) - _value(trace.final.objective, {**params, **pt})) <= tol:
+            report.failures.append(f"objective changed under backmap at {back}")
+        report.backward_checked += 1
+    for pt in sample_feasible(trace.original, params, box, n, seed=seed + 1, tol=0.0):
+        fwd = {**params, **pt}
+        for s in trace.steps:
+            if s.fresh is not None:
+                fwd[s.fresh] = _value(s.forward_def, fwd)
+        verdict = check_feasible(trace.final, fwd, tol)
+        if not verdict.feasible:
+            report.failures.append(f"forward-mapped point infeasible at constraint {verdict.index}")
+            continue
+        report.forward_checked += 1
+    return report
+
+
+def _sqrt_trace(final, forward_def):
+    """One alleged graph expansion of sqrt(x) in 1 <= sqrt(x), 0 <= x."""
+    orig = mini("1 <= sqrt(x), 0 <= x", vars="x")
+    step = TraceStep(
+        schema="graph_expand_concave",
+        targets=(OccPath.parse("c0/rhs"),),
+        fresh="t1",
+        forward_def=parse_expr_in(forward_def, orig),
+        added=(2,),
+    )
+    return ReductionTrace(orig, (step,), final)
+
+
+def _canonizable():
+    manifest = json.loads(CORPUS.joinpath("manifest.json").read_text())
+    return [(name, m.get("params", {})) for name, m in sorted(manifest.items()) if m["canonizable"]]
+
+
+class TestArrayVerification:
+    @pytest.mark.parametrize("name,params", _canonizable())
+    def test_corpus_reports_match_pointwise(self, name, params):
+        trace = reduce_problem(parse(CORPUS.joinpath(name).read_text()))
+        for seed in range(10):
+            report = verify_trace_sampled(trace, params, seed=seed)
+            assert report == _verify_pointwise(trace, params, seed=seed)
+            assert report.ok and report.backward_checked == report.forward_checked == 200
+
+    def test_unsound_final_report_matches_pointwise(self):
+        # t1 may exceed sqrt(x) by up to x + 1 - sqrt(x).
+        trace = _sqrt_trace(mini("1 <= t1, 0 <= x, t1 <= x + 1", vars="x t1"), "sqrt(x)")
+        report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=400)
+        assert report == _verify_pointwise(trace, {}, box=(0.0, 5.0), n=400)
+        assert report.failures[0].startswith("backmapped point infeasible at constraint 0: {'x': ")
+
+    def test_failing_forward_map_matches_pointwise(self):
+        # sqrt(x - 2) + 1 is undefined below x = 2 and exceeds sqrt(x) past
+        # x = 2.25, so forward checks fail at constraint 0 and constraint 2.
+        trace = _sqrt_trace(mini("1 <= t1, 0 <= x, t1 <= sqrt(x)", vars="x t1"), "sqrt(x - 2) + 1")
+        report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=300, seed=2)
+        assert report == _verify_pointwise(trace, {}, box=(0.0, 5.0), n=300, seed=2)
+        assert report.backward_checked == 300
+        assert 0 < report.forward_checked < 300
+        assert {f"forward-mapped point infeasible at constraint {i}" for i in (0, 2)} == set(report.failures)
+
+    def test_nan_objective_difference_is_reported(self):
+        # exp(1000 x) overflows past x = 0.7098, and 0 * inf is nan.
+        orig = mini("0 <= x, x <= 2", vars="x")
+        final = mini("0 <= x, x <= 2", vars="x", objective="x + 0 * exp(1000 * x)")
+        trace = ReductionTrace(orig, (), final)
+        report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=200)
+        pts = sample_feasible(final, {}, (0.0, 5.0), 200)
+        overflow = [pt for pt in pts if pt["x"] * 1000 > math.log(sys.float_info.max)]
+        assert 0 < len(overflow) < 200
+        assert report.failures == [f"objective changed under backmap at {pt}" for pt in overflow]
+        assert report.backward_checked == report.forward_checked == 200
+        assert report == _verify_pointwise(trace, {}, box=(0.0, 5.0), n=200)
