@@ -20,7 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import ATOM_ARITY, Call, Const, Constraint, Expr, Var
+from .problem import (
+    ATOM_ARITY,
+    Call,
+    Const,
+    Constraint,
+    Expr,
+    Var,
+    _mask_ok,
+    _veval,
+    comparison_holds,
+    evaluate,
+)
 
 
 class Curvature(Enum):
@@ -203,21 +214,6 @@ class GraphImplementation:
     value: Callable[[tuple[float, ...]], float]
     required_fact: str | None = None
 
-    def holds(self, t: float, args: tuple[float, ...]) -> bool:
-        """Numerically test d(t, args) with exact comparisons."""
-        from .problem import comparison_holds, evaluate
-
-        names = {f"__a{i}": v for i, v in enumerate(args)}
-        names["__t"] = t
-        c = self.build_constraint(
-            Var("__t"), tuple(Var(f"__a{i}") for i in range(len(args)))
-        )
-        # The instantiated constraint only mentions the placeholder names, so
-        # a bare evaluate cannot hit UnboundName.
-        return comparison_holds(
-            c.op, evaluate(c.lhs, names), evaluate(c.rhs, names), 0.0
-        )
-
 
 def _sqrt_constraint(t: Expr, args: tuple[Expr, ...]) -> Constraint:
     return Constraint(Call("pow", (t, Const(2.0))), "<=", args[0])
@@ -247,25 +243,6 @@ def graph_impl(name: str) -> GraphImplementation | None:
     return _GRAPH_IMPLS.get(name)
 
 
-def _numeric(atom: str, args: tuple[float, ...]) -> float:
-    from .problem import evaluate
-
-    point = {f"__a{i}": v for i, v in enumerate(args)}
-    return evaluate(Call(atom, tuple(Var(f"__a{i}") for i in range(len(args)))), point)
-
-
-def trivial_graph_impl(name: str) -> GraphImplementation:
-    """Greatest t with t <= f(args): the description behind plain linearization."""
-    sig = atom_lookup(name)
-
-    def build(t: Expr, args: tuple[Expr, ...]) -> Constraint:
-        return Constraint(t, "<=", Call(name, args))
-
-    return GraphImplementation(name, "greatest", build,
-                               lambda a, _n=name: _numeric(_n, a),
-                               required_fact=None)
-
-
 @dataclass(frozen=True)
 class IsGreatestResult:
     ok: bool
@@ -290,49 +267,16 @@ def check_is_greatest(
     g = gi.value(args)
     names = {f"__a{i}": v for i, v in enumerate(args)}
     c = gi.build_constraint(Var("__t"), tuple(Var(f"__a{i}") for i in range(len(args))))
-
-    from .problem import evaluate
-
-    def side(e: Expr, t: np.ndarray) -> np.ndarray:
-        # Vectorized evaluation over the sweep; placeholders only, tiny trees.
-        if isinstance(e, Const):
-            return np.full_like(t, e.value)
-        if isinstance(e, Var):
-            return t if e.name == "__t" else np.full_like(t, names[e.name])
-        assert isinstance(e, Call)
-        sub = [side(a, t) for a in e.args]
-        with np.errstate(all="ignore"):
-            if e.atom == "pow":
-                return sub[0] ** int(evaluate(e.args[1], {}))
-            if e.atom == "exp":
-                return np.exp(sub[0])
-            if e.atom == "log":
-                return np.where(sub[0] > 0, np.log(np.where(sub[0] > 0, sub[0], 1.0)), np.nan)
-            if e.atom == "sqrt":
-                return np.where(sub[0] >= 0, np.sqrt(np.abs(sub[0])), np.nan)
-            if e.atom == "abs":
-                return np.abs(sub[0])
-            if e.atom == "div":
-                return np.where(sub[1] != 0, sub[0] / np.where(sub[1] != 0, sub[1], 1.0), np.nan)
-            return {
-                "add": lambda: sub[0] + sub[1],
-                "sub": lambda: sub[0] - sub[1],
-                "mul": lambda: sub[0] * sub[1],
-                "neg": lambda: -sub[0],
-            }[e.atom]()
-
     lv = evaluate(c.lhs, {**names, "__t": g})
     rv = evaluate(c.rhs, {**names, "__t": g})
-    from .problem import comparison_holds
-
     if not comparison_holds(c.op, lv, rv, tol):
         return IsGreatestResult(False, g, detail="described point fails its own constraint")
 
     n = int(round((hi - lo) / step)) + 1
     ys = (lo * (n - 1 - np.arange(n)) + hi * np.arange(n)) / (n - 1)
-    lhs = side(c.lhs, ys)
-    rhs = side(c.rhs, ys)
-    holds = lhs <= rhs if c.op == "<=" else lhs < rhs
+    env = {**names, "__t": ys}
+    with np.errstate(all="ignore"):
+        holds = _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), 0.0)
     above = holds & (ys > g + tol)
     if above.any():
         w = float(ys[above][0])

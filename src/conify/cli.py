@@ -59,6 +59,8 @@ def _read_text(path: str) -> str:
         return pathlib.Path(path).read_text()
     except OSError as e:
         raise _fail(2, f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _fail(2, f"cannot read {path}: {e}")
 
 
 def _load_problem(path: str) -> Problem:

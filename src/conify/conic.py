@@ -39,6 +39,7 @@ from .dsl import print_expr
 from .problem import (
     Assignment,
     Call,
+    ConifyError,
     Const,
     Constraint,
     DomainError,
@@ -51,7 +52,7 @@ from .problem import (
 )
 
 
-class ConicError(Exception):
+class ConicError(ConifyError):
     pass
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .problem import (
     ATOM_ARITY,
     Call,
+    ConifyError,
     Const,
     Constraint,
     Expr,
@@ -49,7 +50,7 @@ class ParseIssue:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-class DslError(Exception):
+class DslError(ConifyError):
     def __init__(self, issues: list[ParseIssue]):
         self.issues = issues
         super().__init__("; ".join(str(i) for i in issues))

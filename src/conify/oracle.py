@@ -29,6 +29,11 @@ problem only the combined mask and the guarded objective reach that size.
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
 accept.  The lattice scans never do, since their nodes are defined by the box.
+
+An eliminated equality is solved once, into Elimination.formula; both lattice
+scans and the sampler evaluate that expression, and the interval propagation
+narrows through it, so none of them can drift from the others.  The reference
+twins in the tests write the formula out again on their own.
 """
 
 import itertools
@@ -42,8 +47,8 @@ from .dsl import print_constraint
 from .problem import (
     Assignment,
     Call,
+    ConifyError,
     Const,
-    DomainError,
     Expr,
     Param,
     Problem,
@@ -52,13 +57,10 @@ from .problem import (
     _mask_ok,
     _names,
     _veval,
-    comparison_holds,
-    evaluate,
-    objective_value,
 )
 
 
-class OracleError(Exception):
+class OracleError(ConifyError):
     pass
 
 
@@ -144,31 +146,50 @@ class GridResult:
 
 @dataclass(frozen=True)
 class Elimination:
-    """One variable solved out of one affine equality constraint."""
+    """One variable solved out of one affine equality constraint.
+
+    formula is the solved variable as an expression in the others,
+    (rhs - sum of row[j] * x_j) / row[var] with the terms subtracted in
+    declaration order; the lattice scans, the sampler and the tightened box
+    all evaluate this one tree."""
 
     constraint: int
     var: str
-    row: np.ndarray  # coefficients over p.variables, lhs minus rhs
+    row: np.ndarray  # coefficients over the variables, lhs minus rhs
     rhs: float  # constant moved right
+    formula: Expr
 
-    def solve(self, env: dict[str, np.ndarray | float], variables) -> np.ndarray | float:
-        acc = self.rhs
-        coeff = 0.0
-        for j, name in enumerate(variables):
-            if name == self.var:
-                coeff = self.row[j]
-            elif self.row[j] != 0.0:
-                acc = acc - self.row[j] * env[name]
-        return acc / coeff
+
+def _solve_for(constraint: int, variables, row, rhs, var: str | None = None) -> Elimination | None:
+    """Solve row . x = rhs for var, or with var unset for the variable with
+    the largest coefficient magnitude, later declaration winning ties.
+    None when the chosen variable has no term in the row."""
+    if var is not None and var not in variables:
+        raise OracleError(f"no variable {var} to eliminate")
+    nonzero = [j for j in range(len(variables)) if row[j] != 0.0]
+    if var is None:
+        if not nonzero:
+            return None
+        j = max(nonzero, key=lambda j: (abs(row[j]), j))
+    elif (j := variables.index(var)) not in nonzero:
+        return None
+    acc = Const(float(rhs))
+    for i in nonzero:
+        if i != j:
+            acc = Call("sub", (acc, Call("mul", (Const(float(row[i])), Var(variables[i])))))
+    return Elimination(constraint, variables[j], row, rhs, Call("div", (acc, Const(float(row[j])))))
+
+
+def _solved_in_box(elim: Elimination, env, full: SearchBox):
+    """Points where the solved variable lands inside its box bounds."""
+    v, ax = env[elim.var], full.axis(elim.var)
+    return (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
 
 
 def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> Elimination | None:
-    """First affine equality that can be solved for a variable.
-
-    With var unset, the solved variable is the one with the largest
-    coefficient magnitude, later declaration winning ties.  Raises
-    OracleError when an equality's constant part cannot be evaluated, such
-    as sqrt(0 - 2) or an unbound parameter.
+    """First affine equality that can be solved for a variable (var, or by
+    _solve_for's rule).  Raises OracleError when an equality's constant part
+    cannot be evaluated, such as sqrt(0 - 2) or an unbound parameter.
     """
     vidx = {v: i for i, v in enumerate(p.variables)}
     for i, c in enumerate(p.constraints):
@@ -181,17 +202,9 @@ def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> 
             continue
         except ConicError as err:
             raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
-        row = rl - rr
-        if var is not None:
-            if row[vidx[var]] != 0.0:
-                return Elimination(i, var, row, cr - cl)
-            continue
-        best = None
-        for j, name in enumerate(p.variables):
-            if row[j] != 0.0 and (best is None or abs(row[j]) >= abs(row[best])):
-                best = j
-        if best is not None:
-            return Elimination(i, p.variables[best], row, cr - cl)
+        elim = _solve_for(i, p.variables, rl - rr, cr - cl, var)
+        if elim is not None:
+            return elim
     return None
 
 
@@ -266,7 +279,6 @@ def grid_minimize(
     box,
     tol: float = 1e-6,
     eliminate: str | None = None,
-    method: str = "vectorized",
 ) -> GridResult:
     """Lexicographically first lattice minimizer of p at bound parameters.
 
@@ -287,11 +299,6 @@ def grid_minimize(
         if elim is None:
             raise OracleError("no affine equality available to eliminate")
 
-    if method == "sequential":
-        return _grid_sequential(p, params, full, tol, elim)
-    if method != "vectorized":
-        raise ValueError(f"unknown method {method!r}")
-
     axes = tuple(ax for ax in full.axes if elim is None or ax.name != elim.var)
     if not axes:
         raise OracleError("elimination leaves no grid axis")
@@ -299,15 +306,11 @@ def grid_minimize(
 
     def fill_env(env):
         if elim is not None:
-            env[elim.var] = elim.solve(env, p.variables)
+            env[elim.var] = _veval(elim.formula, env)
         env.update(params)
 
     def mask_and_obj(env):
-        mask = np.True_
-        if elim is not None:
-            ax = full.axis(elim.var)
-            v = env[elim.var]
-            mask = (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
+        mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
         for i, c in enumerate(p.constraints):
             if i in skip:
                 continue
@@ -317,56 +320,6 @@ def grid_minimize(
     env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
     point = {v: float(env[v]) for v in p.variables}
     return GridResult(point, value, count)
-
-
-def _grid_sequential(p, params, box, tol, elim) -> GridResult:
-    """Reference implementation: plain loops and scalar evaluation."""
-    axes = [ax for ax in box.axes if elim is None or ax.name != elim.var]
-    names = [ax.name for ax in axes]
-    best = None
-    feasible = 0
-    for combo in itertools.product(*[ax.values().tolist() for ax in axes]):
-        point = dict(zip(names, combo))
-        if elim is not None:
-            acc, coeff = elim.rhs, 0.0
-            for j, name in enumerate(p.variables):
-                if name == elim.var:
-                    coeff = elim.row[j]
-                elif elim.row[j] != 0.0:
-                    acc -= elim.row[j] * point[name]
-            v = float(acc / coeff)
-            ax = box.axis(elim.var)
-            if not (ax.lo <= v <= ax.hi) or not math.isfinite(v):
-                continue
-            point[elim.var] = v
-        full = {**params, **point}
-        held = True
-        for i, c in enumerate(p.constraints):
-            if elim is not None and i == elim.constraint:
-                continue
-            try:
-                lv = evaluate(c.lhs, full)
-                rv = evaluate(c.rhs, full)
-            except DomainError:
-                held = False
-                break
-            if not comparison_holds(c.op, lv, rv, tol):
-                held = False
-                break
-        if not held:
-            continue
-        try:
-            val = objective_value(p, full)
-        except DomainError:
-            continue
-        if math.isnan(val):
-            continue
-        feasible += 1
-        if best is None or val < best[0]:
-            best = (val, {v: point[v] for v in p.variables})
-    if best is None:
-        raise Infeasible("no feasible lattice point")
-    return GridResult(best[1], best[0], feasible)
 
 
 # --- conic grid search ----------------------------------------------------------
@@ -408,36 +361,22 @@ def grid_minimize_conic(
     if missing:
         raise OracleError(f"box misses variables: {sorted(missing)}")
 
-    solved = None
+    elim = None
     if eliminate is not None:
         if not cp.A.shape[0]:
             raise OracleError("no equality row to eliminate")
-        row, rhs = cp.A[0], float(cp.b[0])
-        if eliminate == "auto":
-            nz = np.flatnonzero(np.abs(row) == np.abs(row).max())
-            j = int(nz[-1])
-        else:
-            j = cp.variables.index(eliminate)
-        if row[j] == 0.0:
-            raise OracleError(f"equality row has no {cp.variables[j]} term")
-        solved = (j, row, rhs)
+        var = None if eliminate == "auto" else eliminate
+        elim = _solve_for(0, cp.variables, cp.A[0], float(cp.b[0]), var)
+        if elim is None:
+            raise OracleError(f"equality row has no {var or 'nonzero'} term")
 
-    axes = tuple(
-        full.axis(v)
-        for i, v in enumerate(cp.variables)
-        if solved is None or i != solved[0]
-    )
+    axes = tuple(full.axis(v) for v in cp.variables if elim is None or v != elim.var)
     if not axes:
         raise OracleError("elimination leaves no grid axis")
 
     def fill_env(env):
-        if solved is not None:
-            j, row, rhs = solved
-            acc = rhs
-            for i, v in enumerate(cp.variables):
-                if i != j and row[i] != 0.0:
-                    acc = acc - row[i] * env[v]
-            env[cp.variables[j]] = acc / row[j]
+        if elim is not None:
+            env[elim.var] = _veval(elim.formula, env)
 
     def affine(row, env):
         # Only the nonzero columns, in column order, so the result is
@@ -448,12 +387,8 @@ def grid_minimize_conic(
         return acc
 
     def mask_and_obj(env):
-        mask = np.True_
-        if solved is not None:
-            v = env[cp.variables[solved[0]]]
-            ax = full.axis(cp.variables[solved[0]])
-            mask = (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
-        for r in range(0 if solved is None else 1, cp.A.shape[0]):
+        mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
+        for r in range(0 if elim is None else 1, cp.A.shape[0]):
             mask = mask & (np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
         for bl, sl in cp.block_slices():
             s = [affine(cp.G[r], env) - cp.h[r] for r in range(sl.start, sl.stop)]
@@ -593,15 +528,9 @@ def _tighten(p: Problem, params: Assignment, full: SearchBox, tol: float, elim) 
     for i, c in enumerate(p.constraints):
         lhs, op, rhs, t = c.lhs, c.op, c.rhs, tol
         if elim is not None and i == elim.constraint:
-            # The sampler solves this one; propagate its formula, which it
-            # evaluates in exactly this order, at tol 0.
-            acc = Const(float(elim.rhs))
-            for j, name in enumerate(p.variables):
-                if name == elim.var:
-                    coeff = float(elim.row[j])
-                elif elim.row[j] != 0.0:
-                    acc = Call("sub", (acc, Call("mul", (Const(float(elim.row[j])), Var(name)))))
-            lhs, rhs, t = Var(elim.var), Call("div", (acc, Const(coeff))), 0.0
+            # The sampler solves this one: propagate the very formula it
+            # evaluates, at tol 0.
+            lhs, rhs, t = Var(elim.var), elim.formula, 0.0
         elif op in (">=", ">"):
             lhs, rhs = rhs, lhs
         if op in ("<", ">"):
@@ -682,13 +611,11 @@ def sample_feasible(
             name: rng.uniform(*bounds[name], size=batch) for name in free
         }
         mask = np.ones(batch, dtype=bool)
-        if elim is not None:
-            v = elim.solve(env, p.variables)
-            env[elim.var] = v
-            ax = full.axis(elim.var)
-            mask &= (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
-        env.update(params)
         with np.errstate(all="ignore"):
+            if elim is not None:
+                env[elim.var] = _veval(elim.formula, env)
+                mask &= _solved_in_box(elim, env, full)
+            env.update(params)
             for i, c in enumerate(p.constraints):
                 if elim is not None and i == elim.constraint:
                     continue

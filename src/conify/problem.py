@@ -323,13 +323,3 @@ def _vcheck_feasible(p: Problem, env: dict[str, np.ndarray | float], tol: float 
 def objective_value(p: Problem, point: Assignment) -> float:
     return evaluate(p.objective, point)
 
-
-def to_feasibility(p: Problem) -> Problem:
-    """Forget the objective: same feasible set, constant-zero objective."""
-    return Problem(p.variables, p.params, Const(0.0), p.constraints)
-
-
-def bound_problem(p: Problem, bound: float) -> Problem:
-    """Feasibility problem asking for objective value at most `bound`."""
-    extra = Constraint(p.objective, "<=", Const(float(bound)))
-    return Problem(p.variables, p.params, Const(0.0), p.constraints + (extra,))

@@ -39,6 +39,7 @@ from .dcp import (
 from .problem import (
     Assignment,
     Call,
+    ConifyError,
     Const,
     Constraint,
     Expr,
@@ -52,7 +53,7 @@ from .problem import (
 from . import dsl
 
 
-class ReduceError(Exception):
+class ReduceError(ConifyError):
     pass
 
 
@@ -439,6 +440,7 @@ def apply_step(
 
 def write_trace(trace: ReductionTrace) -> str:
     lines = ["TRACE 1"]
+    after = trace.intermediates()
     for k, s in enumerate(trace.steps, start=1):
         parts = [f"STEP {k} {s.schema}"]
         if s.targets:
@@ -447,10 +449,8 @@ def write_trace(trace: ReductionTrace) -> str:
             parts.append(f"FRESH {s.fresh}")
         if s.forward_def is not None:
             parts.append(f"DEF {dsl.print_expr(s.forward_def)}")
-        if s.added:
-            cur = trace.intermediates()[k]
-            for i in s.added:
-                parts.append(f"ADD {dsl.print_constraint(cur.constraints[i])}")
+        for i in s.added:
+            parts.append(f"ADD {dsl.print_constraint(after[k].constraints[i])}")
         if s.removed:
             parts.append("REMOVE " + " ".join(str(i) for i in s.removed))
         lines.append(" ".join(parts))
@@ -473,7 +473,9 @@ class TraceFormatError(ReduceError):
 
 
 def read_trace(text: str, original: Problem) -> ReductionTrace:
-    """Parse a trace file and replay it against the original problem."""
+    """Parse a trace file and replay it against the original problem.  Every
+    claim of a step line (all AT targets, each ADD constraint, FRESH, DEF)
+    must match the replay, or TraceFormatError names the step."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or lines[0].strip() != "TRACE 1":
         raise TraceFormatError("line 1: expected 'TRACE 1' header")
@@ -488,12 +490,20 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
             raise TraceFormatError(f"unreadable step line: {ln!r}")
         schema = m.group("schema")
         try:
-            path = OccPath.parse(m.group("at").split(",")[0]) if m.group("at") else None
+            targets = tuple(map(OccPath.parse, m.group("at").split(","))) if m.group("at") else ()
             removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
-            cur, st = apply_step(cur, schema, path, removed, fresh_index=fresh)
+            cur, st = apply_step(cur, schema, targets[0] if targets else None, removed, fresh_index=fresh)
             want = dsl.parse_expr_in(m.group("def").strip(), cur) if m.group("def") else None
         except (dsl.DslError, ValueError, IndexError) as e:
             raise TraceFormatError(f"step line {ln.strip()!r}: {e}") from None
+        k = m.group("k")
+        if targets != st.targets:
+            said, did = m.group("at") or "nothing", ",".join(map(str, st.targets)) or "nothing"
+            raise TraceFormatError(f"step {k}: trace targets {said}, replay rewrites {did}")
+        added = " ADD ".join(dsl.print_constraint(cur.constraints[i]) for i in st.added)
+        if (m.group("add") or "") != added:
+            said = m.group("add") or "nothing"
+            raise TraceFormatError(f"step {k}: trace adds {said}, replay adds {added or 'nothing'}")
         if st.fresh is not None:
             fresh += 1
             if m.group("fresh") and m.group("fresh") != st.fresh:
@@ -501,7 +511,7 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
                     f"replay produced fresh name {st.fresh}, trace says {m.group('fresh')}"
                 )
         if want is not None and want != st.forward_def:
-            raise TraceFormatError(f"replayed definition differs for step {m.group('k')}")
+            raise TraceFormatError(f"replayed definition differs for step {k}")
         steps.append(st)
     return ReductionTrace(original, tuple(steps), cur)
 

@@ -14,9 +14,8 @@ from conify.atoms import (
     flip_sign,
     graph_impl,
     sign_of_value,
-    trivial_graph_impl,
 )
-from conify.problem import ATOM_ARITY, Call, Const, Constraint, Var
+from conify.problem import ATOM_ARITY, Call, Const, Constraint, Var, evaluate
 
 
 class TestRegistry:
@@ -112,11 +111,6 @@ class TestGraphImplementations:
         assert graph_impl("sqrt").value((4.0,)) == 2.0
         assert graph_impl("log").value((math.e,)) == pytest.approx(1.0)
 
-    def test_holds_is_exact(self):
-        gi = graph_impl("sqrt")
-        assert gi.holds(2.0, (4.0,))
-        assert not gi.holds(2.0 + 1e-9, (4.0,))
-
 
 class TestIsGreatest:
     def test_sqrt_at_a_point(self):
@@ -128,9 +122,28 @@ class TestIsGreatest:
         assert r.ok and r.value == math.log(5.0)
 
     def test_trivial_implementations(self):
+        # t <= f(x), the description behind plain linearization
         for atom, arg in [("exp", 1.5), ("sqrt", 2.0), ("abs", -3.0)]:
-            r = check_is_greatest(trivial_graph_impl(atom), (arg,))
+            trivial = GraphImplementation(
+                atom,
+                "greatest",
+                lambda t, args, atom=atom: Constraint(t, "<=", Call(atom, args)),
+                lambda a, atom=atom: evaluate(Call(atom, (Const(a[0]),)), {}),
+            )
+            r = check_is_greatest(trivial, (arg,))
             assert r.ok, (atom, r.detail)
+
+    def test_sqrt_written_with_geq(self):
+        # x >= t^2 is the same description as t^2 <= x
+        flipped = GraphImplementation(
+            "sqrt",
+            "greatest",
+            lambda t, args: Constraint(args[0], ">=", Call("pow", (t, Const(2.0)))),
+            lambda a: math.sqrt(a[0]),
+            required_fact="nonneg",
+        )
+        r = check_is_greatest(flipped, (4.0,))
+        assert r.ok and r.value == 2.0 and r.counterexample is None, r
 
     def test_wrong_description_is_caught(self):
         # t <= x describes the greatest solution x, not sqrt(x): the sweep

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import shutil
 
 import numpy as np
@@ -207,6 +208,17 @@ class TestSolveOracle:
         assert code == 1
         assert "infeasible on grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("emitted", [False, True])
+    def test_unknown_eliminate_variable_fails(self, tmp_path, capsys, emitted):
+        src = tmp_path / "lp_box.opt"
+        shutil.copy(CORPUS / "lp_box.opt", src)
+        if emitted:
+            assert main(["canon", str(src), "--skip-verify"]) == 0
+            src = src.with_suffix(".cone")
+        capsys.readouterr()
+        assert main(["solve-oracle", str(src), "--res", "3", "--eliminate", "z"]) == 1
+        assert capsys.readouterr().err.strip() == "no variable z to eliminate"
+
     def test_unknown_box_variable_exits_two(self, capsys):
         code = main(
             ["solve-oracle", str(CORPUS / "exp_budget.opt"),
@@ -342,6 +354,13 @@ class TestVerify:
         assert code == 2
         assert "trace: step line 'STEP 1 " in capsys.readouterr().err
 
+    def test_trace_claim_differing_from_replay_exits_two(self, tmp_path, chain_file, capsys):
+        trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
+        trace.write_text(trace.read_text().replace("ADD exp(y) <= t1", "ADD exp(y) <= t1 + 100", 1))
+        code = main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS])
+        assert code == 2
+        assert "trace: step 1: trace adds exp(y) <= t1 + 100" in capsys.readouterr().err
+
     def test_unreadable_solution_number_exits_two(self, tmp_path, chain_file, capsys):
         trace, _ = self.make_artifacts(tmp_path, chain_file, capsys)
         bad = tmp_path / "bad.sol"
@@ -386,3 +405,51 @@ class TestCorpusPipeline:
             assert code == 0, (name, captured.err)
             assert "OK" in captured.out
         assert ran == 10
+
+
+class TestFuzz:
+    """Seeded byte mutations of every input file kind: main returns an exit
+    code of 0, 1 or 2 and never raises."""
+
+    BYTES = b" \n\t,.:;-+*/^()=<>!#0123456789eExyzt_CONEVARSTEPADD\xff\x00"
+
+    @staticmethod
+    def mutate(data: bytes, rng: random.Random) -> bytes:
+        k = rng.randrange(len(data))
+        kind = rng.choice(["replace", "insert", "delete", "repeat"])
+        if kind == "replace":
+            return data[:k] + bytes([rng.choice(TestFuzz.BYTES)]) + data[k + 1:]
+        if kind == "insert":
+            return data[:k] + bytes([rng.choice(TestFuzz.BYTES)]) + data[k:]
+        if kind == "delete":
+            return data[:k] + data[k + 1:]
+        j = min(len(data), k + rng.randrange(1, 12))
+        return data[:j] + data[k:j] + data[j:]
+
+    def test_mutated_inputs_exit_cleanly(self, tmp_path, chain_file, capsys):
+        trace, sol = TestVerify().make_artifacts(tmp_path, chain_file, capsys)
+        cone = tmp_path / "chain1.cone"
+        assert main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS]) == 0
+        problems = sorted(CORPUS.glob("*.opt"))
+        rng = random.Random(20240)
+        codes = set()
+        for case in range(200):
+            kind = ("opt", "trace", "sol", "cone")[case % 4]
+            base = {"opt": rng.choice(problems), "trace": trace, "sol": sol, "cone": cone}[kind]
+            bad = tmp_path / f"bad.{kind}"
+            bad.write_bytes(self.mutate(base.read_bytes(), rng))
+            if kind == "opt":
+                runs = [["check", str(bad)],
+                        ["canon", str(bad), *UNIT_ARGS, "--skip-verify"],
+                        ["solve-oracle", str(bad), *UNIT_ARGS, "--res", "3"]]
+            elif kind == "cone":
+                runs = [["solve-oracle", str(bad), "--res", "3", "--eliminate", "auto"]]
+            else:
+                files = {"trace": bad, "sol": sol} if kind == "trace" else {"trace": trace, "sol": bad}
+                runs = [["verify", str(chain_file), str(files["trace"]), str(files["sol"]), *UNIT_ARGS]]
+            for argv in runs:
+                code = main(argv)
+                assert code in (0, 1, 2), (argv, bad.read_bytes())
+                codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 1, 2}

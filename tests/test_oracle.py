@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -11,6 +13,7 @@ from conify.conic import emit
 from conify.dsl import parse
 from conify.oracle import (
     Axis,
+    GridResult,
     Infeasible,
     OracleError,
     SearchBox,
@@ -23,12 +26,17 @@ from conify.problem import (
     Call,
     Const,
     Constraint,
+    DomainError,
     Param,
     ParamDecl,
     Problem,
     Var,
     _names,
+    _veval,
     check_feasible,
+    comparison_holds,
+    evaluate,
+    objective_value,
 )
 from conify.reduce import forward_map, reduce_problem
 
@@ -40,6 +48,59 @@ def mini(constraints, vars="x", objective="x"):
     return parse(
         f"minimization\n!vars {vars}\n!objective {objective}\n!constraints\n{constraints}"
     )
+
+
+def _grid_sequential(p, params, box, tol=1e-6, eliminate=None) -> GridResult:
+    """Reference for grid_minimize: plain loops and scalar evaluation."""
+    elim = None
+    if eliminate is not None:
+        elim = find_elimination(p, params, None if eliminate == "auto" else eliminate)
+    axes = [ax for ax in box.axes if elim is None or ax.name != elim.var]
+    names = [ax.name for ax in axes]
+    best = None
+    feasible = 0
+    for combo in itertools.product(*[ax.values().tolist() for ax in axes]):
+        point = dict(zip(names, combo))
+        if elim is not None:
+            acc, coeff = elim.rhs, 0.0
+            for j, name in enumerate(p.variables):
+                if name == elim.var:
+                    coeff = elim.row[j]
+                elif elim.row[j] != 0.0:
+                    acc -= elim.row[j] * point[name]
+            v = float(acc / coeff)
+            ax = box.axis(elim.var)
+            if not (ax.lo <= v <= ax.hi) or not math.isfinite(v):
+                continue
+            point[elim.var] = v
+        full = {**params, **point}
+        held = True
+        for i, c in enumerate(p.constraints):
+            if elim is not None and i == elim.constraint:
+                continue
+            try:
+                lv = evaluate(c.lhs, full)
+                rv = evaluate(c.rhs, full)
+            except DomainError:
+                held = False
+                break
+            if not comparison_holds(c.op, lv, rv, tol):
+                held = False
+                break
+        if not held:
+            continue
+        try:
+            val = objective_value(p, full)
+        except DomainError:
+            continue
+        if math.isnan(val):
+            continue
+        feasible += 1
+        if best is None or val < best[0]:
+            best = (val, {v: point[v] for v in p.variables})
+    if best is None:
+        raise Infeasible("no feasible lattice point")
+    return GridResult(best[1], best[0], feasible)
 
 
 class TestAxesAndBoxes:
@@ -140,7 +201,7 @@ class TestSequentialTwin:
         p = parse(CORPUS.joinpath(name).read_text())
         box = SearchBox.uniform(names, rng[0], rng[1], 13)
         fast = grid_minimize(p, params, box, eliminate=eliminate)
-        slow = grid_minimize(p, params, box, eliminate=eliminate, method="sequential")
+        slow = _grid_sequential(p, params, box, eliminate=eliminate)
         assert fast.value == slow.value
         assert fast.point == slow.point
         assert fast.feasible_count == slow.feasible_count
@@ -150,7 +211,8 @@ class TestSequentialTwin:
     def test_point_values_are_python_floats(self, name, params, names, rng, eliminate, method):
         p = parse(CORPUS.joinpath(name).read_text())
         box = SearchBox.uniform(names, rng[0], rng[1], 13)
-        point = grid_minimize(p, params, box, eliminate=eliminate, method=method).point
+        scan = grid_minimize if method == "vectorized" else _grid_sequential
+        point = scan(p, params, box, eliminate=eliminate).point
         assert set(point) == set(p.variables)
         assert all(type(v) is float for v in point.values())
 
@@ -159,7 +221,7 @@ class TestSequentialTwin:
         p = mini("x ^ 3 <= 1")
         box = SearchBox.uniform(("x",), -1e200, 1e200, 5)
         fast = grid_minimize(p, {}, box)
-        slow = grid_minimize(p, {}, box, method="sequential")
+        slow = _grid_sequential(p, {}, box)
         assert fast == slow
         assert fast.point == {"x": -1e200} and fast.feasible_count == 3
 
@@ -193,7 +255,7 @@ class TestMultiAxisScan:
     def test_sequential_twin_agrees(self, chain1_trace):
         p, box = chain1_trace.final, chain1_small_box()
         fast = grid_minimize(p, UNIT, box, eliminate="y")
-        slow = grid_minimize(p, UNIT, box, eliminate="y", method="sequential")
+        slow = _grid_sequential(p, UNIT, box, eliminate="y")
         assert fast.point == slow.point
         assert fast.value == slow.value
         assert fast.feasible_count == slow.feasible_count > 0
@@ -268,8 +330,8 @@ class TestElimination:
     def test_solve_recovers_the_bound_variable(self):
         p = mini("2 * x + 3 * y = 6", vars="x y")
         e = find_elimination(p, {})
-        assert e.solve({"x": 0.0}, p.variables) == pytest.approx(2.0)
-        assert e.solve({"x": 3.0}, p.variables) == pytest.approx(0.0)
+        assert _veval(e.formula, {"x": 0.0}) == pytest.approx(2.0)
+        assert _veval(e.formula, {"x": 3.0}) == pytest.approx(0.0)
 
     def test_eliminated_equality_holds_on_grid(self, chain1):
         # the eliminated variable keeps its axis: the bounds still filter it
@@ -283,6 +345,14 @@ class TestElimination:
         box = SearchBox.uniform(("x",), 0.0, 4.0, 41).with_axis("y", 0.9, 2.0, 41)
         r = grid_minimize(p, {}, box, eliminate="y")
         assert r.point == {"x": 0.1, "y": 0.9}
+
+    def test_unknown_variable_rejected(self):
+        p = parse(CORPUS.joinpath("lp_box.opt").read_text())
+        box = SearchBox.uniform(("x", "y"), -2.0, 2.0, 5)
+        with pytest.raises(OracleError, match="no variable z to eliminate"):
+            grid_minimize(p, {}, box, eliminate="z")
+        with pytest.raises(OracleError, match="no variable z to eliminate"):
+            grid_minimize_conic(emit(p, {}), box, eliminate="z")
 
     def test_variable_without_equality_rejected(self):
         p = mini("0 <= x + y", vars="x y")
@@ -421,7 +491,14 @@ def _plain_rejection(p, params, box, cols, tol=0.0):
     mask = np.ones(size, dtype=bool)
     with np.errstate(all="ignore"):
         if elim is not None:
-            v = np.broadcast_to(elim.solve(env, p.variables), (size,))
+            # the solved-equality formula, written out again
+            acc, coeff = elim.rhs, 0.0
+            for j, name in enumerate(p.variables):
+                if name == elim.var:
+                    coeff = elim.row[j]
+                elif elim.row[j] != 0.0:
+                    acc = acc - elim.row[j] * env[name]
+            v = np.broadcast_to(acc / coeff, (size,))
             env[elim.var] = v
             mask &= (v >= box[0]) & (v <= box[1]) & np.isfinite(v)
         env.update(params)

@@ -15,12 +15,10 @@ from conify.problem import (
     UnboundName,
     Var,
     _vcheck_feasible,
-    bound_problem,
     check_feasible,
     comparison_holds,
     evaluate,
     objective_value,
-    to_feasibility,
     violation,
 )
 
@@ -192,18 +190,18 @@ class TestCheckFeasible:
 
 
 class TestDerivedProblems:
-    def test_to_feasibility_zeroes_objective(self):
-        p = Problem(("x",), (), X, (Constraint(c(0), "<=", X),))
-        q = to_feasibility(p)
-        assert q.objective == c(0) and q.constraints == p.constraints
-
-    def test_bound_problem_appends_objective_bound(self):
-        p = Problem(("x",), (), X, (Constraint(c(0), "<=", X),))
-        q = bound_problem(p, 2.0)
-        assert q.constraints[-1] == Constraint(X, "<=", c(2.0))
-        assert check_feasible(q, {"x": 1.0}).feasible
-        assert not check_feasible(q, {"x": 3.0}).feasible
-
     def test_objective_value(self):
         p = Problem(("x",), (), call("mul", c(3), X), ())
         assert objective_value(p, {"x": 2.0}) == 6.0
+
+
+class TestErrors:
+    def test_every_error_family_shares_one_root(self):
+        import conify
+        from conify.conic import ConicError, ConicFormatError
+        from conify.reduce import TraceFormatError
+
+        families = (conify.DslError, ConicError, ConicFormatError, conify.OracleError,
+                    conify.Infeasible, conify.ReduceError, TraceFormatError, DomainError, UnboundName)
+        for err in families:
+            assert issubclass(err, conify.ConifyError), err

@@ -308,6 +308,32 @@ class TestTraceFiles:
         with pytest.raises(ReduceError, match="unknown schema"):
             read_trace("TRACE 1\nSTEP 1 dance AT c0/lhs\nEND", chain1)
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("ADD exp(y) <= t1", "ADD exp(y) <= t1 + 100", r"step 1: trace adds exp\(y\) <= t1 \+ 100, replay adds exp\(y\) <= t1$"),
+            (" ADD t2 ^ 2 <= x", "", r"step 2: trace adds nothing, replay adds t2 \^ 2 <= x$"),
+            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1,c3/rhs/0/1,c9/zz", r"bad occurrence path 'c9/zz'"),
+            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1,c3/rhs/0/1,c1/lhs", r"step 2: trace targets .*,c1/lhs, replay rewrites c0/rhs/0/0/1,c3/rhs/0/1$"),
+            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1", r"step 2: trace targets c0/rhs/0/0/1, replay rewrites c0/rhs/0/0/1,c3/rhs/0/1$"),
+            ("REMOVE 2 3", "AT c0/lhs REMOVE 2 3", r"step 4: trace targets c0/lhs, replay rewrites nothing$"),
+        ],
+        ids=["changed-add", "dropped-add", "bad-extra-target", "extra-target", "dropped-target", "target-on-removal"],
+    )
+    def test_every_claim_is_checked_against_replay(self, chain1, chain1_trace, old, new, match):
+        text = write_trace(chain1_trace)
+        assert old in text
+        with pytest.raises(TraceFormatError, match=match):
+            read_trace(text.replace(old, new, 1), chain1)
+
+    def test_write_trace_replays_once(self, chain1_trace, monkeypatch):
+        calls = []
+        replay = ReductionTrace.intermediates
+        monkeypatch.setattr(ReductionTrace, "intermediates", lambda t: calls.append(1) or replay(t))
+        text = write_trace(chain1_trace)
+        assert len(calls) == 1
+        assert text.count("ADD ") == 3
+
 
 class TestSolutionMaps:
     PARAMS = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
