@@ -1,0 +1,76 @@
+"""Print one line per oracle and file-format case, to compare two source trees.
+
+Run it once per tree and diff the outputs; any line that differs names the
+case that moved:
+
+    python3 scripts/equivalence.py OLD/src > old.txt
+    python3 scripts/equivalence.py src > new.txt
+    diff old.txt new.txt
+
+Cases cover the 15 corpus problems and, where reduction succeeds, their
+reduced forms: the write_trace and write_conic text; sample_feasible with
+n=300, seeds 0-3, at tol 0 and 1e-3; grid_minimize and grid_minimize_conic,
+each with and without eliminate="auto".  A case that raises prints the
+error's type and message instead of its result.  Parameters are bound to
+1.0; boxes are the corpus manifest's where it gives one, else [-5, 5].
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+RES = 9  # lattice points per axis: small enough for five axes
+
+
+def show(run) -> str:
+    """repr of run()'s result, or the error it raises; a long repr is
+    shortened to its digest."""
+    try:
+        text = repr(run())
+    except Exception as e:  # every error is a result to compare
+        return f"{type(e).__name__}: {e}"
+    if len(text) > 2000:
+        return f"sha256 {hashlib.sha256(text.encode()).hexdigest()} of {len(text)} chars"
+    return text
+
+
+def main(src: str) -> None:
+    sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    from conify import Axis, SearchBox, emit, grid_minimize, grid_minimize_conic, parse
+    from conify import reduce_problem, sample_feasible, write_conic, write_trace
+
+    manifest = json.loads((CORPUS / "manifest.json").read_text())
+    for name, meta in manifest.items():
+        p = parse((CORPUS / name).read_text())
+        params = {d.name: 1.0 for d in p.params}
+        bounds = meta.get("boxes") or {}
+        forms = {"original": p}
+        try:
+            trace = reduce_problem(p)
+        except Exception as e:
+            print(f"{name} reduce: {type(e).__name__}: {e}")
+        else:
+            forms["reduced"] = trace.final
+            print(f"{name} write_trace: {show(lambda: write_trace(trace))}")
+        for form, q in forms.items():
+            case = f"{name} {form}"
+            print(f"{case} write_conic: {show(lambda: write_conic(emit(q, params)))}")
+            for seed in range(4):
+                for tol in (0.0, 1e-3):
+                    got = show(lambda: sample_feasible(q, params, (-5.0, 5.0), 300, seed=seed, tol=tol))
+                    print(f"{case} sample_feasible seed={seed} tol={tol}: {got}")
+            box = SearchBox(tuple(Axis(v, *bounds.get(v, (-5.0, 5.0)), RES) for v in q.variables))
+            for eliminate in (None, "auto"):
+                got = show(lambda: grid_minimize(q, params, box, eliminate=eliminate))
+                print(f"{case} grid_minimize eliminate={eliminate}: {got}")
+                got = show(lambda: grid_minimize_conic(emit(q, params), box, eliminate=eliminate))
+                print(f"{case} grid_minimize_conic eliminate={eliminate}: {got}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: equivalence.py SRC_DIR")
+    main(sys.argv[1])

@@ -7,22 +7,26 @@ and `verify` replays a trace against a solution file and re-checks everything
 numerically.
 
 Exit codes: 0 success, 1 semantic failure (non-conformance, failed check,
-infeasible grid), 2 unreadable input (parse or file format errors).
+infeasible grid), 2 unreadable input (parse or file format errors, bad
+option values).  Every error a subcommand raises gets its code and message
+from one table, _EXITS.
 """
 
 import argparse
 import functools
+import math
 import pathlib
 import sys
 
 import numpy as np
 
 from .conic import (
-    ConicError,
     ConicFormatError,
     DualCertificate,
+    UnboundParameter,
     check_dual_bound,
     check_primal,
+    emit,
     read_conic,
     read_solution,
     write_conic,
@@ -32,7 +36,7 @@ from .conic import (
 from .dcp import OccPath, dcp_check, resolve
 from .dsl import DslError, parse, print_expr, print_problem
 from .oracle import Infeasible, OracleError, SearchBox, grid_minimize, grid_minimize_conic
-from .problem import Problem, check_feasible, objective_value
+from .problem import ConifyError, check_feasible, objective_value
 from .reduce import (
     ReduceError,
     apply_step,
@@ -44,32 +48,36 @@ from .reduce import (
 )
 
 
-class _Exit(Exception):
-    def __init__(self, code: int, message: str | None = None):
-        self.code = code
-        self.message = message
+class _Unusable(ConifyError):
+    """An input file or option value the subcommand cannot use."""
 
 
-def _fail(code: int, message: str) -> "_Exit":
-    return _Exit(code, message)
+# (subcommand or "*", error family, exit code, message): the first row that
+# matches an escaping error decides.  {e} is the error's message, {kind} its
+# class name, and {issues} a DslError's issues, one "path:line:col: ..." line
+# each.  In step, an IndexError or ValueError can only come from resolving
+# --path in the problem.
+_EXITS = (
+    ("*", _Unusable, 2, "error: {e}"),
+    ("*", DslError, 2, "error: {issues}"),
+    ("solve-oracle", ConicFormatError, 2, "error: {e}"),
+    ("verify", ConicFormatError, 2, "error: solution: {e}"),
+    ("verify", ReduceError, 2, "error: trace: {e}"),
+    ("canon", OracleError, 1, "trace verification could not sample: {e}"),
+    ("solve-oracle", Infeasible, 1, "infeasible on grid"),
+    ("step", ReduceError, 1, "{kind}: {e}"),
+    ("step", (IndexError, ValueError), 1, "path does not resolve in this problem"),
+    ("*", ConifyError, 1, "{e}"),
+)
 
 
 def _read_text(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
     except OSError as e:
-        raise _fail(2, f"cannot read {path}: {e.strerror or e}")
+        raise _Unusable(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
-        raise _fail(2, f"cannot read {path}: {e}")
-
-
-def _load_problem(path: str) -> Problem:
-    text = _read_text(path)
-    try:
-        return parse(text)
-    except DslError as e:
-        lines = [f"{path}:{issue}" for issue in e.issues]
-        raise _fail(2, "\n".join(lines))
+        raise _Unusable(f"cannot read {path}: {e}") from None
 
 
 def _parse_params(pairs: list[str]) -> dict[str, float]:
@@ -77,11 +85,11 @@ def _parse_params(pairs: list[str]) -> dict[str, float]:
     for item in pairs:
         name, sep, value = item.partition("=")
         if not sep or not name:
-            raise _fail(2, f"bad --param {item!r}, expected name=value")
+            raise _Unusable(f"bad --param {item!r}, expected name=value")
         try:
             out[name] = float(value)
         except ValueError:
-            raise _fail(2, f"bad --param value {value!r} for {name}")
+            raise _Unusable(f"bad --param value {value!r} for {name}") from None
     return out
 
 
@@ -91,11 +99,13 @@ def _parse_boxes(pairs: list[str]) -> dict[str, tuple[float, float]]:
         name, sep, span = item.partition("=")
         lo, sep2, hi = span.partition(":")
         if not sep or not sep2:
-            raise _fail(2, f"bad --box {item!r}, expected var=lo:hi")
+            raise _Unusable(f"bad --box {item!r}, expected var=lo:hi")
         try:
             out[name] = (float(lo), float(hi))
         except ValueError:
-            raise _fail(2, f"bad --box bounds in {item!r}")
+            raise _Unusable(f"bad --box bounds in {item!r}") from None
+        if not -math.inf < out[name][0] <= out[name][1] < math.inf:
+            raise _Unusable(f"bad --box {item!r}, expected finite lo <= hi")
     return out
 
 
@@ -103,7 +113,7 @@ def _make_box(names, boxes: dict[str, tuple[float, float]], res: int) -> SearchB
     box = SearchBox.uniform(names, -5.0, 5.0, res)
     for name, (lo, hi) in boxes.items():
         if name not in names:
-            raise _fail(2, f"--box names unknown variable {name}")
+            raise _Unusable(f"--box names unknown variable {name}")
         box = box.with_axis(name, lo, hi, res)
     return box
 
@@ -112,42 +122,37 @@ def _make_box(names, boxes: dict[str, tuple[float, float]], res: int) -> SearchB
 
 
 def _cmd_check(args) -> int:
-    p = _load_problem(args.problem)
+    p = parse(_read_text(args.problem))
     verdict = dcp_check(p)
+    failures = []
     for d in verdict.diagnoses:
-        where = "objective" if d.constraint is None else f"constraint #{d.constraint} {d.side}"
-        line = f"{where}: required {d.required}, got {d.inferred.name.lower()}"
+        what = f"required {d.required}, got {d.inferred.name.lower()}"
         if not d.ok and d.failing_path is not None:
-            line += f" at {print_expr(resolve(p, d.failing_path))}"
-        print(line)
+            what += f" at {print_expr(resolve(p, d.failing_path))}"
+        where = "objective" if d.constraint is None else f"constraint #{d.constraint}"
+        side = "" if d.constraint is None else f" {d.side}"
+        print(f"{where}{side}: {what}")
+        if not d.ok:
+            failures.append(f"{where}: {what}")
     print("DCP: conformant" if verdict.conformant else "DCP: not conformant")
-    if not verdict.conformant:
-        for d in verdict.failures():
-            k = "objective" if d.constraint is None else f"constraint #{d.constraint}"
-            at = ""
-            if d.failing_path is not None:
-                at = f" at {print_expr(resolve(p, d.failing_path))}"
-            print(f"{k}: required {d.required}, got {d.inferred.name.lower()}{at}", file=sys.stderr)
+    for line in failures:
+        print(line, file=sys.stderr)
     return 0 if verdict.conformant else 1
 
 
 def _cmd_canon(args) -> int:
-    p = _load_problem(args.problem)
+    p = parse(_read_text(args.problem))
     params = _parse_params(args.param)
-    try:
-        cp, trace = canonize(p, params)
-    except (ReduceError, ConicError) as e:
-        raise _fail(1, str(e))
+    if not args.skip_verify and args.samples < 1:
+        raise _Unusable(f"bad --samples {args.samples}, expected at least 1 (or --skip-verify)")
+    cp, trace = canonize(p, params)
 
     if not args.skip_verify:
-        try:
-            report = verify_trace_sampled(trace, params, box=(-5.0, 5.0), n=args.samples, tol=args.tol)
-        except (OracleError, Infeasible) as e:
-            raise _fail(1, f"trace verification could not sample: {e}")
+        report = verify_trace_sampled(trace, params, box=(-5.0, 5.0), n=args.samples, tol=args.tol)
         if not report.ok:
             for f in report.failures[:5]:
                 print(f"verification failure: {f}", file=sys.stderr)
-            raise _fail(1, "sampled trace verification failed")
+            raise ConifyError("sampled trace verification failed")
         print(
             f"trace verified on {report.backward_checked} backward and "
             f"{report.forward_checked} forward samples"
@@ -167,26 +172,17 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_step(args) -> int:
-    p = _load_problem(args.problem)
-    path = None
-    if args.path is not None:
-        try:
-            path = OccPath.parse(args.path)
-        except ValueError as e:
-            raise _fail(2, str(e))
-    removed = ()
-    if args.drop:
-        try:
-            removed = tuple(int(s) for s in args.drop.split(","))
-        except ValueError:
-            raise _fail(2, f"bad --drop {args.drop!r}, expected indices like 2,3")
-    schema = {"eliminate": "eliminate_redundant"}.get(args.schema, args.schema)
+    p = parse(_read_text(args.problem))
     try:
-        q, step = apply_step(p, schema, path, removed)
-    except ReduceError as e:
-        raise _fail(1, f"{type(e).__name__}: {e}")
-    except IndexError:
-        raise _fail(1, "path does not resolve in this problem")
+        path = None if args.path is None else OccPath.parse(args.path)
+    except ValueError as e:
+        raise _Unusable(str(e)) from None
+    try:
+        removed = tuple(int(s) for s in args.drop.split(",")) if args.drop else ()
+    except ValueError:
+        raise _Unusable(f"bad --drop {args.drop!r}, expected indices like 2,3") from None
+    schema = {"eliminate": "eliminate_redundant"}.get(args.schema, args.schema)
+    q, _ = apply_step(p, schema, path, removed)
     print(print_problem(q), end="")
     return 0
 
@@ -202,42 +198,22 @@ def _sniff_conic(text: str) -> bool:
 def _cmd_solve_oracle(args) -> int:
     text = _read_text(args.problem)
     boxes = _parse_boxes(args.box)
-    eliminate = args.eliminate
-
+    if args.res is not None and args.res < 2:
+        raise _Unusable(f"bad --res {args.res}, expected at least 2 points per axis")
     if _sniff_conic(text):
-        try:
-            cp = read_conic(text)
-        except ConicFormatError as e:
-            raise _fail(2, str(e))
+        cp = read_conic(text)
         names = cp.variables
-        axes = len(names) - (1 if eliminate else 0)
-        res = args.res or _auto_res(axes)
-        box = _make_box(names, boxes, res)
-        try:
-            result = grid_minimize_conic(cp, box, tol=args.tol, eliminate=eliminate)
-        except Infeasible:
-            raise _fail(1, "infeasible on grid")
-        except OracleError as e:
-            raise _fail(1, str(e))
+        solve = functools.partial(grid_minimize_conic, cp)
     else:
-        try:
-            p = parse(text)
-        except DslError as e:
-            raise _fail(2, "\n".join(f"{args.problem}:{i}" for i in e.issues))
+        p = parse(text)
         params = _parse_params(args.param)
         missing = [d.name for d in p.params if d.name not in params]
         if missing:
-            raise _fail(1, f"unbound parameter {missing[0]}")
+            raise UnboundParameter(f"unbound parameter {missing[0]}")
         names = p.variables
-        axes = len(names) - (1 if eliminate else 0)
-        res = args.res or _auto_res(axes)
-        box = _make_box(names, boxes, res)
-        try:
-            result = grid_minimize(p, params, box, tol=args.tol, eliminate=eliminate)
-        except Infeasible:
-            raise _fail(1, "infeasible on grid")
-        except OracleError as e:
-            raise _fail(1, str(e))
+        solve = functools.partial(grid_minimize, p, params)
+    res = args.res or _auto_res(len(names) - (1 if args.eliminate else 0))
+    result = solve(_make_box(names, boxes, res), tol=args.tol, eliminate=args.eliminate)
 
     at = ", ".join(f"{v}={result.point[v]!r}" for v in names)
     print(f"minimum {result.value!r} at {at} ({result.feasible_count} feasible lattice points)")
@@ -255,30 +231,18 @@ def _auto_res(axes: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    p = _load_problem(args.problem)
+    p = parse(_read_text(args.problem))
     params = _parse_params(args.param)
-    try:
-        trace = read_trace(_read_text(args.trace), p)
-    except ReduceError as e:
-        raise _fail(2, f"trace: {e}")
-    try:
-        sol = read_solution(_read_text(args.solution))
-    except ConicFormatError as e:
-        raise _fail(2, f"solution: {e}")
-
-    from .conic import emit
-
-    try:
-        cp = emit(trace.final, params)
-    except ConicError as e:
-        raise _fail(1, str(e))
+    trace = read_trace(_read_text(args.trace), p)
+    sol = read_solution(_read_text(args.solution))
+    cp = emit(trace.final, params)
 
     if sol.primal.shape != (len(cp.variables),):
-        raise _fail(1, f"primal has {sol.primal.shape[0]} values, problem has {len(cp.variables)}")
+        raise ConifyError(f"primal has {sol.primal.shape[0]} values, problem has {len(cp.variables)}")
 
     primal = check_primal(cp, sol.primal, tol=args.tol)
     if not primal.feasible:
-        raise _fail(1, "FAIL primal: " + "; ".join(primal.failures))
+        raise ConifyError("FAIL primal: " + "; ".join(primal.failures))
     print(f"conic primal feasible, objective {primal.objective!r}")
 
     point = dict(zip(cp.variables, (float(v) for v in sol.primal)))
@@ -289,7 +253,7 @@ def _cmd_verify(args) -> int:
         detail = f"constraint #{verdict.index}"
         if verdict.error is not None:
             detail += f" ({verdict.error})"
-        raise _fail(1, f"FAIL backmap: original infeasible at {detail}")
+        raise ConifyError(f"FAIL backmap: original infeasible at {detail}")
     original_value = objective_value(trace.original, full)
     at = ", ".join(f"{v}={back[v]!r}" for v in trace.original.variables)
     print(f"backmapped point feasible: {at}")
@@ -300,11 +264,11 @@ def _cmd_verify(args) -> int:
         z = sol.dual_cone if sol.dual_cone is not None else np.zeros(cp.G.shape[0])
         report = check_dual_bound(cp, DualCertificate(y, z), tol=args.tol)
         if not report.accepted:
-            raise _fail(1, "FAIL dual: " + "; ".join(report.failures))
+            raise ConifyError("FAIL dual: " + "; ".join(report.failures))
         gap = primal.objective - report.bound
         print(f"certified lower bound {report.bound!r}, duality gap {gap!r}")
         if gap < -args.tol:
-            raise _fail(1, "FAIL dual: bound exceeds objective")
+            raise ConifyError("FAIL dual: bound exceeds objective")
     print("OK")
     return 0
 
@@ -370,10 +334,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except _Exit as e:
-        if e.message:
-            print(f"error: {e.message}" if e.code != 1 else e.message, file=sys.stderr)
-        return e.code
+    except (ConifyError, IndexError, ValueError) as e:
+        for command, family, code, message in _EXITS:
+            if command in ("*", args.command) and isinstance(e, family):
+                issues = "\n".join(f"{args.problem}:{issue}" for issue in getattr(e, "issues", ()))
+                print(message.format(e=e, kind=type(e).__name__, issues=issues), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -301,11 +301,16 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
         else:
             raise UnrecognizedShape(f"constraint {i} is not an emittable shape")
 
-    A = np.array(A_rows) if A_rows else np.zeros((0, n))
-    b = np.array(b_vals) if b_vals else np.zeros(0)
-    G = np.array(G_rows) if G_rows else np.zeros((0, n))
-    h = np.array(h_vals) if h_vals else np.zeros(0)
-    return ConicProblem(tuple(p.variables), c_row, A, b, G, h, tuple(blocks))
+    return _assemble(p.variables, c_row, A_rows, b_vals, G_rows, h_vals, blocks)
+
+
+def _assemble(variables, c, A_rows, b_vals, G_rows, h_vals, blocks) -> ConicProblem:
+    """ConicProblem from collected rows; no rows give a (0, n) block."""
+    n = len(variables)
+    A = np.array(A_rows, dtype=float).reshape(len(b_vals), n)
+    G = np.array(G_rows, dtype=float).reshape(len(h_vals), n)
+    b, h = np.array(b_vals, dtype=float), np.array(h_vals, dtype=float)
+    return ConicProblem(tuple(variables), c, A, b, G, h, tuple(blocks))
 
 
 # --- membership ---------------------------------------------------------------
@@ -523,11 +528,7 @@ def read_conic(text: str) -> ConicProblem:
     if not lines.done():
         no, ln = lines.next("nothing")
         raise ConicFormatError(f"line {no}: content after END")
-    A = np.array(A_rows) if A_rows else np.zeros((0, n))
-    b = np.array(b_vals) if b_vals else np.zeros(0)
-    G = np.array(G_rows) if G_rows else np.zeros((0, n))
-    h = np.array(h_vals) if h_vals else np.zeros(0)
-    return ConicProblem(names, c, A, b, G, h, tuple(blocks))
+    return _assemble(names, c, A_rows, b_vals, G_rows, h_vals, blocks)
 
 
 @dataclass(frozen=True, eq=False)

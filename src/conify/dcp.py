@@ -53,12 +53,18 @@ class OccPath:
 
     @staticmethod
     def parse(text: str) -> "OccPath":
+        """Read the str() form; every index is a decimal integer >= 0."""
         parts = text.strip().split("/")
         if parts[0] == "obj":
-            return OccPath(None, "lhs", tuple(int(s) for s in parts[1:]))
-        if not parts[0].startswith("c") or len(parts) < 2 or parts[1] not in ("lhs", "rhs"):
+            constraint, side, steps = None, "lhs", parts[1:]
+        elif parts[0].startswith("c") and len(parts) >= 2 and parts[1] in ("lhs", "rhs"):
+            constraint, side, steps = parts[0][1:], parts[1], parts[2:]
+        else:
             raise ValueError(f"bad occurrence path {text!r}")
-        return OccPath(int(parts[0][1:]), parts[1], tuple(int(s) for s in parts[2:]))
+        indices = steps if constraint is None else [constraint, *steps]
+        if not all(s.isascii() and s.isdigit() for s in indices):
+            raise ValueError(f"bad occurrence path {text!r}: indices are integers >= 0")
+        return OccPath(None if constraint is None else int(constraint), side, tuple(map(int, steps)))
 
 
 def path_root(p: Problem, path: OccPath) -> Expr:
@@ -125,14 +131,8 @@ def find_occurrences(p: Problem, target: Expr, include_objective: bool = False) 
 
 
 def param_sign_context(p: Problem) -> dict[str, Sign]:
-    table = {
-        "none": Sign.UNKNOWN,
-        "nonneg": Sign.NONNEG,
-        "pos": Sign.POS,
-        "nonpos": Sign.NONPOS,
-        "neg": Sign.NEG,
-    }
-    return {d.name: table[d.sign] for d in p.params}
+    """Each parameter's declared sign; "none" declares nothing."""
+    return {d.name: Sign.UNKNOWN if d.sign == "none" else Sign(d.sign) for d in p.params}
 
 
 def _analyze(e: Expr, signs: dict[str, Sign], cache: dict) -> tuple[Curvature, Sign]:

@@ -114,24 +114,17 @@ class SearchBox:
             out.append(Axis(name, lo, hi, points))
         return SearchBox(tuple(out))
 
-    def without(self, name: str) -> "SearchBox":
-        return SearchBox(tuple(ax for ax in self.axes if ax.name != name))
-
-    def refined(self) -> "SearchBox":
-        """Double the resolution; the old lattice is a subset of the new one."""
-        return SearchBox(
-            tuple(Axis(ax.name, ax.lo, ax.hi, 2 * ax.points - 1) for ax in self.axes)
-        )
-
-    def total_points(self) -> int:
-        return math.prod(ax.points for ax in self.axes)
-
 
 def _as_box(box, names) -> SearchBox:
-    if isinstance(box, SearchBox):
-        return box
-    lo, hi = box
-    return SearchBox.uniform(names, float(lo), float(hi), 2)
+    """box itself when it is a SearchBox, else its (lo, hi) pair on every
+    name.  Raises OracleError unless the result covers every name."""
+    if not isinstance(box, SearchBox):
+        lo, hi = box
+        box = SearchBox.uniform(names, float(lo), float(hi), 2)
+    missing = set(names) - set(box.names)
+    if missing:
+        raise OracleError(f"box misses variables: {sorted(missing)}")
+    return box
 
 
 @dataclass(frozen=True)
@@ -184,6 +177,16 @@ def _solved_in_box(elim: Elimination, env, full: SearchBox):
     """Points where the solved variable lands inside its box bounds."""
     v, ax = env[elim.var], full.axis(elim.var)
     return (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
+
+
+def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: float):
+    """Points of env that satisfy p: the solved variable inside its box and
+    every constraint but the solved equality at tol."""
+    mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
+    for i, c in enumerate(p.constraints):
+        if elim is None or i != elim.constraint:
+            mask = mask & _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
+    return mask
 
 
 def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> Elimination | None:
@@ -289,9 +292,6 @@ def grid_minimize(
     as a membership filter but costs no axis.
     """
     full = _as_box(box, p.variables)
-    missing = set(p.variables) - set(full.names)
-    if missing:
-        raise OracleError(f"box misses variables: {sorted(missing)}")
 
     elim = None
     if eliminate is not None:
@@ -302,7 +302,6 @@ def grid_minimize(
     axes = tuple(ax for ax in full.axes if elim is None or ax.name != elim.var)
     if not axes:
         raise OracleError("elimination leaves no grid axis")
-    skip = () if elim is None else (elim.constraint,)
 
     def fill_env(env):
         if elim is not None:
@@ -310,12 +309,7 @@ def grid_minimize(
         env.update(params)
 
     def mask_and_obj(env):
-        mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
-        for i, c in enumerate(p.constraints):
-            if i in skip:
-                continue
-            mask = mask & _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
-        return mask, np.asarray(_veval(p.objective, env), dtype=float)
+        return _feasible(p, elim, env, full, tol), np.asarray(_veval(p.objective, env), dtype=float)
 
     env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
     point = {v: float(env[v]) for v in p.variables}
@@ -357,9 +351,6 @@ def grid_minimize_conic(
     to rounding rather than to tol.
     """
     full = _as_box(box, cp.variables)
-    missing = set(cp.variables) - set(full.names)
-    if missing:
-        raise OracleError(f"box misses variables: {sorted(missing)}")
 
     elim = None
     if eliminate is not None:
@@ -584,9 +575,6 @@ def sample_feasible(
     raises Infeasible before any draw.
     """
     full = _as_box(box, p.variables)
-    missing = set(p.variables) - set(full.names)
-    if missing:
-        raise OracleError(f"box misses variables: {sorted(missing)}")
 
     elim = find_elimination(p, params)
     eq_left = sum(
@@ -610,16 +598,11 @@ def sample_feasible(
         env: dict[str, np.ndarray | float] = {
             name: rng.uniform(*bounds[name], size=batch) for name in free
         }
-        mask = np.ones(batch, dtype=bool)
         with np.errstate(all="ignore"):
             if elim is not None:
                 env[elim.var] = _veval(elim.formula, env)
-                mask &= _solved_in_box(elim, env, full)
             env.update(params)
-            for i, c in enumerate(p.constraints):
-                if elim is not None and i == elim.constraint:
-                    continue
-                mask &= _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
+            mask = np.broadcast_to(_feasible(p, elim, env, full, tol), (batch,))
         kept = np.flatnonzero(mask)[: n - found]
         for v in p.variables:
             cols[v].append(np.broadcast_to(env[v], (batch,))[kept])

@@ -150,12 +150,6 @@ class Problem:
         if undeclared:
             raise ValueError(f"undeclared names: {sorted(undeclared)}")
 
-    def param_decl(self, name: str) -> ParamDecl:
-        for d in self.params:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
 
 def evaluate(e: Expr, point: Assignment) -> float:
     """Evaluate an expression at a point covering its variables and parameters."""

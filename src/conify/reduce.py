@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import Curvature, atom_lookup, graph_impl
+from .conic import constraint_shape, emit
 from .dcp import (
     OccPath,
     Polarity,
@@ -36,6 +37,7 @@ from .dcp import (
     resolve,
     substitute,
 )
+from .oracle import sample_feasible
 from .problem import (
     Assignment,
     Call,
@@ -119,28 +121,32 @@ class ReductionTrace:
         return out
 
 
-def _fresh_name(p: Problem, index: int | None) -> tuple[str, int]:
+def _fresh_name(p: Problem) -> str:
+    """t<k>, k one more than the variables already named like a fresh one,
+    with underscores appended until the name is unused."""
     used = set(p.variables) | {d.name for d in p.params}
-    if index is None:
-        index = 1 + sum(1 for v in p.variables if re.fullmatch(r"t\d+_*", v))
-    name = f"t{index}"
+    k = 1 + sum(1 for v in p.variables if re.fullmatch(r"t\d+_*", v))
+    name = f"t{k}"
     while name in used:
         name += "_"
-    return name, index
+    return name
 
 
 def _is_affine(e: Expr, p: Problem) -> bool:
     return curvature_of(e, param_sign_context(p)).is_affine()
 
 
-def _replace_everywhere(p: Problem, occs: list[OccPath], new: Expr, variables) -> Problem:
-    out = Problem(variables, p.params, p.objective, p.constraints)
+def _introduce(p: Problem, g: Expr, occs: list[OccPath], schema: str, bound) -> tuple[Problem, TraceStep]:
+    """Replace g at occs with a fresh variable t and append bound(t)."""
+    name = _fresh_name(p)
+    q = Problem(p.variables + (name,), p.params, p.objective, p.constraints)
     for o in occs:
-        out = substitute(out, o, new)
-    return out
+        q = substitute(q, o, Var(name))
+    q = Problem(q.variables, q.params, q.objective, q.constraints + (bound(Var(name)),))
+    return q, TraceStep(schema, tuple(occs), name, g, added=(len(q.constraints) - 1,))
 
 
-def linearize(p: Problem, path: OccPath, fresh_index: int | None = None) -> tuple[Problem, TraceStep]:
+def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
     """Replace the non-affine subterm at `path` with a fresh bounded variable."""
     g = resolve(p, path)
     if _is_affine(g, p):
@@ -149,17 +155,9 @@ def linearize(p: Problem, path: OccPath, fresh_index: int | None = None) -> tupl
     if pol not in (Polarity.MONOTONE, Polarity.ANTIMONOTONE):
         raise PolarityUnknown(f"polarity at {path} is {pol.value}; cannot linearize")
     occs = [o for o in find_occurrences(p, g) if polarity_of(p, o) == pol]
-    name, _ = _fresh_name(p, fresh_index)
-    q = _replace_everywhere(p, occs, Var(name), p.variables + (name,))
     if pol == Polarity.ANTIMONOTONE:
-        bound = Constraint(g, "<=", Var(name))
-        schema = "linearize_antimono"
-    else:
-        bound = Constraint(Var(name), "<=", g)
-        schema = "linearize_mono"
-    q = Problem(q.variables, q.params, q.objective, q.constraints + (bound,))
-    step = TraceStep(schema, tuple(occs), name, g, added=(len(q.constraints) - 1,))
-    return q, step
+        return _introduce(p, g, occs, "linearize_antimono", lambda t: Constraint(g, "<=", t))
+    return _introduce(p, g, occs, "linearize_mono", lambda t: Constraint(t, "<=", g))
 
 
 def _fact_present(p: Problem, arg: Expr, fact: str) -> bool:
@@ -179,7 +177,7 @@ def _fact_present(p: Problem, arg: Expr, fact: str) -> bool:
     return False
 
 
-def graph_expand(p: Problem, path: OccPath, fresh_index: int | None = None) -> tuple[Problem, TraceStep]:
+def graph_expand(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
     """Replace an atom occurrence with a fresh variable pinned by its graph
     description."""
     g = resolve(p, path)
@@ -202,14 +200,9 @@ def graph_expand(p: Problem, path: OccPath, fresh_index: int | None = None) -> t
             "among the constraints"
         )
     occs = [o for o in find_occurrences(p, g) if polarity_of(p, o) == want]
-    name, _ = _fresh_name(p, fresh_index)
-    q = _replace_everywhere(p, occs, Var(name), p.variables + (name,))
-    described = impl.build_constraint(Var(name), g.args)
-    q = Problem(q.variables, q.params, q.objective, q.constraints + (described,))
     curv = atom_lookup(g.atom).curvature
     schema = "graph_expand_concave" if curv == Curvature.CONCAVE else "graph_expand_convex"
-    step = TraceStep(schema, tuple(occs), name, g, added=(len(q.constraints) - 1,))
-    return q, step
+    return _introduce(p, g, occs, schema, lambda t: impl.build_constraint(t, g.args))
 
 
 def _as_lower_bound(c: Constraint) -> tuple[Expr, bool] | None:
@@ -280,12 +273,6 @@ def eliminate_redundant(p: Problem, indices: tuple[int, ...]) -> tuple[Problem, 
 # --- driver -----------------------------------------------------------------
 
 
-def _constraint_emittable(c: Constraint, p: Problem) -> bool:
-    from .conic import constraint_shape
-
-    return constraint_shape(c) is not None
-
-
 def _innermost_nonaffine(e: Expr, p: Problem) -> tuple[int, ...] | None:
     if not isinstance(e, Call):
         return None
@@ -303,7 +290,7 @@ def _pick_target(p: Problem) -> OccPath | None:
     constraints emission accepts whole.  Raises when the occurrence is already
     a bare head with no implementation and no emission rule."""
     for i, c in enumerate(p.constraints):
-        if _constraint_emittable(c, p):
+        if constraint_shape(c) is not None:
             continue
         for side, root in (("lhs", c.lhs), ("rhs", c.rhs)):
             steps = _innermost_nonaffine(root, p)
@@ -356,17 +343,15 @@ def reduce_problem(p: Problem, max_steps: int = 500) -> ReductionTrace:
 
     steps: list[TraceStep] = []
     cur = p
-    fresh = 1 + sum(1 for v in p.variables if re.fullmatch(r"t\d+_*", v))
     for _ in range(max_steps):
         path = _pick_target(cur)
         if path is None:
             break
         g = resolve(cur, path)
         if isinstance(g, Call) and graph_impl(g.atom) is not None:
-            cur, st = graph_expand(cur, path, fresh_index=fresh)
+            cur, st = graph_expand(cur, path)
         else:
-            cur, st = linearize(cur, path, fresh_index=fresh)
-        fresh += 1
+            cur, st = linearize(cur, path)
         steps.append(st)
     else:
         raise NotConeRepresentable(f"no fixpoint after {max_steps} schema steps")
@@ -383,8 +368,6 @@ def canonize(p: Problem, params: Assignment):
 
     Returns (ConicProblem, ReductionTrace).
     """
-    from .conic import emit
-
     trace = reduce_problem(p)
     return emit(trace.final, params), trace
 
@@ -420,19 +403,18 @@ def apply_step(
     schema: str,
     path: OccPath | None,
     removed: tuple[int, ...] = (),
-    fresh_index: int | None = None,
 ) -> tuple[Problem, TraceStep]:
     if schema in ("linearize_antimono", "linearize_mono", "linearize"):
         if path is None:
             raise ReduceError("linearize needs an occurrence path")
-        q, st = linearize(p, path, fresh_index)
+        q, st = linearize(p, path)
         if schema != "linearize" and st.schema != schema:
             raise ReduceError(f"polarity at {path} gives {st.schema}, not {schema}")
         return q, st
     if schema in ("graph_expand_concave", "graph_expand_convex", "graph_expand"):
         if path is None:
             raise ReduceError("graph_expand needs an occurrence path")
-        return graph_expand(p, path, fresh_index)
+        return graph_expand(p, path)
     if schema == "eliminate_redundant":
         return eliminate_redundant(p, removed)
     raise ReduceError(f"unknown schema {schema!r}")
@@ -483,7 +465,6 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
         raise TraceFormatError(f"line {len(lines)}: expected 'END' footer")
     cur = original
     steps: list[TraceStep] = []
-    fresh = 1 + sum(1 for v in original.variables if re.fullmatch(r"t\d+_*", v))
     for ln in lines[1:-1]:
         m = _STEP_RE.match(ln.strip())
         if m is None:
@@ -492,7 +473,7 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
         try:
             targets = tuple(map(OccPath.parse, m.group("at").split(","))) if m.group("at") else ()
             removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
-            cur, st = apply_step(cur, schema, targets[0] if targets else None, removed, fresh_index=fresh)
+            cur, st = apply_step(cur, schema, targets[0] if targets else None, removed)
             want = dsl.parse_expr_in(m.group("def").strip(), cur) if m.group("def") else None
         except (dsl.DslError, ValueError, IndexError) as e:
             raise TraceFormatError(f"step line {ln.strip()!r}: {e}") from None
@@ -504,12 +485,8 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
         if (m.group("add") or "") != added:
             said = m.group("add") or "nothing"
             raise TraceFormatError(f"step {k}: trace adds {said}, replay adds {added or 'nothing'}")
-        if st.fresh is not None:
-            fresh += 1
-            if m.group("fresh") and m.group("fresh") != st.fresh:
-                raise TraceFormatError(
-                    f"replay produced fresh name {st.fresh}, trace says {m.group('fresh')}"
-                )
+        if st.fresh is not None and m.group("fresh") and m.group("fresh") != st.fresh:
+            raise TraceFormatError(f"replay produced fresh name {st.fresh}, trace says {m.group('fresh')}")
         if want is not None and want != st.forward_def:
             raise TraceFormatError(f"replayed definition differs for step {k}")
         steps.append(st)
@@ -548,8 +525,6 @@ def verify_trace_sampled(
     a changed objective.  Failures are listed point by point in sample
     order, backward ones first.
     """
-    from .oracle import sample_feasible
-
     report = TraceCheckReport()
     final_pts = sample_feasible(trace.final, params, box, n, seed=seed, tol=0.0)
     env = {**params, **_columns(final_pts, trace.final.variables)}

@@ -105,6 +105,13 @@ class TestCanon:
         assert main(["canon", str(src)]) == 1
         assert capsys.readouterr().err == SQRT_MESSAGE + "\n"
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_no_samples_exits_two(self, chain_file, capsys, samples):
+        assert main(["canon", str(chain_file), *UNIT_ARGS, "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad --samples {samples}") and "--skip-verify" in err
+        assert not chain_file.with_suffix(".cone").exists()
+
 
 class TestStep:
     def test_linearize_prints_next_problem(self, capsys):
@@ -163,6 +170,20 @@ class TestStep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "path,code,message",
+        [
+            ("c0/lhs/5/5", 1, "path does not resolve in this problem\n"),
+            ("c-1/rhs", 2, "error: bad occurrence path 'c-1/rhs'"),
+            ("c3/rhs/0/-1", 2, "error: bad occurrence path 'c3/rhs/0/-1'"),
+        ],
+        ids=["leaves-the-expression", "negative-constraint", "negative-argument"],
+    )
+    def test_path_outside_the_problem(self, capsys, path, code, message):
+        argv = ["step", str(CORPUS / "chain1.opt"), "--schema", "linearize", "--path", path]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestSolveOracle:
     def test_chain_problem_with_elimination(self, chain_file, capsys):
@@ -218,6 +239,16 @@ class TestSolveOracle:
         capsys.readouterr()
         assert main(["solve-oracle", str(src), "--res", "3", "--eliminate", "z"]) == 1
         assert capsys.readouterr().err.strip() == "no variable z to eliminate"
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--box", "x=1:0"], ["--box", "x=nan:1"], ["--res", "1"], ["--res", "-3"], ["--res", "0"]],
+        ids=["box-reversed", "box-nan", "res-1", "res-negative", "res-0"],
+    )
+    def test_out_of_range_option_exits_two(self, tmp_path, capsys, option):
+        argv = ["solve-oracle", str(CORPUS / "exp_budget.opt"), *option, "--out", str(tmp_path / "x.sol")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad {option[0]} ")
 
     def test_unknown_box_variable_exits_two(self, capsys):
         code = main(
@@ -408,8 +439,9 @@ class TestCorpusPipeline:
 
 
 class TestFuzz:
-    """Seeded byte mutations of every input file kind: main returns an exit
-    code of 0, 1 or 2 and never raises."""
+    """Seeded byte mutations of every input file kind and of option values:
+    main returns an exit code of 0, 1 or 2 and raises nothing but argparse's
+    own SystemExit(2) for an option value that is not an integer."""
 
     BYTES = b" \n\t,.:;-+*/^()=<>!#0123456789eExyzt_CONEVARSTEPADD\xff\x00"
 
@@ -451,5 +483,29 @@ class TestFuzz:
                 code = main(argv)
                 assert code in (0, 1, 2), (argv, bad.read_bytes())
                 codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 1, 2}
+
+    def test_mutated_options_exit_cleanly(self, chain_file, capsys):
+        rng = random.Random(20241)
+        step = ["step", str(chain_file), "--schema"]
+        cases = [
+            lambda v: [*step, rng.choice(["linearize", "graph_expand", "linearize_mono"]), "--path", v],
+            lambda v: [*step, "eliminate", "--drop", v],
+            lambda v: ["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", "3", "--box", v],
+            lambda v: ["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", v],
+            lambda v: ["canon", str(chain_file), *UNIT_ARGS, "--samples", v],
+        ]
+        values = [["c0/lhs", "c0/rhs/0/0/1", "c3/rhs/0", "obj"], ["2,3", "0"], ["x=0:4", "y=-4:2"], ["3"], ["25"]]
+        codes = set()
+        for case in range(150):
+            value = self.mutate(rng.choice(values[case % 5]).encode(), rng).decode("latin-1")
+            argv = cases[case % 5](value)
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's own exit 2 for a non-integer
+                code = e.code
+            assert code in (0, 1, 2), argv
+            codes.add(code)
         capsys.readouterr()
         assert codes == {0, 1, 2}

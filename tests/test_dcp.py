@@ -163,7 +163,9 @@ class TestOccPath:
     def test_parse_str_round_trip(self, text):
         assert str(OccPath.parse(text)) == text
 
-    @pytest.mark.parametrize("bad", ["", "lhs/0", "c1", "c1/mid/0", "cx/lhs", "c0/lhs/a"])
+    @pytest.mark.parametrize(
+        "bad", ["", "lhs/0", "c1", "c1/mid/0", "cx/lhs", "c0/lhs/a", "c-1/rhs", "c3/rhs/0/-1", "obj/-1", "c+1/lhs"]
+    )
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             OccPath.parse(bad)

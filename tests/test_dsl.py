@@ -44,8 +44,7 @@ class TestParsing:
             """
         )
         assert p.variables == ("x", "y")
-        assert p.param_decl("a").sign == "nonneg"
-        assert p.param_decl("b").sign == "none"
+        assert p.params == (ParamDecl("a", "nonneg"), ParamDecl("b", "none"))
         assert len(p.constraints) == 2
         assert p.constraints[1].lhs == Call("exp", (Var("x"),))
 

@@ -118,22 +118,20 @@ class TestAxesAndBoxes:
     def test_uniform_box(self):
         box = SearchBox.uniform(("x", "y"), -1.0, 1.0, 5)
         assert box.names == ("x", "y")
-        assert box.total_points() == 25
+        assert math.prod(ax.points for ax in box.axes) == 25
         assert box.axis("y").points == 5
 
     def test_with_axis_and_without(self):
         box = SearchBox.uniform(("x", "y"), -1.0, 1.0, 5)
         narrowed = box.with_axis("y", 0.0, 1.0, 3)
         assert narrowed.axis("y").lo == 0.0
-        assert narrowed.total_points() == 15
-        assert narrowed.without("y").names == ("x",)
+        assert narrowed.axis("x") == box.axis("x")
+        assert narrowed.names == ("x", "y")
+        assert box.with_axis("z", 0.0, 1.0, 3).names == ("x", "y", "z")
 
     def test_refined_keeps_old_lattice_points(self):
-        box = SearchBox.uniform(("x",), 0.0, 1.0, 5)
-        fine = box.refined()
-        assert fine.axis("x").points == 9
-        old = set(map(float, box.axis("x").values()))
-        new = set(map(float, fine.axis("x").values()))
+        old = set(map(float, Axis("x", 0.0, 1.0, 5).values()))
+        new = set(map(float, Axis("x", 0.0, 1.0, 9).values()))
         assert old <= new
 
 
@@ -182,9 +180,8 @@ class TestGridMinimize:
 
     def test_refinement_never_worsens_the_minimum(self):
         p = parse(CORPUS.joinpath("exp_budget.opt").read_text())
-        box = SearchBox.uniform(("x",), 0.0, 3.0, 11)
-        coarse = grid_minimize(p, {}, box)
-        fine = grid_minimize(p, {}, box.refined())
+        coarse = grid_minimize(p, {}, SearchBox.uniform(("x",), 0.0, 3.0, 11))
+        fine = grid_minimize(p, {}, SearchBox.uniform(("x",), 0.0, 3.0, 21))
         assert fine.value <= coarse.value
 
 

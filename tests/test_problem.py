@@ -76,9 +76,9 @@ class TestProblemConstruction:
 
     def test_param_decl_lookup(self):
         p = Problem(("x",), (ParamDecl("a", "nonneg"),), X, ())
-        assert p.param_decl("a").sign == "nonneg"
-        with pytest.raises(KeyError):
-            p.param_decl("b")
+        decls = {d.name: d for d in p.params}
+        assert decls["a"].sign == "nonneg"
+        assert "b" not in decls
 
 
 class TestEvaluate:

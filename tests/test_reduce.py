@@ -69,11 +69,6 @@ class TestLinearize:
         assert [str(t) for t in step.targets] == ["c0/lhs", "c1/lhs"]
         assert cons(q) == ["t1 <= x", "t1 <= 2 * x", "exp(y) <= t1"]
 
-    def test_fresh_index_override(self):
-        p = mini("exp(y) <= x")
-        _, step = apply_step(p, "linearize", OccPath.parse("c0/lhs"), fresh_index=7)
-        assert step.fresh == "t7"
-
     def test_fresh_names_skip_declared_ones(self):
         p = mini("exp(y) <= t1", vars="t1 x y")
         _, step = apply_step(p, "linearize", OccPath.parse("c0/lhs"))
@@ -296,6 +291,7 @@ class TestTraceFiles:
             ("AT c0/lhs", "AT c0/zz", r"'STEP 1 .*AT c0/zz .*': bad occurrence path 'c0/zz'"),
             ("AT c0/lhs", "AT c0/lhs/5", r"'STEP 1 .*': path c0/lhs/5 leaves the expression"),
             ("AT c0/lhs", "AT c9/lhs", r"'STEP 1 .*AT c9/lhs .*': "),
+            ("AT c0/lhs", "AT c-1/lhs", r"'STEP 1 .*AT c-1/lhs .*': bad occurrence path 'c-1/lhs'"),
         ],
     )
     def test_unparsable_step_fields_name_the_line(self, chain1, chain1_trace, old, new, match):
