@@ -7,9 +7,9 @@ and `verify` replays a trace against a solution file and re-checks everything
 numerically.
 
 Exit codes: 0 success, 1 semantic failure (non-conformance, failed check,
-infeasible grid), 2 unreadable input (parse or file format errors, bad
-option values).  Every error a subcommand raises gets its code and message
-from one table, _EXITS.
+infeasible grid), 2 unusable input or output (parse or file format errors,
+bad option values, files that cannot be read or written).  Every error a
+subcommand raises gets its code and message from one table, _EXITS.
 """
 
 import argparse
@@ -38,6 +38,7 @@ from .dsl import DslError, parse, print_expr, print_problem
 from .oracle import Infeasible, OracleError, SearchBox, grid_minimize, grid_minimize_conic
 from .problem import ConifyError, check_feasible, objective_value
 from .reduce import (
+    SCHEMAS,
     ReduceError,
     apply_step,
     backmap,
@@ -78,6 +79,13 @@ def _read_text(path: str) -> str:
         raise _Unusable(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise _Unusable(f"cannot read {path}: {e}") from None
+
+
+def _write_text(path: pathlib.Path, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as e:
+        raise _Unusable(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _parse_params(pairs: list[str]) -> dict[str, float]:
@@ -163,8 +171,8 @@ def _cmd_canon(args) -> int:
     src = pathlib.Path(args.problem)
     out = pathlib.Path(args.out) if args.out else src.with_suffix(".cone")
     tr = pathlib.Path(args.trace) if args.trace else src.with_suffix(".trace")
-    out.write_text(write_conic(cp))
-    tr.write_text(write_trace(trace))
+    _write_text(out, write_conic(cp))
+    _write_text(tr, write_trace(trace))
     kinds = " ".join(bl.kind for bl in cp.blocks) or "none"
     print(f"wrote {out}: {len(cp.variables)} vars, {cp.A.shape[0]} equalities, blocks {kinds}")
     print(f"wrote {tr}: {len(trace.steps)} steps")
@@ -181,8 +189,7 @@ def _cmd_step(args) -> int:
         removed = tuple(int(s) for s in args.drop.split(",")) if args.drop else ()
     except ValueError:
         raise _Unusable(f"bad --drop {args.drop!r}, expected indices like 2,3") from None
-    schema = {"eliminate": "eliminate_redundant"}.get(args.schema, args.schema)
-    q, _ = apply_step(p, schema, path, removed)
+    q, _ = apply_step(p, args.schema, path, removed)
     print(print_problem(q), end="")
     return 0
 
@@ -218,7 +225,7 @@ def _cmd_solve_oracle(args) -> int:
     at = ", ".join(f"{v}={result.point[v]!r}" for v in names)
     print(f"minimum {result.value!r} at {at} ({result.feasible_count} feasible lattice points)")
     out = pathlib.Path(args.out) if args.out else pathlib.Path(args.problem).with_suffix(".sol")
-    out.write_text(write_solution(SolutionFile(np.array([result.point[v] for v in names]))))
+    _write_text(out, write_solution(SolutionFile(np.array([result.point[v] for v in names]))))
     print(f"wrote {out}")
     return 0
 
@@ -299,10 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("step", help="apply one reduction schema and print the result")
     c.add_argument("problem")
-    c.add_argument("--schema", required=True,
-                   choices=["linearize", "linearize_mono", "linearize_antimono",
-                            "graph_expand", "graph_expand_concave", "graph_expand_convex",
-                            "eliminate", "eliminate_redundant"])
+    c.add_argument("--schema", required=True, choices=list(SCHEMAS))
     c.add_argument("--path", help="occurrence path like c0/rhs/0/1")
     c.add_argument("--drop", help="constraint indices for eliminate, like 2,3")
     c.set_defaults(func=_cmd_step)

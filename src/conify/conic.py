@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcp import curvature_of
+from .dcp import is_affine
 from .dsl import print_expr
 from .problem import (
     Assignment,
@@ -49,6 +49,7 @@ from .problem import (
     UnboundName,
     Var,
     evaluate,
+    oriented,
 )
 
 
@@ -140,30 +141,23 @@ class DualCertificate:
 # --- shape recognition --------------------------------------------------------
 
 
-def _structurally_affine(e: Expr) -> bool:
-    return curvature_of(e, {}).is_affine()
-
-
 def constraint_shape(c: Constraint) -> str | None:
     """Emission shape of one constraint, or None when no rule applies.
 
     Strict comparators never emit; sign-flipped forms (>=) normalize first.
     """
     if c.op == "=":
-        if _structurally_affine(c.lhs) and _structurally_affine(c.rhs):
+        if is_affine(c.lhs) and is_affine(c.rhs):
             return "eq"
         return None
-    if c.op in ("<", ">"):
+    lo, hi, strict = oriented(c)
+    if strict or not is_affine(hi):
         return None
-    lo, hi = (c.lhs, c.rhs) if c.op == "<=" else (c.rhs, c.lhs)
-    if not _structurally_affine(hi):
-        return None
-    if isinstance(lo, Call) and lo.atom == "pow" and lo.args[1] == Const(2.0) \
-            and _structurally_affine(lo.args[0]):
+    if isinstance(lo, Call) and lo.atom == "pow" and lo.args[1] == Const(2.0) and is_affine(lo.args[0]):
         return "soc"
-    if isinstance(lo, Call) and lo.atom == "exp" and _structurally_affine(lo.args[0]):
+    if isinstance(lo, Call) and lo.atom == "exp" and is_affine(lo.args[0]):
         return "exp"
-    if _structurally_affine(lo):
+    if is_affine(lo):
         return "orthant"
     return None
 
@@ -274,11 +268,11 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
     for i, c in enumerate(p.constraints):
         if c.op == "=":
             continue
-        if c.op in ("<", ">"):
+        lo, hi, strict = oriented(c)
+        if strict:
             raise StrictComparatorRemains(
                 f"constraint {i} keeps a strict comparator; it cannot emit"
             )
-        lo, hi = (c.lhs, c.rhs) if c.op == "<=" else (c.rhs, c.lhs)
         shape = constraint_shape(c)
         if shape == "soc":
             ru, du = affine_parts(lo.args[0], i)

@@ -93,18 +93,17 @@ def _subst_in(e: Expr, steps: tuple[int, ...], new: Expr) -> Expr:
     return Call(e.atom, tuple(args))
 
 
-def substitute(p: Problem, path: OccPath, new: Expr, variables: tuple[str, ...] | None = None) -> Problem:
-    """Replace the subterm at one path.  `variables` may extend declarations."""
-    vs = variables if variables is not None else p.variables
+def substitute(p: Problem, path: OccPath, new: Expr) -> Problem:
+    """Replace the subterm at one path."""
     if path.constraint is None:
-        return Problem(vs, p.params, _subst_in(p.objective, path.steps, new), p.constraints)
+        return Problem(p.variables, p.params, _subst_in(p.objective, path.steps, new), p.constraints)
     cs = list(p.constraints)
     c = cs[path.constraint]
     if path.side == "lhs":
         cs[path.constraint] = Constraint(_subst_in(c.lhs, path.steps, new), c.op, c.rhs)
     else:
         cs[path.constraint] = Constraint(c.lhs, c.op, _subst_in(c.rhs, path.steps, new))
-    return Problem(vs, p.params, p.objective, tuple(cs))
+    return Problem(p.variables, p.params, p.objective, tuple(cs))
 
 
 def _walk(e: Expr, steps: tuple[int, ...], target: Expr, out: list[tuple[int, ...]]) -> None:
@@ -115,16 +114,13 @@ def _walk(e: Expr, steps: tuple[int, ...], target: Expr, out: list[tuple[int, ..
             _walk(a, steps + (i,), target, out)
 
 
-def find_occurrences(p: Problem, target: Expr, include_objective: bool = False) -> list[OccPath]:
-    """Every syntactically identical occurrence, in constraint order, lhs first."""
+def find_occurrences(p: Problem, target: Expr) -> list[OccPath]:
+    """Every syntactically identical occurrence in the constraints, in
+    constraint order, lhs first."""
     found: list[OccPath] = []
-    if include_objective:
-        acc: list[tuple[int, ...]] = []
-        _walk(p.objective, (), target, acc)
-        found += [OccPath(None, "lhs", s) for s in acc]
     for i, c in enumerate(p.constraints):
         for side, root in (("lhs", c.lhs), ("rhs", c.rhs)):
-            acc = []
+            acc: list[tuple[int, ...]] = []
             _walk(root, (), target, acc)
             found += [OccPath(i, side, s) for s in acc]
     return found
@@ -235,6 +231,13 @@ def curvature_of(e: Expr, signs: dict[str, Sign]) -> Curvature:
     return _analyze(e, signs, {})[0]
 
 
+def is_affine(e: Expr) -> bool:
+    """Is e affine (or constant) in the variables?  Declared parameter signs
+    choose among convex, concave and unknown, but never make or break
+    affine, so none are needed."""
+    return curvature_of(e, {}).is_affine()
+
+
 def sign_of(e: Expr, signs: dict[str, Sign]) -> Sign:
     return _analyze(e, signs, {})[1]
 
@@ -305,13 +308,13 @@ def _meets(c: Curvature, required: str) -> bool:
     return c.is_concave()
 
 
-def _first_break(e: Expr, steps: tuple[int, ...], signs, cache, required: str) -> tuple[int, ...]:
+def _first_break(e: Expr, steps: tuple[int, ...], signs, cache) -> tuple[int, ...]:
     """Innermost-leftmost subterm where the requirement already fails."""
     if isinstance(e, Call):
         for i, a in enumerate(e.args):
             ca = _analyze(a, signs, cache)[0]
             if ca == Curvature.UNKNOWN:
-                return _first_break(a, steps + (i,), signs, cache, required)
+                return _first_break(a, steps + (i,), signs, cache)
     return steps
 
 
@@ -327,8 +330,7 @@ def dcp_check(p: Problem) -> DcpVerdict:
         path = None
         if not ok:
             root = OccPath(constraint, side if side != "objective" else "lhs")
-            path = OccPath(root.constraint, root.side,
-                           _first_break(e, (), signs, cache, required))
+            path = OccPath(root.constraint, root.side, _first_break(e, (), signs, cache))
         out.append(Diagnosis(constraint, side, required, cur, ok, path))
 
     judge(None, "objective", p.objective, "convex")

@@ -57,6 +57,7 @@ from .problem import (
     _mask_ok,
     _names,
     _veval,
+    oriented,
 )
 
 
@@ -69,6 +70,9 @@ class Infeasible(OracleError):
 
 
 CHUNK = 1 << 20
+
+# sample_feasible gives up after this many batches of draws.
+MAX_BATCHES = 4000
 
 
 @dataclass(frozen=True)
@@ -285,7 +289,8 @@ def grid_minimize(
 ) -> GridResult:
     """Lexicographically first lattice minimizer of p at bound parameters.
 
-    box: a SearchBox covering every variable, or a (lo, hi) pair applied
+    box: a SearchBox covering every variable, scanned in declaration order
+    (an axis no variable declares is ignored), or a (lo, hi) pair applied
     uniformly (then useful only for sampling; grids want explicit axes).
     eliminate: "auto" solves the first affine equality for one variable, a
     variable name forces the choice; the solved variable keeps its box bounds
@@ -299,7 +304,7 @@ def grid_minimize(
         if elim is None:
             raise OracleError("no affine equality available to eliminate")
 
-    axes = tuple(ax for ax in full.axes if elim is None or ax.name != elim.var)
+    axes = tuple(full.axis(v) for v in p.variables if elim is None or v != elim.var)
     if not axes:
         raise OracleError("elimination leaves no grid axis")
 
@@ -517,16 +522,15 @@ def _tighten(p: Problem, params: Assignment, full: SearchBox, tol: float, elim) 
     box = {ax.name: (ax.lo, ax.hi) for ax in full.axes}
     rows = []
     for i, c in enumerate(p.constraints):
-        lhs, op, rhs, t = c.lhs, c.op, c.rhs, tol
         if elim is not None and i == elim.constraint:
             # The sampler solves this one: propagate the very formula it
             # evaluates, at tol 0.
-            lhs, rhs, t = Var(elim.var), elim.formula, 0.0
-        elif op in (">=", ">"):
-            lhs, rhs = rhs, lhs
-        if op in ("<", ">"):
-            t = 0.0
-        rows.append((i, lhs, op == "=", rhs, t))
+            rows.append((i, Var(elim.var), True, elim.formula, 0.0))
+        elif c.op == "=":
+            rows.append((i, c.lhs, True, c.rhs, tol))
+        else:
+            lo, hi, strict = oriented(c)
+            rows.append((i, lo, False, hi, 0.0 if strict else tol))
     with np.errstate(all="ignore"):
         for _ in range(16):
             before = dict(box)
@@ -554,7 +558,6 @@ def sample_feasible(
     n: int,
     seed: int = 0,
     tol: float = 0.0,
-    max_batches: int = 4000,
 ) -> list[Assignment]:
     """Rejection-sample n feasible points, uniform over the feasible part of
     the box.
@@ -572,8 +575,10 @@ def sample_feasible(
     accepted set is the same as from the caller's box and uniform draws
     restricted to it keep the same distribution; fewer draws are wasted, and
     a given seed gives different points.  A box the propagation empties
-    raises Infeasible before any draw.
+    raises Infeasible before any draw.  n below 1 raises OracleError.
     """
+    if n < 1:
+        raise OracleError(f"cannot sample n={n} points; n must be at least 1")
     full = _as_box(box, p.variables)
 
     elim = find_elimination(p, params)
@@ -594,7 +599,7 @@ def sample_feasible(
     cols: dict[str, list[np.ndarray]] = {v: [] for v in p.variables}
     found = 0
     batch = max(256, min(8192, 8 * n))
-    for _ in range(max_batches):
+    for _ in range(MAX_BATCHES):
         env: dict[str, np.ndarray | float] = {
             name: rng.uniform(*bounds[name], size=batch) for name in free
         }

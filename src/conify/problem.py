@@ -8,6 +8,7 @@ _vcheck_feasible) evaluate many points at once over numpy arrays and mark such
 points nan instead; a nan never satisfies a comparison.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,16 @@ class Constraint:
             raise ValueError(f"unknown comparator {self.op!r}")
 
 
+def oriented(c: Constraint) -> tuple[Expr, Expr, bool] | None:
+    """An inequality as (lo, hi, strict), meaning lo <= hi or lo < hi;
+    None for an equality."""
+    if c.op in ("<=", "<"):
+        return c.lhs, c.rhs, c.op == "<"
+    if c.op in (">=", ">"):
+        return c.rhs, c.lhs, c.op == ">"
+    return None
+
+
 # Parameter sign attributes, "none" meaning unconstrained.
 SIGN_ATTRS = ("none", "nonneg", "pos", "nonpos", "neg")
 
@@ -153,8 +164,6 @@ class Problem:
 
 def evaluate(e: Expr, point: Assignment) -> float:
     """Evaluate an expression at a point covering its variables and parameters."""
-    import math
-
     if isinstance(e, Const):
         return e.value
     if isinstance(e, (Var, Param)):

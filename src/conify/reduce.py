@@ -29,10 +29,9 @@ from .conic import constraint_shape, emit
 from .dcp import (
     OccPath,
     Polarity,
-    curvature_of,
     dcp_check,
     find_occurrences,
-    param_sign_context,
+    is_affine,
     polarity_of,
     resolve,
     substitute,
@@ -51,6 +50,7 @@ from .problem import (
     _vcheck_feasible,
     _veval,
     evaluate,
+    oriented,
 )
 from . import dsl
 
@@ -132,10 +132,6 @@ def _fresh_name(p: Problem) -> str:
     return name
 
 
-def _is_affine(e: Expr, p: Problem) -> bool:
-    return curvature_of(e, param_sign_context(p)).is_affine()
-
-
 def _introduce(p: Problem, g: Expr, occs: list[OccPath], schema: str, bound) -> tuple[Problem, TraceStep]:
     """Replace g at occs with a fresh variable t and append bound(t)."""
     name = _fresh_name(p)
@@ -149,7 +145,7 @@ def _introduce(p: Problem, g: Expr, occs: list[OccPath], schema: str, bound) -> 
 def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
     """Replace the non-affine subterm at `path` with a fresh bounded variable."""
     g = resolve(p, path)
-    if _is_affine(g, p):
+    if is_affine(g):
         raise AffineTarget(f"subterm at {path} is already affine: {dsl.print_expr(g)}")
     pol = polarity_of(p, path)
     if pol not in (Polarity.MONOTONE, Polarity.ANTIMONOTONE):
@@ -162,18 +158,9 @@ def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
 
 def _fact_present(p: Problem, arg: Expr, fact: str) -> bool:
     """Is `0 <= arg` (fact nonneg) or `0 < arg` (fact pos) recorded?"""
-    zero = Const(0.0)
-    for c in p.constraints:
-        forms = []
-        if c.op in ("<=", "<"):
-            forms.append((c.lhs, c.op, c.rhs))
-        elif c.op in (">=", ">"):
-            forms.append((c.rhs, "<=" if c.op == ">=" else "<", c.lhs))
-        for lo, op, hi in forms:
-            if lo == zero and hi == arg:
-                if fact == "pos" and op != "<":
-                    continue
-                return True
+    for lo, hi, strict in filter(None, map(oriented, p.constraints)):
+        if lo == Const(0.0) and hi == arg and (strict or fact != "pos"):
+            return True
     return False
 
 
@@ -205,48 +192,30 @@ def graph_expand(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
     return _introduce(p, g, occs, schema, lambda t: impl.build_constraint(t, g.args))
 
 
-def _as_lower_bound(c: Constraint) -> tuple[Expr, bool] | None:
-    """Normalize `0 <= e` / `e >= 0` forms to (e, strict)."""
-    zero = Const(0.0)
-    if c.op in ("<=", "<") and c.lhs == zero:
-        return c.rhs, c.op == "<"
-    if c.op in (">=", ">") and c.rhs == zero:
-        return c.lhs, c.op == ">"
-    return None
-
-
-def _le_pairs(c: Constraint) -> tuple[tuple[Expr, Expr], ...]:
-    if c.op == "<=":
-        return ((c.lhs, c.rhs),)
-    if c.op == ">=":
-        return ((c.rhs, c.lhs),)
-    return ()
-
-
 def _implied(c: Constraint, rest: list[Constraint]) -> str | None:
     """Name of the implication rule justifying c from rest, or None."""
-    lb = _as_lower_bound(c)
-    if lb is not None:
-        e, strict = lb
+    # The premises used, each a non-strict lo <= hi.
+    le = [(lo, hi) for lo, hi, strict in filter(None, map(oriented, rest)) if not strict]
+    bound = oriented(c)
+    if bound is not None and bound[0] == Const(0.0):
+        _, e, strict = bound
         if not strict:
             # 0 <= e follows from any u^2 <= e.
-            for r in rest:
-                for lo, hi in _le_pairs(r):
-                    if hi == e and isinstance(lo, Call) and lo.atom == "pow" and lo.args[1] == Const(2.0):
-                        return "square-lower-bound"
+            for lo, hi in le:
+                if hi == e and isinstance(lo, Call) and lo.atom == "pow" and lo.args[1] == Const(2.0):
+                    return "square-lower-bound"
         else:
             # 0 < e follows from any exp(t) <= e.
-            for r in rest:
-                for lo, hi in _le_pairs(r):
-                    if hi == e and isinstance(lo, Call) and lo.atom == "exp":
-                        return "exp-positivity"
+            for lo, hi in le:
+                if hi == e and isinstance(lo, Call) and lo.atom == "exp":
+                    return "exp-positivity"
     if c.op == "<=":
-        # e1 <= e3 follows from e1 <= e2 and e2 <= e3.
-        mids_above = {hi for r in rest for lo, hi in _le_pairs(r) if lo == c.lhs}
-        for r in rest:
-            for lo, hi in _le_pairs(r):
-                if hi == c.rhs and lo in mids_above:
-                    return "transitivity"
+        # e1 <= e3 follows from e1 <= e2 and e2 <= e3.  Tested only on a
+        # constraint written with <=: traces record what the sweep drops.
+        mids_above = {hi for lo, hi in le if lo == c.lhs}
+        for lo, hi in le:
+            if hi == c.rhs and lo in mids_above:
+                return "transitivity"
     return None
 
 
@@ -273,14 +242,14 @@ def eliminate_redundant(p: Problem, indices: tuple[int, ...]) -> tuple[Problem, 
 # --- driver -----------------------------------------------------------------
 
 
-def _innermost_nonaffine(e: Expr, p: Problem) -> tuple[int, ...] | None:
+def _innermost_nonaffine(e: Expr) -> tuple[int, ...] | None:
     if not isinstance(e, Call):
         return None
     for i, a in enumerate(e.args):
-        sub = _innermost_nonaffine(a, p)
+        sub = _innermost_nonaffine(a)
         if sub is not None:
             return (i,) + sub
-    if not _is_affine(e, p):
+    if not is_affine(e):
         return ()
     return None
 
@@ -293,7 +262,7 @@ def _pick_target(p: Problem) -> OccPath | None:
         if constraint_shape(c) is not None:
             continue
         for side, root in (("lhs", c.lhs), ("rhs", c.rhs)):
-            steps = _innermost_nonaffine(root, p)
+            steps = _innermost_nonaffine(root)
             if steps is None:
                 continue
             path = OccPath(i, side, steps)
@@ -301,9 +270,9 @@ def _pick_target(p: Problem) -> OccPath | None:
             other = c.rhs if side == "lhs" else c.lhs
             at_head = (
                 steps == ()
-                and _is_affine(other, p)
+                and is_affine(other)
                 and isinstance(g, Call)
-                and all(_is_affine(a, p) for a in g.args)
+                and all(is_affine(a) for a in g.args)
             )
             if at_head and graph_impl(g.atom) is None:
                 raise NotConeRepresentable(
@@ -338,7 +307,7 @@ def reduce_problem(p: Problem, max_steps: int = 500) -> ReductionTrace:
         raise NotConeRepresentable(
             f"not DCP-conformant: {where} required {bad.required}, got {bad.inferred.value}"
         )
-    if not _is_affine(p.objective, p):
+    if not is_affine(p.objective):
         raise NotConeRepresentable("objective must be affine to canonize")
 
     steps: list[TraceStep] = []
@@ -398,55 +367,71 @@ def forward_map(trace: ReductionTrace, point: Assignment) -> Assignment:
 # --- replay and trace files ---------------------------------------------------
 
 
+# Every schema name apply_step and `conify step --schema` accept, with the
+# function that applies it.  A family name (linearize, graph_expand,
+# eliminate) takes whichever schema of the family applies at the target; a
+# full name must be the schema the step produced.
+SCHEMAS = {
+    "linearize": linearize,
+    "linearize_antimono": linearize,
+    "linearize_mono": linearize,
+    "graph_expand": graph_expand,
+    "graph_expand_concave": graph_expand,
+    "graph_expand_convex": graph_expand,
+    "eliminate": eliminate_redundant,
+    "eliminate_redundant": eliminate_redundant,
+}
+
+
 def apply_step(
     p: Problem,
     schema: str,
     path: OccPath | None,
     removed: tuple[int, ...] = (),
 ) -> tuple[Problem, TraceStep]:
-    if schema in ("linearize_antimono", "linearize_mono", "linearize"):
-        if path is None:
-            raise ReduceError("linearize needs an occurrence path")
-        q, st = linearize(p, path)
-        if schema != "linearize" and st.schema != schema:
-            raise ReduceError(f"polarity at {path} gives {st.schema}, not {schema}")
-        return q, st
-    if schema in ("graph_expand_concave", "graph_expand_convex", "graph_expand"):
-        if path is None:
-            raise ReduceError("graph_expand needs an occurrence path")
-        return graph_expand(p, path)
-    if schema == "eliminate_redundant":
-        return eliminate_redundant(p, removed)
-    raise ReduceError(f"unknown schema {schema!r}")
+    """Apply the schema named by a key of SCHEMAS: eliminate_redundant at the
+    removed indices, any other at path."""
+    rule = SCHEMAS.get(schema)
+    if rule is None:
+        raise ReduceError(f"unknown schema {schema!r}")
+    if rule is eliminate_redundant:
+        q, st = eliminate_redundant(p, removed)
+    elif path is None:
+        raise ReduceError(f"{schema} needs an occurrence path")
+    else:
+        q, st = rule(p, path)
+    if st.schema != schema and not st.schema.startswith(schema + "_"):
+        raise ReduceError(f"the step at {path} is {st.schema}, not {schema}")
+    return q, st
+
+
+def _step_line(k: int, s: TraceStep, after: Problem) -> str:
+    """Trace line of step k; `after` is the problem the step produced."""
+    parts = [f"STEP {k} {s.schema}"]
+    if s.targets:
+        parts.append("AT " + ",".join(str(t) for t in s.targets))
+    if s.fresh is not None:
+        parts.append(f"FRESH {s.fresh}")
+    if s.forward_def is not None:
+        parts.append(f"DEF {dsl.print_expr(s.forward_def)}")
+    for i in s.added:
+        parts.append(f"ADD {dsl.print_constraint(after.constraints[i])}")
+    if s.removed:
+        parts.append("REMOVE " + " ".join(str(i) for i in s.removed))
+    return " ".join(parts)
 
 
 def write_trace(trace: ReductionTrace) -> str:
-    lines = ["TRACE 1"]
     after = trace.intermediates()
-    for k, s in enumerate(trace.steps, start=1):
-        parts = [f"STEP {k} {s.schema}"]
-        if s.targets:
-            parts.append("AT " + ",".join(str(t) for t in s.targets))
-        if s.fresh is not None:
-            parts.append(f"FRESH {s.fresh}")
-        if s.forward_def is not None:
-            parts.append(f"DEF {dsl.print_expr(s.forward_def)}")
-        for i in s.added:
-            parts.append(f"ADD {dsl.print_constraint(after[k].constraints[i])}")
-        if s.removed:
-            parts.append("REMOVE " + " ".join(str(i) for i in s.removed))
-        lines.append(" ".join(parts))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    lines = [_step_line(k, s, after[k]) for k, s in enumerate(trace.steps, start=1)]
+    return "\n".join(["TRACE 1", *lines, "END"]) + "\n"
 
 
+# What replay needs from a step line: the schema, the AT targets and the
+# REMOVE indices.  Whatever else the line says is checked by reprinting.
 _STEP_RE = re.compile(
-    r"STEP\s+(?P<k>\d+)\s+(?P<schema>\w+)"
-    r"(?:\s+AT\s+(?P<at>\S+))?"
-    r"(?:\s+FRESH\s+(?P<fresh>\S+))?"
-    r"(?:\s+DEF\s+(?P<def>.*?))?"
-    r"(?:\s+ADD\s+(?P<add>.*?))?"
-    r"(?:\s+REMOVE\s+(?P<remove>[\d ]+))?\s*$"
+    r"STEP\s+\d+\s+(?P<schema>\w+)(?:\s+AT\s+(?P<at>\S+))?"
+    r".*?(?:\s+REMOVE\s+(?P<remove>[\d ]+))?\s*$"
 )
 
 
@@ -455,9 +440,9 @@ class TraceFormatError(ReduceError):
 
 
 def read_trace(text: str, original: Problem) -> ReductionTrace:
-    """Parse a trace file and replay it against the original problem.  Every
-    claim of a step line (all AT targets, each ADD constraint, FRESH, DEF)
-    must match the replay, or TraceFormatError names the step."""
+    """Parse a trace file and replay it against the original problem.  Each
+    step line must be, whitespace runs aside, the line write_trace prints
+    for its replay, or TraceFormatError quotes the line."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or lines[0].strip() != "TRACE 1":
         raise TraceFormatError("line 1: expected 'TRACE 1' header")
@@ -465,30 +450,19 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
         raise TraceFormatError(f"line {len(lines)}: expected 'END' footer")
     cur = original
     steps: list[TraceStep] = []
-    for ln in lines[1:-1]:
+    for k, ln in enumerate(lines[1:-1], start=1):
         m = _STEP_RE.match(ln.strip())
         if m is None:
             raise TraceFormatError(f"unreadable step line: {ln!r}")
-        schema = m.group("schema")
         try:
             targets = tuple(map(OccPath.parse, m.group("at").split(","))) if m.group("at") else ()
             removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
-            cur, st = apply_step(cur, schema, targets[0] if targets else None, removed)
-            want = dsl.parse_expr_in(m.group("def").strip(), cur) if m.group("def") else None
-        except (dsl.DslError, ValueError, IndexError) as e:
+            cur, st = apply_step(cur, m.group("schema"), targets[0] if targets else None, removed)
+        except (ReduceError, ValueError, IndexError) as e:
             raise TraceFormatError(f"step line {ln.strip()!r}: {e}") from None
-        k = m.group("k")
-        if targets != st.targets:
-            said, did = m.group("at") or "nothing", ",".join(map(str, st.targets)) or "nothing"
-            raise TraceFormatError(f"step {k}: trace targets {said}, replay rewrites {did}")
-        added = " ADD ".join(dsl.print_constraint(cur.constraints[i]) for i in st.added)
-        if (m.group("add") or "") != added:
-            said = m.group("add") or "nothing"
-            raise TraceFormatError(f"step {k}: trace adds {said}, replay adds {added or 'nothing'}")
-        if st.fresh is not None and m.group("fresh") and m.group("fresh") != st.fresh:
-            raise TraceFormatError(f"replay produced fresh name {st.fresh}, trace says {m.group('fresh')}")
-        if want is not None and want != st.forward_def:
-            raise TraceFormatError(f"replayed definition differs for step {k}")
+        replayed = _step_line(k, st, cur)
+        if " ".join(ln.split()) != replayed:
+            raise TraceFormatError(f"step line {ln.strip()!r}: replay prints {replayed!r}")
         steps.append(st)
     return ReductionTrace(original, tuple(steps), cur)
 

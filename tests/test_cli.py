@@ -105,6 +105,12 @@ class TestCanon:
         assert main(["canon", str(src)]) == 1
         assert capsys.readouterr().err == SQRT_MESSAGE + "\n"
 
+    @pytest.mark.parametrize("option", ["--out", "--trace"])
+    def test_unwritable_output_exits_two(self, tmp_path, chain_file, capsys, option):
+        bad = tmp_path / "no" / "such" / "dir" / "x"
+        assert main(["canon", str(chain_file), *UNIT_ARGS, "--skip-verify", option, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_no_samples_exits_two(self, chain_file, capsys, samples):
         assert main(["canon", str(chain_file), *UNIT_ARGS, "--samples", samples]) == 2
@@ -131,6 +137,12 @@ class TestStep:
         )
         assert code == 1
         assert "NoGraphImpl" in capsys.readouterr().err
+
+    def test_full_schema_name_must_be_the_step_produced(self, capsys):
+        argv = ["step", str(CORPUS / "chain1.opt"), "--path", "c0/rhs/0/0/1", "--schema"]
+        assert main([*argv, "graph_expand_convex"]) == 1
+        assert "is graph_expand_concave, not graph_expand_convex" in capsys.readouterr().err
+        assert main([*argv, "graph_expand_concave"]) == 0
 
     def test_eliminate_with_drop(self, capsys, tmp_path):
         src = tmp_path / "p.opt"
@@ -208,6 +220,12 @@ class TestSolveOracle:
         )
         assert code == 0
         assert sol.exists() and sol.read_text().startswith("SOLUTION 1")
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "no" / "x.sol"
+        argv = ["solve-oracle", str(CORPUS / "exp_budget.opt"), "--res", "5", "--out", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: cannot write {bad}: No such file or directory\n")
 
     def test_reads_conic_files(self, tmp_path, chain_file, capsys):
         out, _ = canon_chain(tmp_path, chain_file)
@@ -375,22 +393,40 @@ class TestVerify:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("old,new", [("DEF exp(y)", "DEF exp((y)"), ("AT c0/lhs", "AT c0/zz")])
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("DEF exp(y)", "DEF exp((y)"),
+            ("AT c0/lhs", "AT c0/zz"),
+            ("STEP 2 ", "STEP 7 "),
+            ("STEP 2 graph_expand_concave", "STEP 2 graph_expand_convex"),
+            ("STEP 1 linearize_antimono", "STEP 1 linearize"),
+            ("ADD exp(y) <= t1\n", "ADD exp(y) <= t1 REMOVE 0\n"),
+            (" FRESH t1 DEF exp(y)", ""),
+            ("DEF exp(y)", "DEF (exp(y))"),
+        ],
+    )
     def test_malformed_trace_exits_two(self, tmp_path, chain_file, capsys, old, new):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
         text = trace.read_text()
         assert old in text
-        trace.write_text(text.replace(old, new, 1))
+        tampered = text.replace(old, new, 1)
+        trace.write_text(tampered)
         code = main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS])
         assert code == 2
-        assert "trace: step line 'STEP 1 " in capsys.readouterr().err
+        line = tampered.splitlines()[text[: text.index(old)].count("\n")]
+        assert line.startswith("STEP ")
+        assert f"error: trace: step line {line!r}: " in capsys.readouterr().err
 
     def test_trace_claim_differing_from_replay_exits_two(self, tmp_path, chain_file, capsys):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
         trace.write_text(trace.read_text().replace("ADD exp(y) <= t1", "ADD exp(y) <= t1 + 100", 1))
         code = main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS])
         assert code == 2
-        assert "trace: step 1: trace adds exp(y) <= t1 + 100" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: trace: step line 'STEP 1 linearize_antimono AT c0/lhs FRESH t1 DEF exp(y) ADD exp(y) <= t1 + 100': "
+            "replay prints 'STEP 1 linearize_antimono AT c0/lhs FRESH t1 DEF exp(y) ADD exp(y) <= t1'\n"
+        )
 
     def test_unreadable_solution_number_exits_two(self, tmp_path, chain_file, capsys):
         trace, _ = self.make_artifacts(tmp_path, chain_file, capsys)

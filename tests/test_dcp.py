@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +11,11 @@ from conify.atoms import Curvature, Sign, flip_curvature, flip_sign
 from conify.dcp import (
     OccPath,
     Polarity,
+    _analyze,
     curvature_of,
     dcp_check,
     find_occurrences,
+    is_affine,
     param_sign_context,
     path_root,
     polarity_of,
@@ -21,7 +24,7 @@ from conify.dcp import (
     substitute,
 )
 from conify.dsl import parse, parse_expr_in, print_expr
-from conify.problem import Call, Const, DomainError, Param, ParamDecl, Problem, Var, evaluate
+from conify.problem import ATOM_ARITY, Call, Const, DomainError, Param, ParamDecl, Problem, Var, evaluate
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
@@ -116,6 +119,35 @@ class TestCurvatureAndSign:
         assert ctx["a"] is Sign.NONNEG
         assert ctx["b"] is Sign.UNKNOWN
 
+    def test_declared_signs_never_make_or_break_affine(self):
+        # 50 000 seeded expressions over every atom, built level by level:
+        # each takes one argument from the level before and any others from
+        # all earlier levels, so depth is at most 4.  One id-keyed cache per
+        # sign context lets each new node reuse its arguments' labels.
+        rng = random.Random(20261018)
+        contexts = ({}, {"a": Sign.POS, "b": Sign.NONPOS}, {"a": Sign.NEG, "b": Sign.NONNEG})
+        caches = [{} for _ in contexts]
+        levels = [[Var("x"), Var("y"), Param("a"), Param("b"), Const(0.0), Const(2.0), Const(-1.5)]]
+        pool, atoms, affine = list(levels[0]), sorted(ATOM_ARITY), 0
+        for count in (2_000, 8_000, 15_000, 25_000):
+            level = []
+            for _ in range(count):
+                atom = rng.choice(atoms)
+                if atom == "pow":
+                    args = [rng.choice(levels[-1]), Const(float(rng.randint(1, 4)))]
+                else:
+                    args = [rng.choice(levels[-1])] + [rng.choice(pool) for _ in range(ATOM_ARITY[atom] - 1)]
+                    rng.shuffle(args)
+                e = Call(atom, tuple(args))
+                labels = {_analyze(e, signs, cache)[0].is_affine() for signs, cache in zip(contexts, caches)}
+                assert len(labels) == 1, print_expr(e)
+                affine += labels.pop()
+                level.append(e)
+            levels.append(level)
+            pool += level
+        assert 1_000 < affine < 49_000
+        assert all(is_affine(e) == curvature_of(e, contexts[1]).is_affine() for e in levels[2])
+
     def test_flip_helpers_are_involutions(self):
         for c in Curvature:
             assert flip_curvature(flip_curvature(c)) is c
@@ -181,14 +213,9 @@ class TestOccPath:
         paths = [str(o) for o in find_occurrences(chain1, Var("x"))]
         assert paths == ["c0/rhs/0/0/1/0", "c1/lhs/0/1", "c2/rhs", "c3/rhs/0/1/0"]
 
-    def test_find_occurrences_can_include_objective(self, chain1):
-        paths = [str(o) for o in find_occurrences(chain1, Var("x"), include_objective=True)]
-        assert paths[0] == "obj/1"
-        assert len(paths) == 5
-
     def test_substitute_single_occurrence(self, chain1):
-        q = substitute(chain1, OccPath.parse("c0/lhs"), Var("t9"),
-                       variables=chain1.variables + ("t9",))
+        wider = Problem(chain1.variables + ("t9",), chain1.params, chain1.objective, chain1.constraints)
+        q = substitute(wider, OccPath.parse("c0/lhs"), Var("t9"))
         assert "t9" in q.variables
         assert print_expr(q.constraints[0].lhs) == "t9"
         # untouched occurrences stay put

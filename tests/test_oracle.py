@@ -178,6 +178,13 @@ class TestGridMinimize:
         with pytest.raises(Exception, match="no value bound for 'a'"):
             grid_minimize(p, {}, SearchBox.uniform(("x", "y"), 0.0, 1.0, 3))
 
+    def test_axes_of_undeclared_names_are_not_scanned(self):
+        p = mini("1 <= x")
+        wide = SearchBox.uniform(("x", "z"), 0.0, 2.0, 5)
+        r = grid_minimize(p, {}, wide)
+        assert r == grid_minimize(p, {}, SearchBox.uniform(("x",), 0.0, 2.0, 5))
+        assert r.feasible_count == grid_minimize_conic(emit(p, {}), wide).feasible_count == 3
+
     def test_refinement_never_worsens_the_minimum(self):
         p = parse(CORPUS.joinpath("exp_budget.opt").read_text())
         coarse = grid_minimize(p, {}, SearchBox.uniform(("x",), 0.0, 3.0, 11))
@@ -458,7 +465,16 @@ class TestSampleFeasible:
     def test_hopeless_region_raises_infeasible(self):
         p = mini("x <= -10")
         with pytest.raises(Infeasible):
-            sample_feasible(p, {}, (0.0, 5.0), 5, max_batches=3)
+            sample_feasible(p, {}, (0.0, 5.0), 5)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_count_below_one_raises_before_any_draw(self, monkeypatch, n):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", no_draws)
+        with pytest.raises(OracleError, match=f"n={n}"):
+            sample_feasible(mini("0 <= x"), {}, (0.0, 5.0), n)
 
     @pytest.mark.parametrize("case", ["chain1-final", "pinned", "socp_ball"])
     def test_points_match_pointwise_construction(self, case, chain1_trace):

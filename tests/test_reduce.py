@@ -7,7 +7,7 @@ import pytest
 
 from conify.dcp import OccPath
 from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
-from conify.oracle import sample_feasible
+from conify.oracle import OracleError, sample_feasible
 from conify.problem import Call, Const, DomainError, Var, check_feasible, evaluate
 from conify.reduce import (
     AffineTarget,
@@ -93,6 +93,8 @@ class TestLinearize:
         assert step.schema == "linearize_antimono"
         with pytest.raises(ReduceError, match="linearize_antimono, not linearize_mono"):
             apply_step(chain1, "linearize_mono", OccPath.parse("c0/lhs"))
+        with pytest.raises(ReduceError, match="graph_expand_concave, not graph_expand_convex"):
+            apply_step(chain1, "graph_expand_convex", OccPath.parse("c0/rhs/0/0/1"))
 
     def test_unknown_schema_name(self, chain1):
         with pytest.raises(ReduceError, match="unknown schema"):
@@ -252,6 +254,11 @@ class TestDriver:
             reduce_problem(chain1, max_steps=1)
 
 
+# The one message of a step line that differs from the line its replay
+# prints; fill in the step number and the ends of both lines.
+REPRINT = r"step line 'STEP {0} .*{1}': replay prints 'STEP {0} .*{2}'$"
+
+
 class TestTraceFiles:
     def test_round_trip(self, chain1, chain1_trace):
         text = write_trace(chain1_trace)
@@ -287,7 +294,7 @@ class TestTraceFiles:
     @pytest.mark.parametrize(
         "old,new,match",
         [
-            ("DEF exp(y)", "DEF exp((y)", r"'STEP 1 .*DEF exp\(\(y\).*': 1:\d+: expected '\)'"),
+            ("DEF exp(y)", "DEF exp((y)", r"'STEP 1 .*DEF exp\(\(y\) .*': replay prints 'STEP 1 .*DEF exp\(y\) .*'$"),
             ("AT c0/lhs", "AT c0/zz", r"'STEP 1 .*AT c0/zz .*': bad occurrence path 'c0/zz'"),
             ("AT c0/lhs", "AT c0/lhs/5", r"'STEP 1 .*': path c0/lhs/5 leaves the expression"),
             ("AT c0/lhs", "AT c9/lhs", r"'STEP 1 .*AT c9/lhs .*': "),
@@ -307,20 +314,34 @@ class TestTraceFiles:
     @pytest.mark.parametrize(
         "old,new,match",
         [
-            ("ADD exp(y) <= t1", "ADD exp(y) <= t1 + 100", r"step 1: trace adds exp\(y\) <= t1 \+ 100, replay adds exp\(y\) <= t1$"),
-            (" ADD t2 ^ 2 <= x", "", r"step 2: trace adds nothing, replay adds t2 \^ 2 <= x$"),
+            ("ADD exp(y) <= t1", "ADD exp(y) <= t1 + 100", REPRINT.format(1, r"ADD exp\(y\) <= t1 \+ 100", r"ADD exp\(y\) <= t1")),
+            (" ADD t2 ^ 2 <= x", "", REPRINT.format(2, r"DEF sqrt\(x\)", r"ADD t2 \^ 2 <= x")),
             ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1,c3/rhs/0/1,c9/zz", r"bad occurrence path 'c9/zz'"),
-            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1,c3/rhs/0/1,c1/lhs", r"step 2: trace targets .*,c1/lhs, replay rewrites c0/rhs/0/0/1,c3/rhs/0/1$"),
-            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1", r"step 2: trace targets c0/rhs/0/0/1, replay rewrites c0/rhs/0/0/1,c3/rhs/0/1$"),
-            ("REMOVE 2 3", "AT c0/lhs REMOVE 2 3", r"step 4: trace targets c0/lhs, replay rewrites nothing$"),
+            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1,c3/rhs/0/1,c1/lhs",
+             REPRINT.format(2, r"c3/rhs/0/1,c1/lhs FRESH .*", r"AT c0/rhs/0/0/1,c3/rhs/0/1 FRESH .*")),
+            ("AT c0/rhs/0/0/1,c3/rhs/0/1", "AT c0/rhs/0/0/1",
+             REPRINT.format(2, r"AT c0/rhs/0/0/1 FRESH .*", r"AT c0/rhs/0/0/1,c3/rhs/0/1 FRESH .*")),
+            ("REMOVE 2 3", "AT c0/lhs REMOVE 2 3", REPRINT.format(4, r"AT c0/lhs REMOVE 2 3", r"eliminate_redundant REMOVE 2 3")),
+            ("STEP 2 ", "STEP 7 ", r"'STEP 7 .*': replay prints 'STEP 2 .*'$"),
+            ("STEP 1 linearize_antimono", "STEP 1 linearize", r"'STEP 1 linearize AT .*': replay prints 'STEP 1 linearize_antimono AT .*'$"),
+            ("STEP 2 graph_expand_concave", "STEP 2 graph_expand_convex",
+             r"'STEP 2 graph_expand_convex .*': the step at c0/rhs/0/0/1 is graph_expand_concave, not graph_expand_convex$"),
+            ("ADD exp(y) <= t1\n", "ADD exp(y) <= t1 REMOVE 0\n", REPRINT.format(1, r"ADD exp\(y\) <= t1 REMOVE 0", r"ADD exp\(y\) <= t1")),
+            (" FRESH t1 DEF exp(y)", "", r"'STEP 1 linearize_antimono AT c0/lhs ADD .*': replay prints 'STEP 1 .* FRESH t1 DEF exp\(y\) ADD .*'$"),
+            ("DEF exp(y)", "DEF (exp(y))", REPRINT.format(1, r"DEF \(exp\(y\)\) ADD .*", r"DEF exp\(y\) ADD .*")),
         ],
-        ids=["changed-add", "dropped-add", "bad-extra-target", "extra-target", "dropped-target", "target-on-removal"],
+        ids=["changed-add", "dropped-add", "bad-extra-target", "extra-target", "dropped-target", "target-on-removal",
+             "step-number", "family-name", "full-schema-name", "remove-on-rewrite", "dropped-fresh-def", "noncanonical-def"],
     )
     def test_every_claim_is_checked_against_replay(self, chain1, chain1_trace, old, new, match):
         text = write_trace(chain1_trace)
         assert old in text
         with pytest.raises(TraceFormatError, match=match):
             read_trace(text.replace(old, new, 1), chain1)
+
+    def test_whitespace_runs_are_ignored(self, chain1, chain1_trace):
+        text = write_trace(chain1_trace).replace("STEP 1 ", "  STEP  1\t").replace(" FRESH t2", "   FRESH  t2 ")
+        assert read_trace(text, chain1).steps == chain1_trace.steps
 
     def test_write_trace_replays_once(self, chain1_trace, monkeypatch):
         calls = []
@@ -360,6 +381,11 @@ class TestVerifyTraceSampled:
         assert report.backward_checked == 50
         assert report.forward_checked == 50
         assert not report.failures
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_count_below_one_raises(self, chain1_trace, n):
+        with pytest.raises(OracleError, match=f"n={n}"):
+            verify_trace_sampled(chain1_trace, self.PARAMS, n=n)
 
     def test_deterministic_under_seed(self, chain1_trace):
         a = verify_trace_sampled(chain1_trace, self.PARAMS, n=20, seed=3)
