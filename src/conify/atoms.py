@@ -146,17 +146,12 @@ class AtomSig:
     """Static metadata for one atom.
 
     `monotonicity` maps argument signs to per-argument monotonicities; `sign`
-    maps argument signs to the result sign; `domain` names the restriction on
-    the first argument ("pos", "nonneg", "nonzero-second") or None for all
-    of R.
+    maps argument signs to the result sign.
     """
 
-    name: str
-    arity: int
     curvature: Curvature
     monotonicity: Callable[[tuple[Sign, ...]], tuple[Monotonicity, ...]]
     sign: Callable[[tuple[Sign, ...]], Sign]
-    domain: str | None = None
 
 
 _ND = Monotonicity.NONDECREASING
@@ -164,24 +159,23 @@ _NI = Monotonicity.NONINCREASING
 _NM = Monotonicity.NONE
 
 ATOMS: dict[str, AtomSig] = {
-    "add": AtomSig("add", 2, Curvature.AFFINE, lambda s: (_ND, _ND), lambda s: _sign_add(s[0], s[1])),
-    "sub": AtomSig("sub", 2, Curvature.AFFINE, lambda s: (_ND, _NI), lambda s: _sign_add(s[0], flip_sign(s[1]))),
-    "neg": AtomSig("neg", 1, Curvature.AFFINE, lambda s: (_NI,), lambda s: flip_sign(s[0])),
-    "mul": AtomSig("mul", 2, Curvature.UNKNOWN,
+    "add": AtomSig(Curvature.AFFINE, lambda s: (_ND, _ND), lambda s: _sign_add(s[0], s[1])),
+    "sub": AtomSig(Curvature.AFFINE, lambda s: (_ND, _NI), lambda s: _sign_add(s[0], flip_sign(s[1]))),
+    "neg": AtomSig(Curvature.AFFINE, lambda s: (_NI,), lambda s: flip_sign(s[0])),
+    "mul": AtomSig(Curvature.UNKNOWN,
                    lambda s: (_factor_mono(s[1]), _factor_mono(s[0])),
                    lambda s: _sign_mul(s[0], s[1])),
-    "div": AtomSig("div", 2, Curvature.UNKNOWN,
+    "div": AtomSig(Curvature.UNKNOWN,
                    lambda s: (_factor_mono(s[1]), _NM),
-                   lambda s: _sign_mul(s[0], s[1]),
-                   domain="nonzero-second"),
-    "pow": AtomSig("pow", 2, Curvature.CONVEX,
+                   lambda s: _sign_mul(s[0], s[1])),
+    "pow": AtomSig(Curvature.CONVEX,
                    lambda s: (_even_power_mono(s[0]), _NM),
                    lambda s: Sign.NONNEG if s[0] != Sign.ZERO else Sign.ZERO),
-    "exp": AtomSig("exp", 1, Curvature.CONVEX, lambda s: (_ND,), lambda s: Sign.POS),
-    "log": AtomSig("log", 1, Curvature.CONCAVE, lambda s: (_ND,), lambda s: Sign.UNKNOWN, domain="pos"),
-    "sqrt": AtomSig("sqrt", 1, Curvature.CONCAVE, lambda s: (_ND,),
-                    lambda s: Sign.POS if s[0] == Sign.POS else Sign.NONNEG, domain="nonneg"),
-    "abs": AtomSig("abs", 1, Curvature.CONVEX,
+    "exp": AtomSig(Curvature.CONVEX, lambda s: (_ND,), lambda s: Sign.POS),
+    "log": AtomSig(Curvature.CONCAVE, lambda s: (_ND,), lambda s: Sign.UNKNOWN),
+    "sqrt": AtomSig(Curvature.CONCAVE, lambda s: (_ND,),
+                    lambda s: Sign.POS if s[0] == Sign.POS else Sign.NONNEG),
+    "abs": AtomSig(Curvature.CONVEX,
                    lambda s: (_even_power_mono(s[0]),),
                    lambda s: Sign.POS if s[0] in (Sign.POS, Sign.NEG) else Sign.NONNEG),
 }

@@ -24,6 +24,7 @@ from .conic import (
     ConicFormatError,
     DualCertificate,
     UnboundParameter,
+    _Lines,
     check_dual_bound,
     check_primal,
     emit,
@@ -194,20 +195,13 @@ def _cmd_step(args) -> int:
     return 0
 
 
-def _sniff_conic(text: str) -> bool:
-    for line in text.splitlines():
-        s = line.strip()
-        if s and not s.startswith("#"):
-            return s.startswith("CONICFORM")
-    return False
-
-
 def _cmd_solve_oracle(args) -> int:
     text = _read_text(args.problem)
     boxes = _parse_boxes(args.box)
     if args.res is not None and args.res < 2:
         raise _Unusable(f"bad --res {args.res}, expected at least 2 points per axis")
-    if _sniff_conic(text):
+    head = _Lines(text).items[:1]
+    if head and head[0][1].startswith("CONICFORM"):
         cp = read_conic(text)
         names = cp.variables
         solve = functools.partial(grid_minimize_conic, cp)

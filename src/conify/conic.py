@@ -434,6 +434,8 @@ def write_conic(cp: ConicProblem) -> str:
 
 
 class _Lines:
+    """items: (file line number, stripped text) of each line neither blank nor a # comment."""
+
     def __init__(self, text: str):
         self.items = [
             (i + 1, ln.strip())

@@ -37,8 +37,6 @@ from .problem import (
 # Atoms callable from the surface syntax.
 CALLABLE_ATOMS = ("exp", "log", "sqrt", "abs")
 
-KEYWORDS = ("minimization", "!params", "!vars", "!objective", "!constraints")
-
 
 @dataclass(frozen=True)
 class ParseIssue:

@@ -157,7 +157,7 @@ class Elimination:
     formula: Expr
 
 
-def _solve_for(constraint: int, variables, row, rhs, var: str | None = None) -> Elimination | None:
+def _solve_for(constraint: int, variables, row, rhs, var: str | None) -> Elimination | None:
     """Solve row . x = rhs for var, or with var unset for the variable with
     the largest coefficient magnitude, later declaration winning ties.
     None when the chosen variable has no term in the row."""
@@ -193,26 +193,42 @@ def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: f
     return mask
 
 
+def _first_solvable(rows, variables, var: str | None) -> Elimination | None:
+    """Elimination for the first of rows, (index, row, rhs) triples, that
+    _solve_for can solve for var (or by its rule); None when none can."""
+    for i, row, rhs in rows:
+        elim = _solve_for(i, variables, row, rhs, var)
+        if elim is not None:
+            return elim
+    return None
+
+
 def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> Elimination | None:
     """First affine equality that can be solved for a variable (var, or by
     _solve_for's rule).  Raises OracleError when an equality's constant part
     cannot be evaluated, such as sqrt(0 - 2) or an unbound parameter.
     """
     vidx = {v: i for i, v in enumerate(p.variables)}
-    for i, c in enumerate(p.constraints):
-        if c.op != "=":
-            continue
-        try:
-            rl, cl = _linear(c.lhs, vidx, params)
-            rr, cr = _linear(c.rhs, vidx, params)
-        except _NotAffine:
-            continue
-        except ConicError as err:
-            raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
-        elim = _solve_for(i, p.variables, rl - rr, cr - cl, var)
-        if elim is not None:
-            return elim
-    return None
+
+    def rows():
+        for i, c in enumerate(p.constraints):
+            if c.op != "=":
+                continue
+            try:
+                rl, cl = _linear(c.lhs, vidx, params)
+                rr, cr = _linear(c.rhs, vidx, params)
+            except _NotAffine:
+                continue
+            except ConicError as err:
+                raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
+            yield i, rl - rr, cr - cl
+
+    return _first_solvable(rows(), p.variables, var)
+
+
+def _free(variables, elim: Elimination | None) -> list[str]:
+    """Axes a scan or the sampler draws: declared variables less the solved one."""
+    return [v for v in variables if elim is None or v != elim.var]
 
 
 # --- grid search ----------------------------------------------------------------
@@ -240,15 +256,24 @@ def _chunks(shape: tuple[int, ...]):
             )
 
 
-def _scan_grid(axes: tuple[Axis, ...], fill_env, mask_and_obj):
-    """Chunked argmin over the lattice product.
+def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mask_and_obj) -> GridResult:
+    """Chunked argmin over the lattice of full's axes for the free variables.
 
     Each axis enters env as an open-mesh array (its own dimension, size 1 on
     every other), so an expression comes out shaped over only the axes it
-    reads, and mask_and_obj's results broadcast to the chunk.  Returns (env
-    at best, best value, feasible count) with ties resolved to the smallest
-    flat index, which is lexicographic order in axis values.
+    reads, and mask_and_obj's results broadcast to the chunk.  The solved
+    variable and params join env before mask_and_obj sees it.  Ties resolve
+    to the smallest flat index, which is lexicographic order in axis values.
     """
+    axes = tuple(full.axis(v) for v in _free(variables, elim))
+    if not axes:
+        raise OracleError("elimination leaves no grid axis")
+
+    def fill_env(env):
+        if elim is not None:
+            env[elim.var] = _veval(elim.formula, env)
+        env.update(params)
+
     shape = tuple(ax.points for ax in axes)
     values = [ax.values() for ax in axes]
     n = len(axes)
@@ -277,7 +302,7 @@ def _scan_grid(axes: tuple[Axis, ...], fill_env, mask_and_obj):
     multi = np.unravel_index(best_idx, shape)
     env = {ax.name: float(values[d][multi[d]]) for d, ax in enumerate(axes)}
     fill_env(env)
-    return env, best_val, feasible
+    return GridResult({v: float(env[v]) for v in variables}, best_val, feasible)
 
 
 def grid_minimize(
@@ -297,28 +322,16 @@ def grid_minimize(
     as a membership filter but costs no axis.
     """
     full = _as_box(box, p.variables)
-
     elim = None
     if eliminate is not None:
         elim = find_elimination(p, params, None if eliminate == "auto" else eliminate)
         if elim is None:
             raise OracleError("no affine equality available to eliminate")
 
-    axes = tuple(full.axis(v) for v in p.variables if elim is None or v != elim.var)
-    if not axes:
-        raise OracleError("elimination leaves no grid axis")
-
-    def fill_env(env):
-        if elim is not None:
-            env[elim.var] = _veval(elim.formula, env)
-        env.update(params)
-
     def mask_and_obj(env):
         return _feasible(p, elim, env, full, tol), np.asarray(_veval(p.objective, env), dtype=float)
 
-    env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
-    point = {v: float(env[v]) for v in p.variables}
-    return GridResult(point, value, count)
+    return _scan_grid(full, p.variables, elim, params, mask_and_obj)
 
 
 # --- conic grid search ----------------------------------------------------------
@@ -351,28 +364,17 @@ def grid_minimize_conic(
 ) -> GridResult:
     """Grid search directly on conic data.
 
-    eliminate solves the first equality row for one variable ("auto" picks
-    the largest coefficient, later variable winning ties), so that row holds
-    to rounding rather than to tol.
+    eliminate solves an equality row for one variable as grid_minimize
+    solves an affine equality, first row first, so that row holds to
+    rounding rather than to tol.
     """
     full = _as_box(box, cp.variables)
-
     elim = None
     if eliminate is not None:
-        if not cp.A.shape[0]:
-            raise OracleError("no equality row to eliminate")
-        var = None if eliminate == "auto" else eliminate
-        elim = _solve_for(0, cp.variables, cp.A[0], float(cp.b[0]), var)
+        rows = ((r, cp.A[r], float(cp.b[r])) for r in range(cp.A.shape[0]))
+        elim = _first_solvable(rows, cp.variables, None if eliminate == "auto" else eliminate)
         if elim is None:
-            raise OracleError(f"equality row has no {var or 'nonzero'} term")
-
-    axes = tuple(full.axis(v) for v in cp.variables if elim is None or v != elim.var)
-    if not axes:
-        raise OracleError("elimination leaves no grid axis")
-
-    def fill_env(env):
-        if elim is not None:
-            env[elim.var] = _veval(elim.formula, env)
+            raise OracleError("no affine equality available to eliminate")
 
     def affine(row, env):
         # Only the nonzero columns, in column order, so the result is
@@ -384,16 +386,15 @@ def grid_minimize_conic(
 
     def mask_and_obj(env):
         mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
-        for r in range(0 if elim is None else 1, cp.A.shape[0]):
-            mask = mask & (np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
+        for r in range(cp.A.shape[0]):
+            if elim is None or r != elim.constraint:
+                mask = mask & (np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
         for bl, sl in cp.block_slices():
             s = [affine(cp.G[r], env) - cp.h[r] for r in range(sl.start, sl.stop)]
             mask = mask & _cone_mask(bl.kind, s, tol)
         return mask, affine(cp.c, env)
 
-    env, value, count = _scan_grid(axes, fill_env, mask_and_obj)
-    point = {v: float(env[v]) for v in cp.variables}
-    return GridResult(point, value, count)
+    return _scan_grid(full, cp.variables, elim, {}, mask_and_obj)
 
 
 # --- feasible sampling ----------------------------------------------------------
@@ -595,13 +596,12 @@ def sample_feasible(
 
     bounds = _tighten(p, params, full, tol, elim)
     rng = np.random.default_rng(seed)
-    free = [ax.name for ax in full.axes if elim is None or ax.name != elim.var]
     cols: dict[str, list[np.ndarray]] = {v: [] for v in p.variables}
     found = 0
     batch = max(256, min(8192, 8 * n))
     for _ in range(MAX_BATCHES):
         env: dict[str, np.ndarray | float] = {
-            name: rng.uniform(*bounds[name], size=batch) for name in free
+            name: rng.uniform(*bounds[name], size=batch) for name in _free(p.variables, elim)
         }
         with np.errstate(all="ignore"):
             if elim is not None:

@@ -280,21 +280,12 @@ def _mask_ok(op: str, lv, rv, tol: float) -> np.ndarray:
     raise AssertionError(op)
 
 
-def violation(op: str, lv: float, rv: float) -> float:
-    if op in ("<=", "<"):
-        return lv - rv
-    if op in (">=", ">"):
-        return rv - lv
-    return abs(lv - rv)
-
-
 @dataclass(frozen=True)
 class Feasibility:
     """Verdict of check_feasible.  index names the first failing constraint."""
 
     feasible: bool
     index: int | None = None
-    residual: float | None = None
     error: ConifyError | None = None
 
 
@@ -307,7 +298,7 @@ def check_feasible(p: Problem, point: Assignment, tol: float = 1e-7) -> Feasibil
         except (DomainError, UnboundName) as err:
             return Feasibility(False, index=i, error=err)
         if not comparison_holds(c.op, lv, rv, tol):
-            return Feasibility(False, index=i, residual=violation(c.op, lv, rv))
+            return Feasibility(False, index=i)
     return Feasibility(True)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import Curvature, atom_lookup, graph_impl
-from .conic import constraint_shape, emit
+from .conic import _Lines, constraint_shape, emit
 from .dcp import (
     OccPath,
     Polarity,
@@ -92,8 +92,8 @@ class TraceStep:
     """One applied schema.
 
     `targets` are the replaced occurrence paths in the pre-step problem,
-    `added` indexes new constraints in the post-step problem, and `removed`
-    indexes dropped constraints in the pre-step problem.  `forward_def`
+    `added` holds the constraints the step appended, and `removed` indexes
+    dropped constraints in the pre-step problem.  `forward_def`
     defines the fresh variable from pre-step names.
     """
 
@@ -101,7 +101,7 @@ class TraceStep:
     targets: tuple[OccPath, ...] = ()
     fresh: str | None = None
     forward_def: Expr | None = None
-    added: tuple[int, ...] = ()
+    added: tuple[Constraint, ...] = ()
     removed: tuple[int, ...] = ()
 
 
@@ -139,7 +139,7 @@ def _introduce(p: Problem, g: Expr, occs: list[OccPath], schema: str, bound) -> 
     for o in occs:
         q = substitute(q, o, Var(name))
     q = Problem(q.variables, q.params, q.objective, q.constraints + (bound(Var(name)),))
-    return q, TraceStep(schema, tuple(occs), name, g, added=(len(q.constraints) - 1,))
+    return q, TraceStep(schema, tuple(occs), name, g, added=q.constraints[-1:])
 
 
 def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
@@ -241,6 +241,8 @@ def eliminate_redundant(p: Problem, indices: tuple[int, ...]) -> tuple[Problem, 
 
 # --- driver -----------------------------------------------------------------
 
+MAX_STEPS = 500  # schema steps reduce_problem takes before it gives up
+
 
 def _innermost_nonaffine(e: Expr) -> tuple[int, ...] | None:
     if not isinstance(e, Call):
@@ -298,7 +300,7 @@ def _sweep_redundant(p: Problem) -> tuple[int, ...]:
     return tuple(sorted(removed))
 
 
-def reduce_problem(p: Problem, max_steps: int = 500) -> ReductionTrace:
+def reduce_problem(p: Problem) -> ReductionTrace:
     """Drive schemas to a fixpoint, then sweep redundant constraints once."""
     verdict = dcp_check(p)
     if not verdict.conformant:
@@ -312,7 +314,7 @@ def reduce_problem(p: Problem, max_steps: int = 500) -> ReductionTrace:
 
     steps: list[TraceStep] = []
     cur = p
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         path = _pick_target(cur)
         if path is None:
             break
@@ -323,7 +325,7 @@ def reduce_problem(p: Problem, max_steps: int = 500) -> ReductionTrace:
             cur, st = linearize(cur, path)
         steps.append(st)
     else:
-        raise NotConeRepresentable(f"no fixpoint after {max_steps} schema steps")
+        raise NotConeRepresentable(f"no fixpoint after {MAX_STEPS} schema steps")
 
     drop = _sweep_redundant(cur)
     if drop:
@@ -405,8 +407,8 @@ def apply_step(
     return q, st
 
 
-def _step_line(k: int, s: TraceStep, after: Problem) -> str:
-    """Trace line of step k; `after` is the problem the step produced."""
+def _step_line(k: int, s: TraceStep) -> str:
+    """Trace line of step k."""
     parts = [f"STEP {k} {s.schema}"]
     if s.targets:
         parts.append("AT " + ",".join(str(t) for t in s.targets))
@@ -414,16 +416,15 @@ def _step_line(k: int, s: TraceStep, after: Problem) -> str:
         parts.append(f"FRESH {s.fresh}")
     if s.forward_def is not None:
         parts.append(f"DEF {dsl.print_expr(s.forward_def)}")
-    for i in s.added:
-        parts.append(f"ADD {dsl.print_constraint(after.constraints[i])}")
+    for c in s.added:
+        parts.append(f"ADD {dsl.print_constraint(c)}")
     if s.removed:
         parts.append("REMOVE " + " ".join(str(i) for i in s.removed))
     return " ".join(parts)
 
 
 def write_trace(trace: ReductionTrace) -> str:
-    after = trace.intermediates()
-    lines = [_step_line(k, s, after[k]) for k, s in enumerate(trace.steps, start=1)]
+    lines = [_step_line(k, s) for k, s in enumerate(trace.steps, start=1)]
     return "\n".join(["TRACE 1", *lines, "END"]) + "\n"
 
 
@@ -443,15 +444,15 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
     """Parse a trace file and replay it against the original problem.  Each
     step line must be, whitespace runs aside, the line write_trace prints
     for its replay, or TraceFormatError quotes the line."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or lines[0].strip() != "TRACE 1":
-        raise TraceFormatError("line 1: expected 'TRACE 1' header")
-    if lines[-1].strip() != "END":
-        raise TraceFormatError(f"line {len(lines)}: expected 'END' footer")
+    lines = _Lines(text).items
+    if not lines or lines[0][1] != "TRACE 1":
+        raise TraceFormatError(f"line {lines[0][0] if lines else 1}: expected 'TRACE 1' header")
+    if lines[-1][1] != "END":
+        raise TraceFormatError(f"line {lines[-1][0]}: expected 'END' footer")
     cur = original
     steps: list[TraceStep] = []
-    for k, ln in enumerate(lines[1:-1], start=1):
-        m = _STEP_RE.match(ln.strip())
+    for k, (_, ln) in enumerate(lines[1:-1], start=1):
+        m = _STEP_RE.match(ln)
         if m is None:
             raise TraceFormatError(f"unreadable step line: {ln!r}")
         try:
@@ -459,10 +460,10 @@ def read_trace(text: str, original: Problem) -> ReductionTrace:
             removed = tuple(int(x) for x in m.group("remove").split()) if m.group("remove") else ()
             cur, st = apply_step(cur, m.group("schema"), targets[0] if targets else None, removed)
         except (ReduceError, ValueError, IndexError) as e:
-            raise TraceFormatError(f"step line {ln.strip()!r}: {e}") from None
-        replayed = _step_line(k, st, cur)
+            raise TraceFormatError(f"step line {ln!r}: {e}") from None
+        replayed = _step_line(k, st)
         if " ".join(ln.split()) != replayed:
-            raise TraceFormatError(f"step line {ln.strip()!r}: replay prints {replayed!r}")
+            raise TraceFormatError(f"step line {ln!r}: replay prints {replayed!r}")
         steps.append(st)
     return ReductionTrace(original, tuple(steps), cur)
 

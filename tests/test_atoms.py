@@ -21,8 +21,6 @@ from conify.problem import ATOM_ARITY, Call, Const, Constraint, Var, evaluate
 class TestRegistry:
     def test_every_atom_is_described(self):
         assert set(ATOMS) == set(ATOM_ARITY)
-        for name, sig in ATOMS.items():
-            assert sig.arity == ATOM_ARITY[name]
 
     def test_lookup_unknown(self):
         with pytest.raises(KeyError):
@@ -45,11 +43,6 @@ class TestRegistry:
     )
     def test_atom_curvature_labels(self, name, curv):
         assert ATOMS[name].curvature == curv
-
-    def test_domains(self):
-        assert ATOMS["log"].domain == "pos"
-        assert ATOMS["sqrt"].domain == "nonneg"
-        assert ATOMS["exp"].domain is None
 
 
 class TestSignAlgebra:

@@ -258,6 +258,21 @@ class TestSolveOracle:
         assert main(["solve-oracle", str(src), "--res", "3", "--eliminate", "z"]) == 1
         assert capsys.readouterr().err.strip() == "no variable z to eliminate"
 
+    def test_emitted_file_eliminates_from_any_equality_row(self, tmp_path, capsys):
+        # z has no term in the first equality row, only in the second.
+        src = tmp_path / "two.opt"
+        src.write_text("minimization\n!vars x y z\n!objective y + 2 * z\n"
+                       "!constraints\nx + y = 1, z - x = 0, 0 <= x, x <= 1\n")
+        assert main(["canon", str(src), "--skip-verify"]) == 0
+        capsys.readouterr()
+        found = []
+        for path in (src, src.with_suffix(".cone")):
+            argv = ["solve-oracle", str(path), "--box", "x=-2:2", "--box", "y=-2:2", "--box", "z=-2:2",
+                    "--res", "41", "--eliminate", "z", "--out", str(tmp_path / "two.sol")]
+            assert main(argv) == 0
+            found.append(capsys.readouterr().out.splitlines()[0])
+        assert found[0] == found[1] == "minimum 1.0 at x=0.0, y=1.0, z=0.0 (11 feasible lattice points)"
+
     @pytest.mark.parametrize(
         "option",
         [["--box", "x=1:0"], ["--box", "x=nan:1"], ["--res", "1"], ["--res", "-3"], ["--res", "0"]],

@@ -359,11 +359,39 @@ class TestElimination:
             grid_minimize_conic(emit(p, {}), box, eliminate="z")
 
     def test_variable_without_equality_rejected(self):
+        # Both scans, by name or "auto", refuse with one message.
         p = mini("0 <= x + y", vars="x y")
-        with pytest.raises(OracleError):
-            grid_minimize(
-                p, {}, SearchBox.uniform(("x", "y"), 0.0, 1.0, 3), eliminate="y"
-            )
+        box = SearchBox.uniform(("x", "y"), 0.0, 1.0, 3)
+        for eliminate in ("y", "auto"):
+            with pytest.raises(OracleError, match="^no affine equality available to eliminate$"):
+                grid_minimize(p, {}, box, eliminate=eliminate)
+            with pytest.raises(OracleError, match="^no affine equality available to eliminate$"):
+                grid_minimize_conic(emit(p, {}), box, eliminate=eliminate)
+
+
+class TestOneEliminationRule:
+    """Both lattice scans choose the solved equality by one rule, and the
+    sampler draws the declared variables whatever the box's axis order."""
+
+    TWO = "x + y = 1, z - x = 0, 0 <= x, x <= 1"
+
+    def test_conic_scan_solves_a_later_row(self):
+        p = mini(self.TWO, vars="x y z", objective="y + 2 * z")
+        box = SearchBox.uniform(("x", "y", "z"), -2.0, 2.0, 41)
+        tree = grid_minimize(p, {}, box, eliminate="z")
+        cone = grid_minimize_conic(emit(p, {}), box, eliminate="z")
+        assert cone == tree
+        assert tree.point == {"x": 0.0, "y": 1.0, "z": 0.0} and tree.feasible_count == 11
+
+    @pytest.mark.parametrize(
+        "text,vars,boxes",
+        [("1 <= x", "x", [("z", "x"), ("x",)]), ("x + y <= 1, 0 <= x", "x y", [("y", "x"), ("x", "y")])],
+    )
+    def test_sampler_ignores_box_axis_order_and_extra_axes(self, text, vars, boxes):
+        p = mini(text, vars=vars)
+        first, second = (SearchBox.uniform(names, -1.0, 3.0, 2) for names in boxes)
+        for seed in range(4):
+            assert sample_feasible(p, {}, first, 20, seed=seed) == sample_feasible(p, {}, second, 20, seed=seed)
 
 
 class TestGoldenChainOptimum:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conify import reduce
 from conify.dcp import OccPath
 from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
 from conify.oracle import OracleError, sample_feasible
@@ -249,9 +250,10 @@ class TestDriver:
         with pytest.raises(NotConeRepresentable, match="objective must be affine"):
             reduce_problem(p)
 
-    def test_max_steps_guard(self, chain1):
-        with pytest.raises(NotConeRepresentable, match="no fixpoint after 1"):
-            reduce_problem(chain1, max_steps=1)
+    def test_max_steps_guard(self, chain1, monkeypatch):
+        monkeypatch.setattr(reduce, "MAX_STEPS", 1)
+        with pytest.raises(NotConeRepresentable, match="no fixpoint after 1 "):
+            reduce_problem(chain1)
 
 
 # The one message of a step line that differs from the line its replay
@@ -285,6 +287,17 @@ class TestTraceFiles:
     def test_truncated_file_detected(self, chain1, chain1_trace):
         text = write_trace(chain1_trace).replace("\nEND", "")
         with pytest.raises(TraceFormatError):
+            read_trace(text, chain1)
+
+    def test_header_error_cites_the_file_line(self, chain1):
+        with pytest.raises(TraceFormatError, match=r"^line 2: expected 'TRACE 1' header$"):
+            read_trace("# c\nTRACE 2\nEND\n", chain1)
+
+    def test_footer_error_cites_the_file_line(self, chain1, chain1_trace):
+        lines = write_trace(chain1_trace).splitlines()
+        text = "\n".join(["# comment", lines[0], "", *lines[1:3], "  # note", *lines[3:-1], "ENDX"])
+        assert text.splitlines()[8] == "ENDX"
+        with pytest.raises(TraceFormatError, match=r"^line 9: expected 'END' footer$"):
             read_trace(text, chain1)
 
     def test_malformed_step_line_rejected(self, chain1):
@@ -343,12 +356,13 @@ class TestTraceFiles:
         text = write_trace(chain1_trace).replace("STEP 1 ", "  STEP  1\t").replace(" FRESH t2", "   FRESH  t2 ")
         assert read_trace(text, chain1).steps == chain1_trace.steps
 
-    def test_write_trace_replays_once(self, chain1_trace, monkeypatch):
-        calls = []
-        replay = ReductionTrace.intermediates
-        monkeypatch.setattr(ReductionTrace, "intermediates", lambda t: calls.append(1) or replay(t))
+    def test_write_trace_replays_nothing(self, chain1_trace, monkeypatch):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a step was replayed")
+
+        monkeypatch.setattr(reduce, "apply_step", no_replay)
+        monkeypatch.setattr(ReductionTrace, "intermediates", no_replay)
         text = write_trace(chain1_trace)
-        assert len(calls) == 1
         assert text.count("ADD ") == 3
 
 
@@ -405,7 +419,7 @@ class TestVerifyTraceSampled:
             targets=(OccPath.parse("c0/rhs"),),
             fresh="t1",
             forward_def=Call("sqrt", (Var("x"),)),
-            added=(2,),
+            added=(bad_final.constraints[2],),
         )
         trace = ReductionTrace(orig, (step,), bad_final)
         # The bad region holds 1/24 of the final problem's feasible area, so
@@ -462,7 +476,7 @@ def _sqrt_trace(final, forward_def):
         targets=(OccPath.parse("c0/rhs"),),
         fresh="t1",
         forward_def=parse_expr_in(forward_def, orig),
-        added=(2,),
+        added=(final.constraints[2],),
     )
     return ReductionTrace(orig, (step,), final)
 
