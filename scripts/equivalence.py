@@ -10,9 +10,13 @@ case that moved:
 Cases cover the 15 corpus problems and, where reduction succeeds, their
 reduced forms: the write_trace and write_conic text; sample_feasible with
 n=300, seeds 0-3, at tol 0 and 1e-3; grid_minimize and grid_minimize_conic,
-each with and without eliminate="auto".  A case that raises prints the
-error's type and message instead of its result.  Parameters are bound to
-1.0; boxes are the corpus manifest's where it gives one, else [-5, 5].
+each with and without eliminate="auto".  Each problem that canonizes also
+gets check_primal's report at its emitted form's grid_minimize_conic point.
+Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
+32 gives the digest of its write_trace text and whether read_trace gives
+back the same trace.  A case that raises prints the error's type and message
+instead of its result.  Parameters are bound to 1.0; boxes are the corpus
+manifest's where it gives one, else [-5, 5].
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
 RES = 9  # lattice points per axis: small enough for five axes
+KCHAIN_KS = (1, 2, 4, 8, 16, 32)
 
 
 def show(run) -> str:
@@ -39,8 +44,10 @@ def show(run) -> str:
 
 def main(src: str) -> None:
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
-    from conify import Axis, SearchBox, emit, grid_minimize, grid_minimize_conic, parse
-    from conify import reduce_problem, sample_feasible, write_conic, write_trace
+    sys.path.insert(0, str(ROOT))
+    from conify import Axis, SearchBox, check_primal, emit, grid_minimize, grid_minimize_conic, parse
+    from conify import read_trace, reduce_problem, sample_feasible, write_conic, write_trace
+    from perfbench.kchain import chain_text
 
     manifest = json.loads((CORPUS / "manifest.json").read_text())
     for name, meta in manifest.items():
@@ -68,6 +75,24 @@ def main(src: str) -> None:
                 print(f"{case} grid_minimize eliminate={eliminate}: {got}")
                 got = show(lambda: grid_minimize_conic(emit(q, params), box, eliminate=eliminate))
                 print(f"{case} grid_minimize_conic eliminate={eliminate}: {got}")
+        if "reduced" in forms:
+
+            def primal_at_lattice_point():
+                cp = emit(trace.final, params)
+                point = grid_minimize_conic(cp, box).point
+                return check_primal(cp, [point[v] for v in cp.variables])
+
+            print(f"{name} check_primal at grid_minimize_conic: {show(primal_at_lattice_point)}")
+
+    for k in KCHAIN_KS:
+        p = parse(chain_text(k))
+
+        def trace_digest():
+            text = write_trace(reduce_problem(p))
+            reads_back = write_trace(read_trace(text, p)) == text
+            return f"sha256 {hashlib.sha256(text.encode()).hexdigest()} of {len(text)} chars", reads_back
+
+        print(f"kchain k={k} write_trace, read back: {show(trace_digest)}")
 
 
 if __name__ == "__main__":

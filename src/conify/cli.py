@@ -268,7 +268,7 @@ def _cmd_verify(args) -> int:
             raise ConifyError("FAIL dual: " + "; ".join(report.failures))
         gap = primal.objective - report.bound
         print(f"certified lower bound {report.bound!r}, duality gap {gap!r}")
-        if gap < -args.tol:
+        if not gap >= -args.tol:  # a nan gap fails too
             raise ConifyError("FAIL dual: bound exceeds objective")
     print("OK")
     return 0
@@ -331,6 +331,8 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
+            raise _Unusable(f"bad --tol {args.tol}, expected a finite number >= 0")
         return args.func(args)
     except (ConifyError, IndexError, ValueError) as e:
         for command, family, code, message in _EXITS:

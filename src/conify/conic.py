@@ -310,24 +310,32 @@ def _assemble(variables, c, A_rows, b_vals, G_rows, h_vals, blocks) -> ConicProb
 # --- membership ---------------------------------------------------------------
 
 
-def cone_member(kind: str, v, tol: float = 1e-7) -> bool:
-    v = np.asarray(v, dtype=float)
+def _cone_mask(kind: str, s: list, tol: float) -> np.ndarray:
+    """Vectorized membership for one block; s holds its slack rows, which
+    broadcast against each other."""
     if kind == "ORTHANT":
-        return bool((v >= -tol).all())
+        mask = np.True_
+        for r in s:
+            mask = mask & (r >= -tol)
+        return mask
     if kind == "SOC":
-        return bool(v[0] + tol >= math.sqrt(float((v[1:] ** 2).sum())))
+        sq = 0.0
+        for r in s[1:]:
+            sq = sq + r**2
+        return s[0] + tol >= np.sqrt(sq)
     if kind == "EXP":
-        x1, x2, x3 = (float(x) for x in v)
-        if abs(x2) <= tol:
-            return x1 >= -tol and x3 <= tol
-        if x2 < 0:
-            return False
-        try:
-            lifted = x2 * math.exp(x3 / x2)
-        except OverflowError:
-            return False
-        return x1 + tol >= lifted
+        x1, x2, x3 = s
+        safe = np.where(np.abs(x2) > tol, x2, 1.0)
+        main = (x2 > tol) & (x1 + tol >= safe * np.exp(x3 / safe))
+        closure = (np.abs(x2) <= tol) & (x1 >= -tol) & (x3 <= tol)
+        return main | closure
     raise ValueError(f"unknown cone kind {kind!r}")
+
+
+def cone_member(kind: str, v, tol: float = 1e-7) -> bool:
+    """Is v in the cone at tol?  _cone_mask at one point."""
+    with np.errstate(all="ignore"):
+        return bool(_cone_mask(kind, list(v), tol))
 
 
 def dual_cone_member(kind: str, v, tol: float = 1e-7) -> bool:
@@ -361,7 +369,7 @@ def check_primal(cp: ConicProblem, x, tol: float = 1e-7) -> PrimalReport:
     if cp.A.shape[0]:
         res = cp.A @ x - cp.b
         for i, r in enumerate(res):
-            if abs(r) > tol:
+            if not abs(r) <= tol:  # a nan residual fails too
                 failures.append(f"equality row {i} residual {r:.3e}")
     s = cp.G @ x - cp.h
     for j, (bl, sl) in enumerate(cp.block_slices()):
@@ -390,7 +398,7 @@ def check_dual_bound(cp: ConicProblem, cert: DualCertificate, tol: float = 1e-7)
     if failures:
         return DualReport(False, None, tuple(failures))
     residual = cp.A.T @ y + cp.G.T @ z - cp.c
-    if np.abs(residual).max(initial=0.0) > tol:
+    if not np.abs(residual).max(initial=0.0) <= tol:  # a nan residual fails too
         failures.append(f"stationarity residual {np.abs(residual).max():.3e}")
     for j, (bl, sl) in enumerate(cp.block_slices()):
         if not dual_cone_member(bl.kind, z[sl], tol):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .atoms import (
-    ATOMS,
     Curvature,
     Monotonicity,
     Sign,
@@ -28,7 +27,7 @@ from .atoms import (
     flip_curvature,
     sign_of_value,
 )
-from .problem import Call, Const, Constraint, Expr, Param, Problem, Var
+from .problem import Call, Const, Expr, Param, Problem, Var
 
 
 class Polarity(Enum):
@@ -81,49 +80,6 @@ def resolve(p: Problem, path: OccPath) -> Expr:
             raise ValueError(f"path {path} leaves the expression")
         e = e.args[i]
     return e
-
-
-def _subst_in(e: Expr, steps: tuple[int, ...], new: Expr) -> Expr:
-    if not steps:
-        return new
-    assert isinstance(e, Call)
-    i = steps[0]
-    args = list(e.args)
-    args[i] = _subst_in(args[i], steps[1:], new)
-    return Call(e.atom, tuple(args))
-
-
-def substitute(p: Problem, path: OccPath, new: Expr) -> Problem:
-    """Replace the subterm at one path."""
-    if path.constraint is None:
-        return Problem(p.variables, p.params, _subst_in(p.objective, path.steps, new), p.constraints)
-    cs = list(p.constraints)
-    c = cs[path.constraint]
-    if path.side == "lhs":
-        cs[path.constraint] = Constraint(_subst_in(c.lhs, path.steps, new), c.op, c.rhs)
-    else:
-        cs[path.constraint] = Constraint(c.lhs, c.op, _subst_in(c.rhs, path.steps, new))
-    return Problem(p.variables, p.params, p.objective, tuple(cs))
-
-
-def _walk(e: Expr, steps: tuple[int, ...], target: Expr, out: list[tuple[int, ...]]) -> None:
-    if e == target:
-        out.append(steps)
-    if isinstance(e, Call):
-        for i, a in enumerate(e.args):
-            _walk(a, steps + (i,), target, out)
-
-
-def find_occurrences(p: Problem, target: Expr) -> list[OccPath]:
-    """Every syntactically identical occurrence in the constraints, in
-    constraint order, lhs first."""
-    found: list[OccPath] = []
-    for i, c in enumerate(p.constraints):
-        for side, root in (("lhs", c.lhs), ("rhs", c.rhs)):
-            acc: list[tuple[int, ...]] = []
-            _walk(root, (), target, acc)
-            found += [OccPath(i, side, s) for s in acc]
-    return found
 
 
 def param_sign_context(p: Problem) -> dict[str, Sign]:

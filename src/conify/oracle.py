@@ -4,8 +4,10 @@ Enumerates a finite lattice over a box, keeps feasible points, and returns the
 lexicographically first minimizer.  This is the ground truth the reduction
 pipeline is checked against, so it stays deliberately dumb: no pruning, no
 continuous optimization, nothing shared with the canonizer beyond expression
-evaluation.  Anything past three or four free axes is out of its depth; that
-is a feature, not a bug.
+evaluation and the cone membership rule, conic._cone_mask, which
+conic.cone_member applies to one point and the conic scan to a lattice.
+Anything past three or four free axes is out of its depth; that is a
+feature, not a bug.
 
 Lattice nodes use the exact affine combination ((n-1-k)*lo + k*hi)/(n-1)
 rather than lo + k*step, so round decimal endpoints produce round decimal
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConicError, ConicProblem, _linear, _NotAffine
+from .conic import ConicError, ConicProblem, _cone_mask, _linear, _NotAffine
 from .dsl import print_constraint
 from .problem import (
     Assignment,
@@ -226,6 +228,13 @@ def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> 
     return _first_solvable(rows(), p.variables, var)
 
 
+def _complete(env: dict, elim: Elimination | None, params: Assignment) -> None:
+    """Add the solved variable, evaluated from elim.formula, and params to env."""
+    if elim is not None:
+        env[elim.var] = _veval(elim.formula, env)
+    env.update(params)
+
+
 def _free(variables, elim: Elimination | None) -> list[str]:
     """Axes a scan or the sampler draws: declared variables less the solved one."""
     return [v for v in variables if elim is None or v != elim.var]
@@ -269,11 +278,6 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     if not axes:
         raise OracleError("elimination leaves no grid axis")
 
-    def fill_env(env):
-        if elim is not None:
-            env[elim.var] = _veval(elim.formula, env)
-        env.update(params)
-
     shape = tuple(ax.points for ax in axes)
     values = [ax.values() for ax in axes]
     n = len(axes)
@@ -284,7 +288,7 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
             for d, ax in enumerate(axes)
         }
         block = tuple(env[ax.name].size for ax in axes)
-        fill_env(env)
+        _complete(env, elim, params)
         with np.errstate(all="ignore"):
             mask, obj = mask_and_obj(env)
             mask = np.broadcast_to(mask & ~np.isnan(obj), block)
@@ -301,7 +305,7 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
         raise Infeasible("no feasible lattice point")
     multi = np.unravel_index(best_idx, shape)
     env = {ax.name: float(values[d][multi[d]]) for d, ax in enumerate(axes)}
-    fill_env(env)
+    _complete(env, elim, params)
     return GridResult({v: float(env[v]) for v in variables}, best_val, feasible)
 
 
@@ -335,28 +339,6 @@ def grid_minimize(
 
 
 # --- conic grid search ----------------------------------------------------------
-
-
-def _cone_mask(kind: str, s: list, tol: float) -> np.ndarray:
-    """Vectorized membership for one block; s holds its slack rows, which
-    broadcast against each other."""
-    if kind == "ORTHANT":
-        mask = np.True_
-        for r in s:
-            mask = mask & (r >= -tol)
-        return mask
-    if kind == "SOC":
-        sq = 0.0
-        for r in s[1:]:
-            sq = sq + r**2
-        return s[0] + tol >= np.sqrt(sq)
-    if kind == "EXP":
-        x1, x2, x3 = s
-        safe = np.where(np.abs(x2) > tol, x2, 1.0)
-        main = (x2 > tol) & (x1 + tol >= safe * np.exp(x3 / safe))
-        closure = (np.abs(x2) <= tol) & (x1 >= -tol) & (x3 <= tol)
-        return main | closure
-    raise ValueError(kind)
 
 
 def grid_minimize_conic(
@@ -604,9 +586,7 @@ def sample_feasible(
             name: rng.uniform(*bounds[name], size=batch) for name in _free(p.variables, elim)
         }
         with np.errstate(all="ignore"):
-            if elim is not None:
-                env[elim.var] = _veval(elim.formula, env)
-            env.update(params)
+            _complete(env, elim, params)
             mask = np.broadcast_to(_feasible(p, elim, env, full, tol), (batch,))
         kept = np.flatnonzero(mask)[: n - found]
         for v in p.variables:

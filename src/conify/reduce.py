@@ -26,16 +26,7 @@ import numpy as np
 
 from .atoms import Curvature, atom_lookup, graph_impl
 from .conic import _Lines, constraint_shape, emit
-from .dcp import (
-    OccPath,
-    Polarity,
-    dcp_check,
-    find_occurrences,
-    is_affine,
-    polarity_of,
-    resolve,
-    substitute,
-)
+from .dcp import OccPath, Polarity, dcp_check, is_affine, polarity_of, resolve
 from .oracle import sample_feasible
 from .problem import (
     Assignment,
@@ -132,14 +123,39 @@ def _fresh_name(p: Problem) -> str:
     return name
 
 
-def _introduce(p: Problem, g: Expr, occs: list[OccPath], schema: str, bound) -> tuple[Problem, TraceStep]:
-    """Replace g at occs with a fresh variable t and append bound(t)."""
-    name = _fresh_name(p)
-    q = Problem(p.variables + (name,), p.params, p.objective, p.constraints)
-    for o in occs:
-        q = substitute(q, o, Var(name))
-    q = Problem(q.variables, q.params, q.objective, q.constraints + (bound(Var(name)),))
-    return q, TraceStep(schema, tuple(occs), name, g, added=q.constraints[-1:])
+def _replace(p: Problem, g: Expr, pol: Polarity, t: Var) -> tuple[tuple[Constraint, ...], tuple[OccPath, ...]]:
+    """p's constraints, rebuilt in one walk with t at every occurrence of g
+    whose polarity in p is pol, and the replaced paths in constraint order,
+    lhs first, outer before inner."""
+    paths: list[OccPath] = []
+
+    def walk(e: Expr, i: int, side: str, steps: tuple[int, ...]) -> Expr:
+        if e == g:
+            path = OccPath(i, side, steps)
+            if polarity_of(p, path) != pol:
+                return e
+            paths.append(path)
+            return t
+        if not isinstance(e, Call):
+            return e
+        args = tuple(walk(a, i, side, steps + (k,)) for k, a in enumerate(e.args))
+        return e if args == e.args else Call(e.atom, args)
+
+    cs = tuple(
+        Constraint(walk(c.lhs, i, "lhs", ()), c.op, walk(c.rhs, i, "rhs", ()))
+        for i, c in enumerate(p.constraints)
+    )
+    return cs, tuple(paths)
+
+
+def _introduce(p: Problem, g: Expr, pol: Polarity, schema: str, bound) -> tuple[Problem, TraceStep]:
+    """Replace g wherever its polarity is pol with a fresh variable t and
+    append bound(t)."""
+    t = Var(_fresh_name(p))
+    cs, occs = _replace(p, g, pol, t)
+    added = bound(t)
+    q = Problem(p.variables + (t.name,), p.params, p.objective, cs + (added,))
+    return q, TraceStep(schema, occs, t.name, g, added=(added,))
 
 
 def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
@@ -150,10 +166,9 @@ def linearize(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
     pol = polarity_of(p, path)
     if pol not in (Polarity.MONOTONE, Polarity.ANTIMONOTONE):
         raise PolarityUnknown(f"polarity at {path} is {pol.value}; cannot linearize")
-    occs = [o for o in find_occurrences(p, g) if polarity_of(p, o) == pol]
     if pol == Polarity.ANTIMONOTONE:
-        return _introduce(p, g, occs, "linearize_antimono", lambda t: Constraint(g, "<=", t))
-    return _introduce(p, g, occs, "linearize_mono", lambda t: Constraint(t, "<=", g))
+        return _introduce(p, g, pol, "linearize_antimono", lambda t: Constraint(g, "<=", t))
+    return _introduce(p, g, pol, "linearize_mono", lambda t: Constraint(t, "<=", g))
 
 
 def _fact_present(p: Problem, arg: Expr, fact: str) -> bool:
@@ -186,10 +201,9 @@ def graph_expand(p: Problem, path: OccPath) -> tuple[Problem, TraceStep]:
             f"expanding {dsl.print_expr(g)} needs {bound}{dsl.print_expr(g.args[0])} "
             "among the constraints"
         )
-    occs = [o for o in find_occurrences(p, g) if polarity_of(p, o) == want]
     curv = atom_lookup(g.atom).curvature
     schema = "graph_expand_concave" if curv == Curvature.CONCAVE else "graph_expand_convex"
-    return _introduce(p, g, occs, schema, lambda t: impl.build_constraint(t, g.args))
+    return _introduce(p, g, pol, schema, lambda t: impl.build_constraint(t, g.args))
 
 
 def _implied(c: Constraint, rest: list[Constraint]) -> str | None:
@@ -297,7 +311,11 @@ def _sweep_redundant(p: Problem) -> tuple[int, ...]:
             if _implied(c, rest) is not None:
                 removed.add(i)
                 changed = True
-    return tuple(sorted(removed))
+    # A later drop can take away an earlier drop's premise.  Put back every
+    # drop the remainder does not imply; each rule only needs its premises
+    # present, so a larger remainder still implies the drops that stay.
+    rest = [d for j, d in enumerate(p.constraints) if j not in removed]
+    return tuple(i for i in sorted(removed) if _implied(p.constraints[i], rest) is not None)
 
 
 def reduce_problem(p: Problem) -> ReductionTrace:

@@ -119,6 +119,19 @@ class TestCanon:
         assert not chain_file.with_suffix(".cone").exists()
 
 
+    def test_chained_transitive_drops_canonize_and_verify(self, tmp_path, capsys):
+        src = tmp_path / "tr.opt"
+        src.write_text(
+            "minimization\n!vars x y z u\n!objective x\n!constraints\nx <= y, z <= y, x <= z, x <= u, u <= z\n"
+        )
+        assert main(["canon", str(src)]) == 0
+        assert "trace verified on 200 backward and 200 forward samples\n" in capsys.readouterr().out
+        assert (tmp_path / "tr.trace").read_text() == "TRACE 1\nSTEP 1 eliminate_redundant REMOVE 2\nEND\n"
+        assert main(["solve-oracle", str(tmp_path / "tr.cone"), "--res", "3"]) == 0
+        assert main(["verify", str(src), str(tmp_path / "tr.trace"), str(tmp_path / "tr.sol")]) == 0
+        assert capsys.readouterr().out.endswith("OK\n")
+
+
 class TestStep:
     def test_linearize_prints_next_problem(self, capsys):
         code = main(
@@ -454,6 +467,40 @@ class TestVerify:
         assert "line 2" in capsys.readouterr().err
 
 
+class TestNanAndTol:
+    """A nan in a solution file fails its check, and --tol must be a finite
+    number >= 0."""
+
+    def files(self, tmp_path, text):
+        src = tmp_path / "eq.opt"
+        src.write_text("minimization\n!vars x y\n!objective x\n!constraints\nx + y = 1\n")
+        assert main(["canon", str(src), "--skip-verify"]) == 0
+        sol = tmp_path / "eq.sol"
+        sol.write_text(text)
+        return [str(src), str(tmp_path / "eq.trace"), str(sol)]
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("PRIMAL 0.5 0.5\nDUAL_EQ nan", "FAIL dual: stationarity residual nan"),
+            ("PRIMAL nan 0.5", "FAIL primal: equality row 0 residual nan"),
+        ],
+        ids=["dual", "primal"],
+    )
+    def test_nan_solution_fails(self, tmp_path, capsys, lines, message):
+        files = self.files(tmp_path, f"SOLUTION 1\n{lines}\nEND\n")
+        assert main(["verify", *files]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["canon", "solve-oracle", "verify"])
+    def test_tol_must_be_finite_and_nonneg(self, tmp_path, capsys, command, tol):
+        files = self.files(tmp_path, "SOLUTION 1\nPRIMAL 0.5 0.5\nEND\n")
+        argv = {"canon": files[:1], "solve-oracle": [files[0], "--res", "3"], "verify": files}[command]
+        assert main([command, *argv, f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == f"error: bad --tol {float(tol)}, expected a finite number >= 0\n"
+
+
 class TestCorpusPipeline:
     """canon, solve-oracle, and verify chain cleanly on every canonizable entry."""
 
@@ -492,7 +539,7 @@ class TestCorpusPipeline:
 class TestFuzz:
     """Seeded byte mutations of every input file kind and of option values:
     main returns an exit code of 0, 1 or 2 and raises nothing but argparse's
-    own SystemExit(2) for an option value that is not an integer."""
+    own SystemExit(2) for an option value that is not a number."""
 
     BYTES = b" \n\t,.:;-+*/^()=<>!#0123456789eExyzt_CONEVARSTEPADD\xff\x00"
 
@@ -546,15 +593,18 @@ class TestFuzz:
             lambda v: ["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", "3", "--box", v],
             lambda v: ["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", v],
             lambda v: ["canon", str(chain_file), *UNIT_ARGS, "--samples", v],
+            lambda v: ["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", "3", f"--tol={v}"],
         ]
-        values = [["c0/lhs", "c0/rhs/0/0/1", "c3/rhs/0", "obj"], ["2,3", "0"], ["x=0:4", "y=-4:2"], ["3"], ["25"]]
+        values = [
+            ["c0/lhs", "c0/rhs/0/0/1", "c3/rhs/0", "obj"], ["2,3", "0"], ["x=0:4", "y=-4:2"], ["3"], ["25"], ["1e-6"]
+        ]
         codes = set()
-        for case in range(150):
-            value = self.mutate(rng.choice(values[case % 5]).encode(), rng).decode("latin-1")
-            argv = cases[case % 5](value)
+        for case in range(180):
+            value = self.mutate(rng.choice(values[case % 6]).encode(), rng).decode("latin-1")
+            argv = cases[case % 6](value)
             try:
                 code = main(argv)
-            except SystemExit as e:  # argparse's own exit 2 for a non-integer
+            except SystemExit as e:  # argparse's own exit 2 for a non-number
                 code = e.code
             assert code in (0, 1, 2), argv
             codes.add(code)

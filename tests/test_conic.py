@@ -173,6 +173,10 @@ class TestConeMembership:
         assert not cone_member("ORTHANT", v)
         assert cone_member("ORTHANT", v, tol=0.6)
 
+    def test_unknown_kind_named(self):
+        with pytest.raises(ValueError, match="unknown cone kind 'PSD'"):
+            cone_member("PSD", [1.0])
+
     @pytest.mark.parametrize("kind,dim", [("ORTHANT", 4), ("SOC", 3)])
     def test_self_dual_cones(self, kind, dim):
         rng = np.random.default_rng(7)
@@ -248,6 +252,18 @@ class TestPrimalDualChecks:
         report = check_primal(cp, np.array([-1.0]))
         assert not report.feasible
         assert any("cone block 0" in f for f in report.failures)
+
+    def test_nan_primal_rejected(self):
+        cp = emit(mini("x + y = 1"), {})
+        report = check_primal(cp, [math.nan, 0.5])
+        assert not report.feasible
+        assert report.failures == ("equality row 0 residual nan",)
+
+    def test_nan_dual_rejected(self):
+        cp = emit(mini("x + y = 1"), {})
+        report = check_dual_bound(cp, DualCertificate(y=np.array([math.nan]), z=np.zeros(0)))
+        assert not report.accepted and report.bound is None
+        assert report.failures == ("stationarity residual nan",)
 
     def test_dual_certificate_for_simple_lp(self):
         cp = self.simple_lp()

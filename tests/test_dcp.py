@@ -14,14 +14,12 @@ from conify.dcp import (
     _analyze,
     curvature_of,
     dcp_check,
-    find_occurrences,
     is_affine,
     param_sign_context,
     path_root,
     polarity_of,
     resolve,
     sign_of,
-    substitute,
 )
 from conify.dsl import parse, parse_expr_in, print_expr
 from conify.problem import ATOM_ARITY, Call, Const, DomainError, Param, ParamDecl, Problem, Var, evaluate
@@ -208,23 +206,6 @@ class TestOccPath:
         assert print_expr(path_root(chain1, path)) == "log(a * sqrt(x) + b)"
         with pytest.raises(ValueError):
             resolve(chain1, OccPath.parse("c0/lhs/0/0/0"))
-
-    def test_find_occurrences_in_constraint_order(self, chain1):
-        paths = [str(o) for o in find_occurrences(chain1, Var("x"))]
-        assert paths == ["c0/rhs/0/0/1/0", "c1/lhs/0/1", "c2/rhs", "c3/rhs/0/1/0"]
-
-    def test_substitute_single_occurrence(self, chain1):
-        wider = Problem(chain1.variables + ("t9",), chain1.params, chain1.objective, chain1.constraints)
-        q = substitute(wider, OccPath.parse("c0/lhs"), Var("t9"))
-        assert "t9" in q.variables
-        assert print_expr(q.constraints[0].lhs) == "t9"
-        # untouched occurrences stay put
-        assert q.constraints[1] == chain1.constraints[1]
-        assert print_expr(q.objective) == "c * x"
-
-    def test_substitute_objective(self, chain1):
-        q = substitute(chain1, OccPath.parse("obj"), Var("x"))
-        assert print_expr(q.objective) == "x"
 
 
 class TestDcpCheck:

@@ -6,10 +6,10 @@ import sys
 import pytest
 
 from conify import reduce
-from conify.dcp import OccPath
+from conify.dcp import OccPath, Polarity
 from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
 from conify.oracle import OracleError, sample_feasible
-from conify.problem import Call, Const, DomainError, Var, check_feasible, evaluate
+from conify.problem import Call, Const, DomainError, Problem, Var, check_feasible, evaluate
 from conify.reduce import (
     AffineTarget,
     MissingDomainFact,
@@ -146,6 +146,42 @@ class TestGraphExpand:
             apply_step(p, "graph_expand", OccPath.parse("c0/lhs"))
 
 
+class TestOnePass:
+    def test_replaced_paths_in_constraint_order(self, chain1):
+        # x is monotone in c0, c2 and c3, and inside an equality side in c1.
+        t = Var("t")
+        cs, paths = reduce._replace(chain1, Var("x"), Polarity.MONOTONE, t)
+        assert [str(o) for o in paths] == ["c0/rhs/0/0/1/0", "c2/rhs", "c3/rhs/0/1/0"]
+        assert [print_constraint(c) for c in cs] == [
+            "exp(y) <= log(a * sqrt(t) + b)",
+            "a * x + b * y = d",
+            "0 <= t",
+            "0 < a * sqrt(t) + b",
+        ]
+        cs, paths = reduce._replace(chain1, Var("x"), Polarity.UNKNOWN, t)
+        assert [str(o) for o in paths] == ["c1/lhs/0/1"]
+        assert print_constraint(cs[1]) == "a * t + b * y = d"
+        assert reduce._replace(chain1, Var("x"), Polarity.ANTIMONOTONE, t)[1] == ()
+
+    def test_lhs_before_rhs(self):
+        p = mini("x <= 2 * x, 0 <= x")
+        _, paths = reduce._replace(p, Var("x"), Polarity.ANTIMONOTONE, Var("t"))
+        assert [str(o) for o in paths] == ["c0/lhs"]
+        _, paths = reduce._replace(p, Var("x"), Polarity.MONOTONE, Var("t"))
+        assert [str(o) for o in paths] == ["c0/rhs/1", "c1/rhs"]
+
+    def test_each_step_builds_one_problem(self, chain1, chain1_trace, monkeypatch):
+        built = []
+        init = Problem.__post_init__
+        monkeypatch.setattr(Problem, "__post_init__", lambda self: (built.append(self), init(self)))
+        before = chain1_trace.intermediates()
+        # linearize, then graph_expand at one and at two occurrences
+        for p, s in zip(before, chain1_trace.steps[:3]):
+            built.clear()
+            q, _ = apply_step(p, s.schema, s.targets[0])
+            assert built == [q], s.schema
+
+
 class TestEliminateRedundant:
     def test_square_bound_implies_nonnegativity(self):
         p = mini("t ^ 2 <= x, 0 <= x, x <= 5", vars="x t")
@@ -249,6 +285,15 @@ class TestDriver:
         p = parse(CORPUS.joinpath("concave_obj.opt").read_text())
         with pytest.raises(NotConeRepresentable, match="objective must be affine"):
             reduce_problem(p)
+
+    def test_sweep_keeps_a_drop_another_drop_needs(self):
+        # x <= z justifies dropping x <= y until x <= u, u <= z drop it too.
+        p = mini("x <= y, z <= y, x <= z, x <= u, u <= z", vars="x y z u")
+        tr = reduce_problem(p)
+        assert [(s.schema, s.removed) for s in tr.steps] == [("eliminate_redundant", (2,))]
+        assert cons(tr.final) == ["x <= y", "z <= y", "x <= u", "u <= z"]
+        report = verify_trace_sampled(tr, {})
+        assert report.ok and report.backward_checked == report.forward_checked == 200
 
     def test_max_steps_guard(self, chain1, monkeypatch):
         monkeypatch.setattr(reduce, "MAX_STEPS", 1)
