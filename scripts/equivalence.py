@@ -14,9 +14,15 @@ each with and without eliminate="auto".  Each problem that canonizes also
 gets check_primal's report at its emitted form's grid_minimize_conic point.
 Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 32 gives the digest of its write_trace text and whether read_trace gives
-back the same trace.  A case that raises prints the error's type and message
-instead of its result.  Parameters are bound to 1.0; boxes are the corpus
-manifest's where it gives one, else [-5, 5].
+back the same trace.  Last, each objective of EDGE_CASES, at the edges of
+the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
+-inf), goes through grid_minimize and grid_minimize_conic at the default
+CHUNK and at CHUNK 1 and 7.  A case that raises prints the error's type and
+message instead of its result.  Parameters are bound to 1.0; boxes are the
+corpus manifest's where it gives one, else [-5, 5].
+
+That makes 340 oracle and file-format lines, 10 check_primal lines, 6
+k-chain lines and 48 edge-case lines: 404 in all.
 """
 
 import hashlib
@@ -28,6 +34,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
 RES = 9  # lattice points per axis: small enough for five axes
 KCHAIN_KS = (1, 2, 4, 8, 16, 32)
+# (label, variables, constraints, objective, axis range, points per axis)
+EDGE_CASES = (
+    ("trailing-axis tie", "x z", "0.25 <= abs(z), 0 <= x + z", "abs(z)", (-1.0, 1.0), 5),
+    ("middle axis", "x y z", "1 <= x + y + z, y <= x, 0 <= z", "2 * y", (-1.0, 1.0), 5),
+    ("nan at feasible points", "x y z", "0 <= z + 1", "log(x) + z", (-1.0, 2.0), 7),
+    ("constant", "x y", "1 <= x + y", "2", (0.0, 1.0), 5),
+    ("conic c = 0", "x y", "1 <= x + y", "0 * x", (0.0, 1.0), 5),
+    ("-0.0 first", "x", "x <= 1", "0 * x", (-1.0, 1.0), 5),
+    ("0.0 first", "x z", "0 <= x + z", "0 * z", (-1.0, 1.0), 5),
+    ("pow overflow to -inf", "x y", "0 <= y", "x ^ 3", (-1e200, 1e200), 5),
+)
 
 
 def show(run) -> str:
@@ -45,7 +62,7 @@ def show(run) -> str:
 def main(src: str) -> None:
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
     sys.path.insert(0, str(ROOT))
-    from conify import Axis, SearchBox, check_primal, emit, grid_minimize, grid_minimize_conic, parse
+    from conify import Axis, SearchBox, check_primal, emit, grid_minimize, grid_minimize_conic, oracle, parse
     from conify import read_trace, reduce_problem, sample_feasible, write_conic, write_trace
     from perfbench.kchain import chain_text
 
@@ -93,6 +110,17 @@ def main(src: str) -> None:
             return f"sha256 {hashlib.sha256(text.encode()).hexdigest()} of {len(text)} chars", reads_back
 
         print(f"kchain k={k} write_trace, read back: {show(trace_digest)}")
+
+    default_chunk = oracle.CHUNK
+    for label, names, constraints, objective, (lo, hi), points in EDGE_CASES:
+        q = parse(f"minimization\n!vars {names}\n!objective {objective}\n!constraints\n{constraints}\n")
+        box = SearchBox.uniform(q.variables, lo, hi, points)
+        for chunk in (default_chunk, 1, 7):
+            oracle.CHUNK = chunk
+            print(f"edge {label} CHUNK={chunk} grid_minimize: {show(lambda: grid_minimize(q, {}, box))}")
+            got = show(lambda: grid_minimize_conic(emit(q, {}), box))
+            print(f"edge {label} CHUNK={chunk} grid_minimize_conic: {got}")
+    oracle.CHUNK = default_chunk
 
 
 if __name__ == "__main__":

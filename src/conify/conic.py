@@ -364,18 +364,20 @@ class PrimalReport:
 
 
 def check_primal(cp: ConicProblem, x, tol: float = 1e-7) -> PrimalReport:
+    """Check x against every equality row and cone block at tol; each
+    coordinate must also be finite."""
     x = np.asarray(x, dtype=float)
-    failures = []
-    if cp.A.shape[0]:
-        res = cp.A @ x - cp.b
-        for i, r in enumerate(res):
-            if not abs(r) <= tol:  # a nan residual fails too
-                failures.append(f"equality row {i} residual {r:.3e}")
-    s = cp.G @ x - cp.h
+    with np.errstate(all="ignore"):  # an infinite coordinate is a failure, not a warning
+        res, s, objective = cp.A @ x - cp.b, cp.G @ x - cp.h, float(cp.c @ x)
+    failures = [f"equality row {i} residual {r:.3e}" for i, r in enumerate(res) if not abs(r) <= tol]  # nan too
     for j, (bl, sl) in enumerate(cp.block_slices()):
         if not cone_member(bl.kind, s[sl], tol):
             failures.append(f"cone block {j}")
-    return PrimalReport(not failures, float(cp.c @ x), tuple(failures))
+    for i in np.flatnonzero(~np.isfinite(x)):
+        # An infinite slack can lie in a cone; a nan fails every row it meets.
+        if np.isinf(x[i]) or not failures:
+            failures.append(f"coordinate {i} is {float(x[i])!r}")
+    return PrimalReport(not failures, objective, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ objective is computed only over the axes it reads, and the per-constraint
 masks meet by broadcasting.  Every lattice point is still judged, in exactly
 the arithmetic of a pointwise evaluation.  No array is larger than a chunk,
 which holds at most CHUNK points whatever the box shape; on chain1's reduced
-problem only the combined mask and the guarded objective reach that size.
+problem only the combined mask reaches that size.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -271,8 +271,20 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     Each axis enters env as an open-mesh array (its own dimension, size 1 on
     every other), so an expression comes out shaped over only the axes it
     reads, and mask_and_obj's results broadcast to the chunk.  The solved
-    variable and params join env before mask_and_obj sees it.  Ties resolve
-    to the smallest flat index, which is lexicographic order in axis values.
+    variable and params join env before mask_and_obj sees it.
+
+    The objective is judged once per cell of the axes it reads, never
+    broadcast to the chunk: a cell is live when its mask holds at some point,
+    and the chunk's low is the least non-nan objective over live cells.  A
+    point where the objective is nan is not feasible, so it is counted out
+    only in the rare chunk whose objective holds a nan.  Only a chunk whose
+    low beats the best so far looks for its first feasible point at that
+    value and reads the value there, so the sign of a zero is the first
+    point's.  Ties therefore resolve to the smallest flat index, which is
+    lexicographic order in axis values, even where the first tying point
+    lies in a later cell.  The first chunk with a feasible point always
+    takes it, so an objective that is +inf wherever it is feasible still
+    has a minimizer.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -291,14 +303,19 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
         _complete(env, elim, params)
         with np.errstate(all="ignore"):
             mask, obj = mask_and_obj(env)
-            mask = np.broadcast_to(mask & ~np.isnan(obj), block)
-        count = int(np.count_nonzero(mask))
+        mask = np.broadcast_to(mask, block)
+        obj = np.asarray(obj, dtype=float)
+        if obj.ndim == 0:
+            obj = obj.reshape((1,) * n)
+        nan = np.isnan(obj)
+        count = int(np.count_nonzero(mask & ~nan if nan.any() else mask))
         feasible += count
         if count:
-            guarded = np.where(mask, obj, math.inf).ravel()
-            local = int(np.argmin(guarded))
-            if guarded[local] < best_val:
-                best_val = float(guarded[local])
+            live = np.any(mask, axis=tuple(d for d in range(n) if obj.shape[d] == 1), keepdims=True)
+            low = np.fmin.reduce(obj, axis=None, where=live, initial=math.inf)
+            if low < best_val or best_idx < 0:
+                local = int(np.argmax(mask & (obj == low)))
+                best_val = float(np.broadcast_to(obj, block).flat[local])
                 best_idx = start + local
         start += math.prod(block)
     if best_idx < 0:
@@ -560,6 +577,15 @@ def sample_feasible(
     a given seed gives different points.  A box the propagation empties
     raises Infeasible before any draw.  n below 1 raises OracleError.
     """
+    cols = _sample_columns(p, params, box, n, seed, tol)
+    values = [cols[v].tolist() for v in p.variables]
+    return [dict(zip(p.variables, row)) for row in zip(*values)]
+
+
+def _sample_columns(
+    p: Problem, params: Assignment, box, n: int, seed: int, tol: float
+) -> dict[str, np.ndarray]:
+    """sample_feasible's points as one array of n values per variable."""
     if n < 1:
         raise OracleError(f"cannot sample n={n} points; n must be at least 1")
     full = _as_box(box, p.variables)
@@ -593,8 +619,7 @@ def sample_feasible(
             cols[v].append(np.broadcast_to(env[v], (batch,))[kept])
         found += len(kept)
         if found == n:
-            values = [np.concatenate(cols[v]).tolist() for v in p.variables]
-            return [dict(zip(p.variables, row)) for row in zip(*values)]
+            return {v: np.concatenate(cols[v]) for v in p.variables}
     raise Infeasible(
         f"rejection sampling found {found} of {n} requested points; "
         "the feasible region may be too thin for this box"

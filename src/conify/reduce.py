@@ -27,7 +27,7 @@ import numpy as np
 from .atoms import Curvature, atom_lookup, graph_impl
 from .conic import _Lines, constraint_shape, emit
 from .dcp import OccPath, Polarity, dcp_check, is_affine, polarity_of, resolve
-from .oracle import sample_feasible
+from .oracle import _sample_columns
 from .problem import (
     Assignment,
     Call,
@@ -519,23 +519,22 @@ def verify_trace_sampled(
     order, backward ones first.
     """
     report = TraceCheckReport()
-    final_pts = sample_feasible(trace.final, params, box, n, seed=seed, tol=0.0)
-    env = {**params, **_columns(final_pts, trace.final.variables)}
+    final_cols = _sample_columns(trace.final, params, box, n, seed, 0.0)
+    env = {**params, **final_cols}
     back_env = {**params, **{v: env[v] for v in trace.original.variables}}
     first = _vcheck_feasible(trace.original, back_env, tol)
     with np.errstate(all="ignore"):
         diff = _veval(trace.original.objective, back_env) - _veval(trace.final.objective, env)
     moved = (first < 0) & ~(np.abs(diff) <= tol)
     for k in np.flatnonzero((first >= 0) | moved):
-        back = backmap(trace, final_pts[k])
+        back = backmap(trace, {v: float(col[k]) for v, col in final_cols.items()})
         if first[k] >= 0:
             report.failures.append(f"backmapped point infeasible at constraint {first[k]}: {back}")
         else:
             report.failures.append(f"objective changed under backmap at {back}")
     report.backward_checked = int(np.count_nonzero(first < 0))
 
-    orig_pts = sample_feasible(trace.original, params, box, n, seed=seed + 1, tol=0.0)
-    env = {**params, **_columns(orig_pts, trace.original.variables)}
+    env = {**params, **_sample_columns(trace.original, params, box, n, seed + 1, 0.0)}
     with np.errstate(all="ignore"):
         for s in trace.steps:
             if s.fresh is not None:
@@ -545,8 +544,3 @@ def verify_trace_sampled(
         report.failures.append(f"forward-mapped point infeasible at constraint {first[k]}")
     report.forward_checked = int(np.count_nonzero(first < 0))
     return report
-
-
-def _columns(points: list[Assignment], names) -> dict[str, np.ndarray]:
-    """One array per name over a list of points."""
-    return {v: np.array([pt[v] for pt in points], dtype=float) for v in names}

@@ -501,6 +501,25 @@ class TestNanAndTol:
         assert capsys.readouterr().err == f"error: bad --tol {float(tol)}, expected a finite number >= 0\n"
 
 
+class TestInfinitePrimal:
+    """An infinite primal coordinate fails verify before the backmap, even
+    where its slack lies in the cone."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_primal_fails(self, tmp_path, capsys, value):
+        src = tmp_path / "ray.opt"
+        src.write_text("minimization\n!vars x\n!objective x\n!constraints\n0 <= x\n")
+        assert main(["canon", str(src), "--skip-verify"]) == 0
+        sol = tmp_path / "ray.sol"
+        sol.write_text(f"SOLUTION 1\nPRIMAL {value}\nDUAL_CONE 1.0\nEND\n")
+        capsys.readouterr()
+        assert main(["verify", str(src), str(tmp_path / "ray.trace"), str(sol)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("FAIL primal: ")
+        assert out.err.endswith(f"coordinate 0 is {float(value)!r}\n")
+
+
 class TestCorpusPipeline:
     """canon, solve-oracle, and verify chain cleanly on every canonizable entry."""
 

@@ -259,6 +259,21 @@ class TestPrimalDualChecks:
         assert not report.feasible
         assert report.failures == ("equality row 0 residual nan",)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_primal_rejected(self, value):
+        # inf's slack lies in the orthant, so only the coordinate check fails it
+        report = check_primal(emit(mini("0 <= x", vars="x"), {}), [value])
+        assert not report.feasible
+        assert report.failures[-1] == f"coordinate 0 is {value!r}"
+        report = check_primal(emit(mini("x + y = 1"), {}), [0.5, value])
+        assert report.failures == (f"equality row 0 residual {value:.3e}", f"coordinate 1 is {value!r}")
+
+    def test_nan_primal_rejected_without_rows(self):
+        empty = np.zeros((0, 1))
+        cp = ConicProblem(("x",), np.ones(1), empty, np.zeros(0), empty, np.zeros(0), ())
+        report = check_primal(cp, [math.nan])
+        assert report.failures == ("coordinate 0 is nan",)
+
     def test_nan_dual_rejected(self):
         cp = emit(mini("x + y = 1"), {})
         report = check_dual_bound(cp, DualCertificate(y=np.array([math.nan]), z=np.zeros(0)))

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,119 @@ class TestGoldenScanCounts:
         tree = grid_minimize(chain1_trace.final, params, box, eliminate="y")
         assert cone == tree
         assert cone.feasible_count == gcount
+
+
+class TestPerCellObjective:
+    """The scan judges the objective once per cell of the axes it reads.
+    Each case agrees with the pointwise twin at any chunk size, and so does
+    the conic scan where emit accepts the problem."""
+
+    CASES = {
+        # abs(z) ties at z = -0.5 and z = 0.5; the first tying point in C
+        # order, (x, z) = (-0.5, 0.5), lies in the later z cell
+        "trailing-axis-tie": (
+            mini("0.25 <= abs(z), 0 <= x + z", vars="x z", objective="abs(z)"),
+            SearchBox.uniform(("x", "z"), -1.0, 1.0, 5),
+            False,
+        ),
+        "middle-axis": (
+            mini("1 <= x + y + z, y <= x, 0 <= z", vars="x y z", objective="2 * y"),
+            SearchBox((Axis("x", -1.0, 1.0, 5), Axis("y", -1.0, 1.0, 7), Axis("z", 0.0, 1.0, 6))),
+            True,
+        ),
+        # log leaves its domain at x <= 0, where every constraint holds
+        "nan-at-feasible-points": (
+            mini("0 <= z + 1", vars="x y z", objective="log(x) + z"),
+            SearchBox.uniform(("x", "y", "z"), -1.0, 2.0, 7),
+            False,
+        ),
+        "constant": (
+            mini("1 <= x + y", vars="x y", objective="2"),
+            SearchBox.uniform(("x", "y"), 0.0, 1.0, 5),
+            False,
+        ),
+        "conic-c-zero": (
+            mini("1 <= x + y", vars="x y", objective="0 * x"),
+            SearchBox.uniform(("x", "y"), 0.0, 1.0, 5),
+            True,
+        ),
+        # 0 * x is -0.0 at x < 0 and 0.0 from x = 0 on.  0 * z takes -0.0 in
+        # the first z cells, but the first feasible point, (x, z) = (-1, 1),
+        # reads 0.0
+        "minus-zero-first": (mini("x <= 1", objective="0 * x"), SearchBox.uniform(("x",), -1.0, 1.0, 5), True),
+        "plus-zero-first": (
+            mini("0 <= x + z", vars="x z", objective="0 * z"),
+            SearchBox.uniform(("x", "z"), -1.0, 1.0, 5),
+            True,
+        ),
+        # (-1e200)^3 and (-5e199)^3 overflow to -inf at every y
+        "pow-overflow": (
+            mini("0 <= y", vars="x y", objective="x ^ 3"),
+            SearchBox.uniform(("x", "y"), -1e200, 1e200, 5),
+            False,
+        ),
+        # ... and here to +inf at every point, which is still a minimum
+        "pow-overflow-everywhere": (
+            mini("0 <= y", vars="x y", objective="x ^ 3"),
+            SearchBox.uniform(("x", "y"), 1e200, 2e200, 3),
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_agrees_with_pointwise_twin(self, monkeypatch, case, chunk):
+        p, box, conic = self.CASES[case]
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "CHUNK", chunk)
+        slow = _grid_sequential(p, {}, box)
+        fast = grid_minimize(p, {}, box)
+        assert fast == slow
+        assert math.copysign(1.0, fast.value) == math.copysign(1.0, slow.value)
+        if conic:
+            assert grid_minimize_conic(emit(p, {}), box) == slow
+
+    def test_cases_reach_their_edges(self):
+        def solve(case):
+            p, box, _ = self.CASES[case]
+            return grid_minimize(p, {}, box)
+
+        assert solve("trailing-axis-tie").point == {"x": -0.5, "z": 0.5}
+        assert solve("nan-at-feasible-points").feasible_count == 4 * 7 * 7
+        assert math.copysign(1.0, solve("minus-zero-first").value) == -1.0
+        assert math.copysign(1.0, solve("plus-zero-first").value) == 1.0
+        assert solve("pow-overflow").value == -math.inf
+        assert solve("pow-overflow").point == {"x": -1e200, "y": 0.0}
+        assert solve("pow-overflow-everywhere") == GridResult({"x": 1e200, "y": 1e200}, math.inf, 9)
+
+
+class TestScanMemory:
+    """No chunk-sized float array: a criterion-4 scan's traced peak stays
+    below 4 bytes per chunk point (the mask, and little else)."""
+
+    @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
+    def test_peak_below_four_bytes_per_chunk_point(self, chain1, chain1_trace, abcd):
+        gx, gy, _ = TestGoldenScanCounts.GOLDEN[abcd]
+        params = dict(zip("abcd", abcd))
+        center = forward_map(chain1_trace, {"x": gx, "y": gy, **params})
+        box = TestGoldenScanCounts.BOX
+        for t in ("t1", "t2", "t3"):
+            box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
+        cp = emit(chain1_trace.final, params)
+        scans = [
+            lambda: grid_minimize(chain1, params, TestGoldenScanCounts.BOX, eliminate="y"),
+            lambda: grid_minimize_conic(cp, box, eliminate="y"),
+            lambda: grid_minimize(chain1_trace.final, params, box, eliminate="y"),
+        ]
+        for scan in scans:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                scan()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * oracle.CHUNK
 
 
 class TestConicGrid:
