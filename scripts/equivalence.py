@@ -9,8 +9,9 @@ case that moved:
 
 Cases cover the 15 corpus problems and, where reduction succeeds, their
 reduced forms: the write_trace and write_conic text; sample_feasible with
-n=300, seeds 0-3, at tol 0 and 1e-3; grid_minimize and grid_minimize_conic,
-each with and without eliminate="auto".  Each problem that canonizes also
+n=300, seeds 0-3, printed as a list of points whether the tree returns one
+or one column per variable; grid_minimize and grid_minimize_conic, each
+with and without eliminate="auto".  Each problem that canonizes also
 gets check_primal's report at its emitted form's grid_minimize_conic point.
 Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 32 gives the digest of its write_trace text and whether read_trace gives
@@ -21,8 +22,8 @@ CHUNK and at CHUNK 1 and 7.  A case that raises prints the error's type and
 message instead of its result.  Parameters are bound to 1.0; boxes are the
 corpus manifest's where it gives one, else [-5, 5].
 
-That makes 340 oracle and file-format lines, 10 check_primal lines, 6
-k-chain lines and 48 edge-case lines: 404 in all.
+That makes 240 oracle and file-format lines, 10 check_primal lines, 6
+k-chain lines and 48 edge-case lines: 304 in all.
 """
 
 import hashlib
@@ -45,6 +46,14 @@ EDGE_CASES = (
     ("0.0 first", "x z", "0 <= x + z", "0 * z", (-1.0, 1.0), 5),
     ("pow overflow to -inf", "x y", "0 <= y", "x ^ 3", (-1e200, 1e200), 5),
 )
+
+
+def as_points(sampled) -> list:
+    """sample_feasible's result as a list of points: a dict of columns is
+    zipped, a list of points passes through."""
+    if isinstance(sampled, dict):
+        return [dict(zip(sampled, row)) for row in zip(*(c.tolist() for c in sampled.values()))]
+    return sampled
 
 
 def show(run) -> str:
@@ -83,9 +92,8 @@ def main(src: str) -> None:
             case = f"{name} {form}"
             print(f"{case} write_conic: {show(lambda: write_conic(emit(q, params)))}")
             for seed in range(4):
-                for tol in (0.0, 1e-3):
-                    got = show(lambda: sample_feasible(q, params, (-5.0, 5.0), 300, seed=seed, tol=tol))
-                    print(f"{case} sample_feasible seed={seed} tol={tol}: {got}")
+                got = show(lambda: as_points(sample_feasible(q, params, (-5.0, 5.0), 300, seed=seed)))
+                print(f"{case} sample_feasible seed={seed}: {got}")
             box = SearchBox(tuple(Axis(v, *bounds.get(v, (-5.0, 5.0)), RES) for v in q.variables))
             for eliminate in (None, "auto"):
                 got = show(lambda: grid_minimize(q, params, box, eliminate=eliminate))

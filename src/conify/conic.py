@@ -222,7 +222,7 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
                 raise _NotAffine
             k = _const_value(e.args[1], params)
             if k == 0.0:
-                raise _NotAffine
+                raise ConicError(f"divisor {print_expr(e.args[1])} is zero: {DomainError('div', k)}")
             r, c = _linear(e.args[0], vidx, params)
             return r / k, c / k
         if e.atom == "pow" and e.args[1] == Const(1.0):

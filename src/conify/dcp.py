@@ -97,8 +97,9 @@ def _analyze(e: Expr, signs: dict[str, Sign], cache: dict) -> tuple[Curvature, S
 
 
 def _scale(c: Curvature, s: Sign) -> Curvature:
-    """Curvature of (constant with sign s) * (expression with curvature c)."""
-    if c == Curvature.CONSTANT or s == Sign.ZERO:
+    """Curvature of (constant with sign s) * (expression with curvature c);
+    zero times a non-affine c keeps c, so the expression is still rewritten."""
+    if c == Curvature.CONSTANT or (s == Sign.ZERO and c.is_affine()):
         return Curvature.CONSTANT
     if s.is_nonneg():
         return c
@@ -156,7 +157,8 @@ def _analyze_raw(e: Expr, signs: dict[str, Sign], cache: dict) -> tuple[Curvatur
         return Curvature.UNKNOWN, out_sign
 
     if e.atom == "div":
-        if curvs[1] != Curvature.CONSTANT:
+        # A zero divisor leaves div's domain everywhere.
+        if curvs[1] != Curvature.CONSTANT or arg_signs[1] == Sign.ZERO:
             return Curvature.UNKNOWN, out_sign
         return _scale(curvs[0], arg_signs[1]), out_sign
 

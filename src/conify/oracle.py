@@ -514,31 +514,29 @@ def _narrow(e: Expr, lo, hi, node, box) -> None:
         _narrow(e.args[i], *_out(t0, t1), kids[i], box)
 
 
-def _tighten(p: Problem, params: Assignment, full: SearchBox, tol: float, elim) -> dict:
+def _tighten(p: Problem, params: Assignment, full: SearchBox, elim) -> dict:
     """Shrink full to a sub-box that still holds every point the sampler can
     accept, by HC4-style hull consistency (Benhamou, Goualard, Granvilliers &
     Puget, 1999): forward/backward passes over every constraint, swept until
-    no bound moves, at most 16 times.  Raises Infeasible when it empties."""
+    no bound moves, at most 16 times.  Raises Infeasible when it empties.
+    The one equality p may hold is elim's."""
     box = {ax.name: (ax.lo, ax.hi) for ax in full.axes}
     rows = []
     for i, c in enumerate(p.constraints):
         if elim is not None and i == elim.constraint:
-            # The sampler solves this one: propagate the very formula it
-            # evaluates, at tol 0.
-            rows.append((i, Var(elim.var), True, elim.formula, 0.0))
-        elif c.op == "=":
-            rows.append((i, c.lhs, True, c.rhs, tol))
+            # The sampler solves this one: propagate the very formula it evaluates.
+            rows.append((i, Var(elim.var), True, elim.formula))
         else:
-            lo, hi, strict = oriented(c)
-            rows.append((i, lo, False, hi, 0.0 if strict else tol))
+            lo, hi, _ = oriented(c)
+            rows.append((i, lo, False, hi))
     with np.errstate(all="ignore"):
         for _ in range(16):
             before = dict(box)
-            for i, lhs, eq, rhs, t in rows:
+            for i, lhs, eq, rhs in rows:
                 try:
                     L, R = _hull(lhs, box, params), _hull(rhs, box, params)
-                    _narrow(lhs, *_out(R[0] - t if eq else -math.inf, R[1] + t), L, box)
-                    _narrow(rhs, *_out(L[0] - t, L[1] + t if eq else math.inf), R, box)
+                    _narrow(lhs, *_out(R[0] if eq else -math.inf, R[1]), L, box)
+                    _narrow(rhs, *_out(L[0], L[1] if eq else math.inf), R, box)
                 except _Empty as err:
                     names: set = set()
                     _names(err.args[0], names, set())
@@ -551,22 +549,16 @@ def _tighten(p: Problem, params: Assignment, full: SearchBox, tol: float, elim) 
     return box
 
 
-def sample_feasible(
-    p: Problem,
-    params: Assignment,
-    box,
-    n: int,
-    seed: int = 0,
-    tol: float = 0.0,
-) -> list[Assignment]:
+def sample_feasible(p: Problem, params: Assignment, box, n: int, seed: int = 0) -> dict[str, np.ndarray]:
     """Rejection-sample n feasible points, uniform over the feasible part of
-    the box.
+    the box, as one array of n values per declared variable: point k is
+    {v: cols[v][k]}.
 
     An affine equality, if present, is solved for one variable instead of
-    being tested: a random box never hits a hyperplane, and at tol 0 even a
-    lattice rarely does.  The solved variable must land inside its box
-    bounds.  The solved equality holds by construction (to rounding); every
-    other constraint is tested at the given tol, which defaults to exact.
+    being tested: a random box never hits a hyperplane.  The solved variable
+    must land inside its box bounds.  The solved equality holds by
+    construction (to rounding); every other constraint is tested exactly,
+    so a second equality raises OracleError.
 
     Draws come from a tightened box: interval constraint propagation first
     shrinks each axis to the hull it proves every acceptable point lies in
@@ -577,32 +569,18 @@ def sample_feasible(
     a given seed gives different points.  A box the propagation empties
     raises Infeasible before any draw.  n below 1 raises OracleError.
     """
-    cols = _sample_columns(p, params, box, n, seed, tol)
-    values = [cols[v].tolist() for v in p.variables]
-    return [dict(zip(p.variables, row)) for row in zip(*values)]
-
-
-def _sample_columns(
-    p: Problem, params: Assignment, box, n: int, seed: int, tol: float
-) -> dict[str, np.ndarray]:
-    """sample_feasible's points as one array of n values per variable."""
     if n < 1:
         raise OracleError(f"cannot sample n={n} points; n must be at least 1")
     full = _as_box(box, p.variables)
 
     elim = find_elimination(p, params)
-    eq_left = sum(
-        1
-        for i, c in enumerate(p.constraints)
-        if c.op == "=" and (elim is None or i != elim.constraint)
-    )
-    if eq_left and tol <= 0.0:
+    if any(c.op == "=" and (elim is None or i != elim.constraint) for i, c in enumerate(p.constraints)):
         raise OracleError(
             "equality constraints beyond the first affine one cannot be "
-            "sampled exactly; raise tol or reformulate"
+            "sampled exactly; reformulate"
         )
 
-    bounds = _tighten(p, params, full, tol, elim)
+    bounds = _tighten(p, params, full, elim)
     rng = np.random.default_rng(seed)
     cols: dict[str, list[np.ndarray]] = {v: [] for v in p.variables}
     found = 0
@@ -613,7 +591,7 @@ def _sample_columns(
         }
         with np.errstate(all="ignore"):
             _complete(env, elim, params)
-            mask = np.broadcast_to(_feasible(p, elim, env, full, tol), (batch,))
+            mask = np.broadcast_to(_feasible(p, elim, env, full, 0.0), (batch,))
         kept = np.flatnonzero(mask)[: n - found]
         for v in p.variables:
             cols[v].append(np.broadcast_to(env[v], (batch,))[kept])

@@ -27,7 +27,7 @@ import numpy as np
 from .atoms import Curvature, atom_lookup, graph_impl
 from .conic import _Lines, constraint_shape, emit
 from .dcp import OccPath, Polarity, dcp_check, is_affine, polarity_of, resolve
-from .oracle import _sample_columns
+from .oracle import sample_feasible
 from .problem import (
     Assignment,
     Call,
@@ -519,7 +519,7 @@ def verify_trace_sampled(
     order, backward ones first.
     """
     report = TraceCheckReport()
-    final_cols = _sample_columns(trace.final, params, box, n, seed, 0.0)
+    final_cols = sample_feasible(trace.final, params, box, n, seed)
     env = {**params, **final_cols}
     back_env = {**params, **{v: env[v] for v in trace.original.variables}}
     first = _vcheck_feasible(trace.original, back_env, tol)
@@ -534,7 +534,7 @@ def verify_trace_sampled(
             report.failures.append(f"objective changed under backmap at {back}")
     report.backward_checked = int(np.count_nonzero(first < 0))
 
-    env = {**params, **_sample_columns(trace.original, params, box, n, seed + 1, 0.0)}
+    env = {**params, **sample_feasible(trace.original, params, box, n, seed + 1)}
     with np.errstate(all="ignore"):
         for s in trace.steps:
             if s.fresh is not None:

@@ -48,6 +48,13 @@ class TestCheck:
         assert "DCP: not conformant" in captured.out
         assert "constraint #0" in captured.err
 
+    @pytest.mark.parametrize("lhs", ["x / 0", "exp(x) / 0"])
+    def test_zero_divisor_is_unknown(self, tmp_path, capsys, lhs):
+        src = tmp_path / "div.opt"
+        src.write_text(f"minimization\n!vars x y\n!objective y\n!constraints\n{lhs} <= y\n")
+        assert main(["check", str(src)]) == 1
+        assert capsys.readouterr().err == f"constraint #0: required convex, got unknown at {lhs}\n"
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.opt"
         bad.write_text("minimization\n!vars x\n!objective x + )\n")
@@ -104,6 +111,20 @@ class TestCanon:
         src.write_text(UNDEFINED_CONSTANT)
         assert main(["canon", str(src)]) == 1
         assert capsys.readouterr().err == SQRT_MESSAGE + "\n"
+
+    def test_zero_times_convex_is_linearized(self, tmp_path, capsys):
+        src = tmp_path / "zero.opt"
+        src.write_text("minimization\n!vars x y\n!objective y\n!constraints\n0 * exp(x) <= y, 0 <= x, x <= 1\n")
+        assert main(["canon", str(src)]) == 0
+        assert "trace verified on 200 backward and 200 forward samples" in capsys.readouterr().out
+        step = "STEP 1 linearize_antimono AT c0/lhs/1 FRESH t1 DEF exp(x) ADD exp(x) <= t1"
+        assert (tmp_path / "zero.trace").read_text().splitlines()[1] == step
+
+    def test_zero_parameter_divisor_named(self, tmp_path, capsys):
+        src = tmp_path / "p.opt"
+        src.write_text("minimization\n!params p\n!vars x y\n!objective y\n!constraints\nx / p <= y, 0 <= x, x <= 1\n")
+        assert main(["canon", str(src), "--param", "p=0"]) == 1
+        assert capsys.readouterr().err == "divisor p is zero: div applied outside its domain (argument 0.0)\n"
 
     @pytest.mark.parametrize("option", ["--out", "--trace"])
     def test_unwritable_output_exits_two(self, tmp_path, chain_file, capsys, option):

@@ -86,6 +86,11 @@ CURVATURE_TABLE = [
     ("exp(x) / 2", "convex", "pos"),
     ("exp(x) / (0 - 2)", "concave", "neg"),
     ("exp(x) / a", "convex", "nonneg"),
+    ("0 * exp(x)", "convex", "zero"),
+    ("log(x) * 0", "concave", "zero"),
+    ("0 * x", "constant", "zero"),
+    ("x / 0", "unknown", "zero"),
+    ("exp(x) / 0", "unknown", "zero"),
     ("x * y", "unknown", "unknown"),
     ("x / y", "unknown", "unknown"),
     ("exp(x) + sqrt(y)", "unknown", "pos"),

@@ -51,6 +51,11 @@ def mini(constraints, vars="x", objective="x"):
     )
 
 
+def points(cols):
+    """sample_feasible's columns zipped into one dict per point."""
+    return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+
+
 def _grid_sequential(p, params, box, tol=1e-6, eliminate=None) -> GridResult:
     """Reference for grid_minimize: plain loops and scalar evaluation."""
     elim = None
@@ -392,7 +397,9 @@ class TestOneEliminationRule:
         p = mini(text, vars=vars)
         first, second = (SearchBox.uniform(names, -1.0, 3.0, 2) for names in boxes)
         for seed in range(4):
-            assert sample_feasible(p, {}, first, 20, seed=seed) == sample_feasible(p, {}, second, 20, seed=seed)
+            a, b = sample_feasible(p, {}, first, 20, seed=seed), sample_feasible(p, {}, second, 20, seed=seed)
+            assert list(a) == list(b) == list(p.variables)
+            assert all(np.array_equal(a[v], b[v]) for v in a)
 
 
 class TestGoldenChainOptimum:
@@ -580,7 +587,7 @@ class TestConicGrid:
 
 class TestSampleFeasible:
     def test_returns_requested_count_of_feasible_points(self, chain1):
-        pts = sample_feasible(chain1, UNIT, (-5.0, 5.0), 50)
+        pts = points(sample_feasible(chain1, UNIT, (-5.0, 5.0), 50))
         assert len(pts) == 50
         for pt in pts:
             assert set(pt) == {"x", "y"}
@@ -588,20 +595,19 @@ class TestSampleFeasible:
             assert check_feasible(chain1, {**pt, **UNIT}, tol=1e-9).feasible
 
     def test_deterministic_for_a_seed(self, chain1):
-        a = sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=4)
-        b = sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=4)
-        c = sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=5)
+        a = points(sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=4))
+        b = points(sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=4))
+        c = points(sample_feasible(chain1, UNIT, (-5.0, 5.0), 10, seed=5))
         assert a == b
         assert a != c
 
     def test_strict_inequalities_hold_strictly(self):
         p = parse(CORPUS.joinpath("log_floor.opt").read_text())
-        for pt in sample_feasible(p, {}, (0.0, 10.0), 30):
-            assert pt["x"] > 0.0
+        assert (sample_feasible(p, {}, (0.0, 10.0), 30)["x"] > 0.0).all()
 
     def test_second_equality_rejected_at_zero_tolerance(self):
         p = mini("x = 1, y = 2", vars="x y")
-        with pytest.raises(OracleError, match="equalit"):
+        with pytest.raises(OracleError, match="beyond the first affine one cannot be sampled exactly; reformulate$"):
             sample_feasible(p, {}, (-5.0, 5.0), 5)
 
     def test_hopeless_region_raises_infeasible(self):
@@ -628,16 +634,16 @@ class TestSampleFeasible:
         else:
             p, params = parse(CORPUS.joinpath("socp_ball.opt").read_text()), {}
         for seed, n in [(0, 1), (1, 37), (2, 300), (3, 1000)]:
-            pts = sample_feasible(p, params, (-5.0, 5.0), n, seed=seed)
-            assert pts == _sample_pointwise(p, params, (-5.0, 5.0), n, seed=seed)
-            assert all(type(v) is float for pt in pts for v in pt.values())
-            assert [list(pt) for pt in pts] == [list(p.variables)] * n
+            cols = sample_feasible(p, params, (-5.0, 5.0), n, seed=seed)
+            assert list(cols) == list(p.variables)
+            assert all(c.dtype == np.float64 and c.shape == (n,) for c in cols.values())
+            assert points(cols) == _sample_pointwise(p, params, (-5.0, 5.0), n, seed=seed)
 
 
 # --- the tightened sampling box -------------------------------------------------
 
 
-def _plain_rejection(p, params, box, cols, tol=0.0):
+def _plain_rejection(p, params, box, cols):
     """The sampler's acceptance test on candidates from the untightened box:
     (env, mask) with every variable's column broadcast to the candidates."""
     elim = find_elimination(p, params)
@@ -660,22 +666,22 @@ def _plain_rejection(p, params, box, cols, tol=0.0):
         for i, c in enumerate(p.constraints):
             if elim is None or i != elim.constraint:
                 lv, rv = oracle._veval(c.lhs, env), oracle._veval(c.rhs, env)
-                mask &= oracle._mask_ok(c.op, lv, rv, tol)
+                mask &= oracle._mask_ok(c.op, lv, rv, 0.0)
     return env, mask
 
 
-def _sample_pointwise(p, params, box, n, seed=0, tol=0.0):
+def _sample_pointwise(p, params, box, n, seed=0):
     """sample_feasible's draws with each accepted point built on its own,
     as the reference for its column-wise construction."""
     elim = find_elimination(p, params)
     full = SearchBox.uniform(p.variables, box[0], box[1], 2)
-    bounds = oracle._tighten(p, params, full, tol, elim)
+    bounds = oracle._tighten(p, params, full, elim)
     rng = np.random.default_rng(seed)
     batch = max(256, min(8192, 8 * n))
     out = []
     while len(out) < n:
         draws = {v: rng.uniform(*bounds[v], size=batch) for v in p.variables if elim is None or v != elim.var}
-        env, mask = _plain_rejection(p, params, box, draws, tol)
+        env, mask = _plain_rejection(p, params, box, draws)
         for k in np.flatnonzero(mask)[: n - len(out)]:
             out.append({v: float(env[v][k]) for v in p.variables})
     return out
@@ -694,13 +700,13 @@ def _candidates(p, params, box, n, res, seed=0):
     }
 
 
-def _assert_inside(p, params, box, cols, tol=0.0):
+def _assert_inside(p, params, box, cols):
     """Every candidate plain rejection accepts lies in the tightened box;
     returns how many were accepted."""
     full = SearchBox.uniform(p.variables, box[0], box[1], 2)
-    env, mask = _plain_rejection(p, params, box, cols, tol)
+    env, mask = _plain_rejection(p, params, box, cols)
     try:
-        bounds = oracle._tighten(p, params, full, tol, find_elimination(p, params))
+        bounds = oracle._tighten(p, params, full, find_elimination(p, params))
     except Infeasible:
         assert not mask.any()
         return 0
@@ -784,27 +790,30 @@ class TestTightenedBox:
         cs=st.lists(_small_constraints, min_size=1, max_size=3),
         a=st.sampled_from([-1.5, 0.0, 2.0]),
         box=st.sampled_from([(-3.0, 3.0), (0.0, 2.0), (-1.0, 0.5)]),
-        tol=st.sampled_from([0.0, 1e-3, 0.25]),
     )
-    def test_small_problems_accepted_points_lie_inside(self, cs, a, box, tol):
+    def test_small_problems_accepted_points_lie_inside(self, cs, a, box):
         p = Problem(("x", "y"), (ParamDecl("a"),), Var("x"), tuple(cs))
         try:
-            find_elimination(p, {"a": a})
+            elim = find_elimination(p, {"a": a})
         except OracleError:
             # An equality like x = log(a) at a < 0 can never hold: the
             # sampler refuses it with the same error, never a DomainError.
             with pytest.raises(OracleError, match="outside its domain"):
-                sample_feasible(p, {"a": a}, box, 5, tol=tol)
+                sample_feasible(p, {"a": a}, box, 5)
+            return
+        if any(c.op == "=" and (elim is None or i != elim.constraint) for i, c in enumerate(cs)):
+            with pytest.raises(OracleError, match="cannot be sampled exactly"):
+                sample_feasible(p, {"a": a}, box, 5)
             return
         cols = _candidates(p, {"a": a}, box, 4000, 61, seed=len(cs))
-        _assert_inside(p, {"a": a}, box, cols, tol)
+        _assert_inside(p, {"a": a}, box, cols)
 
     def test_distribution_unchanged(self):
         # t1 may exceed sqrt(x): the region x < 1 holds 1/24 of the area.
         p = mini("1 <= t1, 0 <= x, t1 <= x + 1", vars="x t1")
-        pts = sample_feasible(p, {}, (0.0, 5.0), 20_000)
-        share = sum(pt["x"] < 1.0 for pt in pts) / len(pts)
-        sigma = (1 / 24 * 23 / 24 / len(pts)) ** 0.5
+        x = sample_feasible(p, {}, (0.0, 5.0), 20_000)["x"]
+        share = np.count_nonzero(x < 1.0) / len(x)
+        sigma = (1 / 24 * 23 / 24 / len(x)) ** 0.5
         assert abs(share - 1 / 24) <= 4 * sigma
 
     def test_empty_box_raises_before_any_draw(self, monkeypatch):
@@ -818,9 +827,9 @@ class TestTightenedBox:
 
     def test_deterministic_for_a_seed_on_a_tightened_box(self, chain1_trace):
         p = chain1_trace.final
-        a = sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9)
-        assert a == sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9)
-        assert a != sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=10)
+        a = points(sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9))
+        assert a == points(sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=9))
+        assert a != points(sample_feasible(p, UNIT, (-5.0, 5.0), 20, seed=10))
         for pt in a:
             assert check_feasible(p, {**pt, **UNIT}, tol=1e-9).feasible
 

@@ -44,6 +44,11 @@ def mini(constraints, vars="x y", params=None, objective="x"):
     )
 
 
+def points(cols):
+    """sample_feasible's columns zipped into one dict per point."""
+    return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+
+
 def cons(p):
     return [print_constraint(c) for c in p.constraints]
 
@@ -434,6 +439,20 @@ class TestSolutionMaps:
 class TestVerifyTraceSampled:
     PARAMS = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
 
+    def test_draws_through_sample_feasible(self, monkeypatch, chain1_trace):
+        # A tracer sees sampling by swapping this module attribute.
+        expected = verify_trace_sampled(chain1_trace, self.PARAMS)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return sample_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(reduce, "sample_feasible", counting)
+        assert verify_trace_sampled(chain1_trace, self.PARAMS) == expected
+        assert calls == [chain1_trace.final, chain1_trace.original]
+        assert expected.ok and expected.backward_checked == expected.forward_checked == 200
+
     def test_sound_trace_passes(self, chain1_trace):
         report = verify_trace_sampled(chain1_trace, self.PARAMS, n=50)
         assert report.ok
@@ -490,7 +509,7 @@ def _verify_pointwise(trace, params, box=(-5.0, 5.0), n=200, seed=0, tol=1e-7):
     domain gives nan, and a nan objective difference counts as changed, as
     the array path has it."""
     report = TraceCheckReport()
-    for pt in sample_feasible(trace.final, params, box, n, seed=seed, tol=0.0):
+    for pt in points(sample_feasible(trace.final, params, box, n, seed=seed)):
         back = backmap(trace, pt)
         full = {**params, **back}
         verdict = check_feasible(trace.original, full, tol)
@@ -500,7 +519,7 @@ def _verify_pointwise(trace, params, box=(-5.0, 5.0), n=200, seed=0, tol=1e-7):
         if not abs(_value(trace.original.objective, full) - _value(trace.final.objective, {**params, **pt})) <= tol:
             report.failures.append(f"objective changed under backmap at {back}")
         report.backward_checked += 1
-    for pt in sample_feasible(trace.original, params, box, n, seed=seed + 1, tol=0.0):
+    for pt in points(sample_feasible(trace.original, params, box, n, seed=seed + 1)):
         fwd = {**params, **pt}
         for s in trace.steps:
             if s.fresh is not None:
@@ -563,7 +582,7 @@ class TestArrayVerification:
         final = mini("0 <= x, x <= 2", vars="x", objective="x + 0 * exp(1000 * x)")
         trace = ReductionTrace(orig, (), final)
         report = verify_trace_sampled(trace, {}, box=(0.0, 5.0), n=200)
-        pts = sample_feasible(final, {}, (0.0, 5.0), 200)
+        pts = points(sample_feasible(final, {}, (0.0, 5.0), 200))
         overflow = [pt for pt in pts if pt["x"] * 1000 > math.log(sys.float_info.max)]
         assert 0 < len(overflow) < 200
         assert report.failures == [f"objective changed under backmap at {pt}" for pt in overflow]
