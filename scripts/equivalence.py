@@ -15,15 +15,17 @@ with and without eliminate="auto".  Each problem that canonizes also
 gets check_primal's report at its emitted form's grid_minimize_conic point.
 Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 32 gives the digest of its write_trace text and whether read_trace gives
-back the same trace.  Last, each objective of EDGE_CASES, at the edges of
+back the same trace.  Last, each problem of EDGE_CASES, at the edges of
 the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
--inf), goes through grid_minimize and grid_minimize_conic at the default
-CHUNK and at CHUNK 1 and 7.  A case that raises prints the error's type and
+-inf) and of their per-cell counts (a constant-false constraint, an axis
+no constraint reads, a constraint on every axis, a chain over four axes),
+goes through grid_minimize and grid_minimize_conic at the default CHUNK
+and at CHUNK 1 and 7.  A case that raises prints the error's type and
 message instead of its result.  Parameters are bound to 1.0; boxes are the
 corpus manifest's where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 6
-k-chain lines and 48 edge-case lines: 304 in all.
+k-chain lines and 72 edge-case lines: 328 in all.
 """
 
 import hashlib
@@ -45,6 +47,12 @@ EDGE_CASES = (
     ("-0.0 first", "x", "x <= 1", "0 * x", (-1.0, 1.0), 5),
     ("0.0 first", "x z", "0 <= x + z", "0 * z", (-1.0, 1.0), 5),
     ("pow overflow to -inf", "x y", "0 <= y", "x ^ 3", (-1e200, 1e200), 5),
+    ("constant false", "x y z", "1 <= 0", "x", (-1.0, 1.0), 5),
+    ("objective on an unread axis", "x y z", "x <= 1", "z", (-1.0, 1.0), 5),
+    ("constraint on every axis", "x y z", "x + y + z <= 0", "0 * x", (-1.0, 1.0), 5),
+    # chain1's reduced problem at unit parameters, y = 1 - x substituted
+    ("four-axis chain", "x t1 t2 t3", "t1 <= t3, exp(1 - x) <= t1, t2 ^ 2 <= x, exp(t3) <= t2 + 1", "x",
+     (0.0, 3.0), 9),
 )
 
 

@@ -22,11 +22,13 @@ out False.
 
 The vectorized scan evaluates on an open mesh: each axis is an array with its
 own dimension and size 1 on every other, so a constraint, a cone row or the
-objective is computed only over the axes it reads, and the per-constraint
-masks meet by broadcasting.  Every lattice point is still judged, in exactly
-the arithmetic of a pointwise evaluation.  No array is larger than a chunk,
-which holds at most CHUNK points whatever the box shape; on chain1's reduced
-problem only the combined mask reaches that size.
+objective is computed only over the axes it reads.  Every lattice point is
+still judged, in exactly the arithmetic of a pointwise evaluation.  The
+per-constraint masks are counted per objective cell by summing out one axis
+at a time over the masks that read it, and meet over the whole chunk only
+where a chunk improves on the best point so far.  No array is larger than a
+chunk, which holds at most CHUNK points whatever the box shape; on chain1's
+reduced problem only that improving chunk's mask reaches that size.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -38,8 +40,10 @@ narrows through it, so none of them can drift from the others.  The reference
 twins in the tests write the formula out again on their own.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,14 +189,20 @@ def _solved_in_box(elim: Elimination, env, full: SearchBox):
     return (v >= ax.lo) & (v <= ax.hi) & np.isfinite(v)
 
 
-def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: float):
-    """Points of env that satisfy p: the solved variable inside its box and
-    every constraint but the solved equality at tol."""
-    mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
+def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: float) -> list:
+    """Masks whose meet is the points of env that satisfy p: the solved
+    variable inside its box, then every constraint but the solved equality
+    at tol, one mask each."""
+    masks = [] if elim is None else [_solved_in_box(elim, env, full)]
     for i, c in enumerate(p.constraints):
         if elim is None or i != elim.constraint:
-            mask = mask & _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol)
-    return mask
+            masks.append(_mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), tol))
+    return masks
+
+
+def _meet(masks):
+    """The AND of masks, np.True_ when there are none."""
+    return functools.reduce(operator.and_, masks, np.True_)
 
 
 def _first_solvable(rows, variables, var: str | None) -> Elimination | None:
@@ -265,26 +275,59 @@ def _chunks(shape: tuple[int, ...]):
             )
 
 
+def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
+    """Points of a block of the given shape where every mask holds, counted
+    per cell of the axes cell reads (size block[d] on those, 1 elsewhere).
+
+    Each mask is 0-d or shaped over the block's axes with size 1 on those it
+    does not read.  The axes cell does not read are summed out one at a time,
+    which is bucket elimination (Dechter, 1999): an axis multiplies only the
+    factors that read it and sums their product over itself, so no product
+    spans more axes than its factors do together, and the axis whose product
+    is smallest goes first.  An axis no factor reads multiplies the count by
+    its length.  Factors stay boolean until their first sum; a count never
+    exceeds the block's points, at most CHUNK = 2**20, so int32 is exact.
+    The result broadcasts to cell.
+    """
+    factors = [np.asarray(m) for m in masks]
+    scale = 1
+    todo = [d for d in range(len(block)) if cell[d] == 1 < block[d]]
+    while todo:
+        buckets = {d: [f for f in factors if f.ndim and f.shape[d] > 1] for d in todo}
+        d = min(todo, key=lambda d: math.prod(map(max, zip(*(f.shape for f in buckets[d])))))
+        todo.remove(d)
+        if buckets[d]:
+            factors = [f for f in factors if not (f.ndim and f.shape[d] > 1)]
+            product = functools.reduce(np.multiply, buckets[d])
+            factors.append(np.add.reduce(product, axis=d, keepdims=True, dtype=np.int32))
+        else:
+            scale *= block[d]
+    return functools.reduce(np.multiply, factors, scale)
+
+
 def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mask_and_obj) -> GridResult:
     """Chunked argmin over the lattice of full's axes for the free variables.
 
     Each axis enters env as an open-mesh array (its own dimension, size 1 on
     every other), so an expression comes out shaped over only the axes it
-    reads, and mask_and_obj's results broadcast to the chunk.  The solved
-    variable and params join env before mask_and_obj sees it.
+    reads.  The solved variable and params join env before mask_and_obj
+    sees it; it returns the masks whose meet is the feasible set, and the
+    objective.
 
     The objective is judged once per cell of the axes it reads, never
-    broadcast to the chunk: a cell is live when its mask holds at some point,
-    and the chunk's low is the least non-nan objective over live cells.  A
-    point where the objective is nan is not feasible, so it is counted out
-    only in the rare chunk whose objective holds a nan.  Only a chunk whose
-    low beats the best so far looks for its first feasible point at that
-    value and reads the value there, so the sign of a zero is the first
-    point's.  Ties therefore resolve to the smallest flat index, which is
-    lexicographic order in axis values, even where the first tying point
-    lies in a later cell.  The first chunk with a feasible point always
-    takes it, so an objective that is +inf wherever it is feasible still
-    has a minimizer.
+    broadcast to the chunk, and neither are the masks until a chunk
+    improves: _cell_counts counts each cell's feasible points from the
+    masks, a cell is live when its count is positive, and the chunk's low is
+    the least objective over live cells.  A point where the objective is nan
+    is not feasible, so in the rare chunk whose objective holds a nan,
+    ~isnan(objective) is one more mask.  Only a chunk whose low beats the
+    best so far meets its masks over the whole chunk, looks for its first
+    feasible point at that value and reads the value there, so the sign of a
+    zero is the first point's.  Ties therefore resolve to the smallest flat
+    index, which is lexicographic order in axis values, even where the first
+    tying point lies in a later cell.  The first chunk with a feasible point
+    always takes it, so an objective that is +inf wherever it is feasible
+    still has a minimizer.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -302,18 +345,19 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
         block = tuple(env[ax.name].size for ax in axes)
         _complete(env, elim, params)
         with np.errstate(all="ignore"):
-            mask, obj = mask_and_obj(env)
-        mask = np.broadcast_to(mask, block)
+            masks, obj = mask_and_obj(env)
         obj = np.asarray(obj, dtype=float)
         if obj.ndim == 0:
             obj = obj.reshape((1,) * n)
         nan = np.isnan(obj)
-        count = int(np.count_nonzero(mask & ~nan if nan.any() else mask))
+        cells = _cell_counts([*masks, ~nan] if nan.any() else masks, block, obj.shape)
+        cells = np.broadcast_to(cells, obj.shape)
+        count = int(cells.sum())
         feasible += count
         if count:
-            live = np.any(mask, axis=tuple(d for d in range(n) if obj.shape[d] == 1), keepdims=True)
-            low = np.fmin.reduce(obj, axis=None, where=live, initial=math.inf)
+            low = np.fmin.reduce(obj, axis=None, where=cells > 0, initial=math.inf)
             if low < best_val or best_idx < 0:
+                mask = np.broadcast_to(_meet(masks), block)
                 local = int(np.argmax(mask & (obj == low)))
                 best_val = float(np.broadcast_to(obj, block).flat[local])
                 best_idx = start + local
@@ -384,14 +428,14 @@ def grid_minimize_conic(
         return acc
 
     def mask_and_obj(env):
-        mask = np.True_ if elim is None else _solved_in_box(elim, env, full)
+        masks = [] if elim is None else [_solved_in_box(elim, env, full)]
         for r in range(cp.A.shape[0]):
             if elim is None or r != elim.constraint:
-                mask = mask & (np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
+                masks.append(np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
         for bl, sl in cp.block_slices():
             s = [affine(cp.G[r], env) - cp.h[r] for r in range(sl.start, sl.stop)]
-            mask = mask & _cone_mask(bl.kind, s, tol)
-        return mask, affine(cp.c, env)
+            masks.append(_cone_mask(bl.kind, s, tol))
+        return masks, affine(cp.c, env)
 
     return _scan_grid(full, cp.variables, elim, {}, mask_and_obj)
 
@@ -591,7 +635,7 @@ def sample_feasible(p: Problem, params: Assignment, box, n: int, seed: int = 0) 
         }
         with np.errstate(all="ignore"):
             _complete(env, elim, params)
-            mask = np.broadcast_to(_feasible(p, elim, env, full, 0.0), (batch,))
+            mask = np.broadcast_to(_meet(_feasible(p, elim, env, full, 0.0)), (batch,))
         kept = np.flatnonzero(mask)[: n - found]
         for v in p.variables:
             cols[v].append(np.broadcast_to(env[v], (batch,))[kept])
