@@ -17,15 +17,18 @@ Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 32 gives the digest of its write_trace text and whether read_trace gives
 back the same trace.  Last, each problem of EDGE_CASES, at the edges of
 the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
--inf) and of their per-cell counts (a constant-false constraint, an axis
-no constraint reads, a constraint on every axis, a chain over four axes),
-goes through grid_minimize and grid_minimize_conic at the default CHUNK
-and at CHUNK 1 and 7.  A case that raises prints the error's type and
-message instead of its result.  Parameters are bound to 1.0; boxes are the
-corpus manifest's where it gives one, else [-5, 5].
+-inf), of their per-cell counts (a constant-false constraint, an axis no
+constraint reads, a constraint on every axis, a chain over four axes) and
+of their counting blocks (a block whose first sub-chunk holds the best
+cell but none of its feasible points), goes through grid_minimize and
+grid_minimize_conic at the default CHUNK and at CHUNK 1, 7 and 50; each
+problem of WIDE_CASES (a count past int32) only at the default CHUNK.  A
+case that raises prints the error's type and message instead of its
+result.  Parameters are bound to 1.0; boxes are the corpus manifest's
+where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 6
-k-chain lines and 72 edge-case lines: 328 in all.
+k-chain lines and 106 edge-case lines: 362 in all.
 """
 
 import hashlib
@@ -53,6 +56,15 @@ EDGE_CASES = (
     # chain1's reduced problem at unit parameters, y = 1 - x substituted
     ("four-axis chain", "x t1 t2 t3", "t1 <= t3, exp(1 - x) <= t1, t2 ^ 2 <= x, exp(t3) <= t2 + 1", "x",
      (0.0, 3.0), 9),
+    # at CHUNK 50, x = -1 is the best cell of a block of two sub-chunks, and
+    # the first (y < 0) holds none of its feasible points
+    ("hit before feasible", "x y z", "0.5 <= y", "x", (-1.0, 1.0), 10),
+)
+# 50**6 points, too many to scan at CHUNK 1, 7 or 50; the one cell counts
+# more than 2**31 feasible points
+WIDE_CASES = (
+    ("six axes past int32", "x1 x2 x3 x4 x5 x6",
+     "x1 <= 44, x2 <= 44, 2 <= x3, x4 <= 44, x5 <= 47, 1 <= x6", "0", (0.0, 49.0), 50),
 )
 
 
@@ -128,14 +140,15 @@ def main(src: str) -> None:
         print(f"kchain k={k} write_trace, read back: {show(trace_digest)}")
 
     default_chunk = oracle.CHUNK
-    for label, names, constraints, objective, (lo, hi), points in EDGE_CASES:
-        q = parse(f"minimization\n!vars {names}\n!objective {objective}\n!constraints\n{constraints}\n")
-        box = SearchBox.uniform(q.variables, lo, hi, points)
-        for chunk in (default_chunk, 1, 7):
-            oracle.CHUNK = chunk
-            print(f"edge {label} CHUNK={chunk} grid_minimize: {show(lambda: grid_minimize(q, {}, box))}")
-            got = show(lambda: grid_minimize_conic(emit(q, {}), box))
-            print(f"edge {label} CHUNK={chunk} grid_minimize_conic: {got}")
+    for cases, chunks in ((EDGE_CASES, (default_chunk, 1, 7, 50)), (WIDE_CASES, (default_chunk,))):
+        for label, names, constraints, objective, (lo, hi), points in cases:
+            q = parse(f"minimization\n!vars {names}\n!objective {objective}\n!constraints\n{constraints}\n")
+            box = SearchBox.uniform(q.variables, lo, hi, points)
+            for chunk in chunks:
+                oracle.CHUNK = chunk
+                print(f"edge {label} CHUNK={chunk} grid_minimize: {show(lambda: grid_minimize(q, {}, box))}")
+                got = show(lambda: grid_minimize_conic(emit(q, {}), box))
+                print(f"edge {label} CHUNK={chunk} grid_minimize_conic: {got}")
     oracle.CHUNK = default_chunk
 
 

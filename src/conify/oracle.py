@@ -23,12 +23,16 @@ out False.
 The vectorized scan evaluates on an open mesh: each axis is an array with its
 own dimension and size 1 on every other, so a constraint, a cone row or the
 objective is computed only over the axes it reads.  Every lattice point is
-still judged, in exactly the arithmetic of a pointwise evaluation.  The
-per-constraint masks are counted per objective cell by summing out one axis
-at a time over the masks that read it, and meet over the whole chunk only
-where a chunk improves on the best point so far.  No array is larger than a
-chunk, which holds at most CHUNK points whatever the box shape; on chain1's
-reduced problem only that improving chunk's mask reaches that size.
+still judged, in exactly the arithmetic of a pointwise evaluation.  The scan
+walks counting blocks: in each, the per-constraint masks are counted per
+objective cell by summing out one axis at a time over the masks that read
+it, and a block is as large as that count allows (at most CHUNK // 2 bytes
+in its largest array, or at most CHUNK points).  The masks meet only in a
+block that improves on the best point so far, one sub-chunk of at most
+CHUNK points at a time, and only in the sub-chunks that hold a cell at the
+block's low.  So no array spans more than CHUNK points whatever the box
+shape; on chain1's reduced problem only one sub-chunk's met mask reaches
+that size.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -253,19 +257,27 @@ def _free(variables, elim: Elimination | None) -> list[str]:
 # --- grid search ----------------------------------------------------------------
 
 
-def _chunks(shape: tuple[int, ...]):
-    """C-order blocks of the lattice, each holding at most CHUNK points.
+def _chunks(shape: tuple[int, ...], fits=None):
+    """C-order blocks of the lattice, each as large as fits allows.
 
-    Axes before the split axis take one index per block, the split axis a
-    run of indices, and every later axis its full range; the split axis is
-    the first one whose trailing axes fit in CHUNK together.  Yields one
-    index slice per axis.
+    fits(block) says whether a block of that shape is small enough; by
+    default a block fits when it holds at most CHUNK points.  Axes before the
+    split axis take one index per block, the split axis the longest run of
+    indices that fits (at least one, found by bisection), and every later
+    axis its full range; the split axis is the first one whose trailing axes
+    fit together.  Yields one index slice per axis.
     """
-    split, inner = len(shape) - 1, 1
-    while split > 0 and inner * shape[split] <= CHUNK:
-        inner *= shape[split]
+    fits = fits or (lambda block: math.prod(block) <= CHUNK)
+    split = len(shape) - 1
+    while split > 0 and fits((1,) * split + shape[split:]):
         split -= 1
-    run = max(1, CHUNK // inner)
+    run, top = 1, shape[split]
+    while run < top:
+        mid = (run + top + 1) // 2
+        if fits((1,) * split + (mid,) + shape[split + 1 :]):
+            run = mid
+        else:
+            top = mid - 1
     for prefix in itertools.product(*map(range, shape[:split])):
         for lo in range(0, shape[split], run):
             yield (
@@ -275,38 +287,108 @@ def _chunks(shape: tuple[int, ...]):
             )
 
 
+def _extent(index, shape) -> tuple[int, ...]:
+    """The shape of the part of shape that index, one slice per axis, cuts."""
+    return tuple(len(range(*sl.indices(k))) for sl, k in zip(index, shape))
+
+
+def _part(a, index):
+    """a's part at index, one slice per axis of the block a is shaped over
+    (size 1 on the axes a does not read, or 0-d)."""
+    return a[tuple(sl if k > 1 else slice(None) for sl, k in zip(index, a.shape))]
+
+
+def _count_type(block: tuple[int, ...]) -> np.dtype:
+    """The integer type of a block's counts: int32, unless the block holds
+    more points than int32 can count."""
+    return np.dtype(np.int32 if math.prod(block) < 2**31 else np.int64)
+
+
+# The same shapes recur in every block of a scan and in every scan of a problem.
+@functools.lru_cache(maxsize=256)
+def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The order in which _cell_counts sums out the axes cell does not read
+    from factors of the given shapes, and the bytes of the largest array it
+    builds on the way.
+
+    The next axis is the one whose product (the factors that read it,
+    broadcast) has the fewest points, the earliest axis on a tie.  A product
+    is boolean while none of its factors has been summed, and counts in
+    _count_type(block) after; so does the last product, of the factors left
+    and the scale.
+    """
+    n, itemsize = len(block), _count_type(block).itemsize
+
+    def points(axes):
+        return math.prod(block[d] for d in range(n) if axes >> d & 1)
+
+    # (axes read, one bit each; bytes per point)
+    factors = [(sum(1 << d for d, k in enumerate(s) if k > 1), 1) for s in shapes]
+    order, peak = [], 0
+    todo = [d for d in range(n) if cell[d] == 1 < block[d]]
+    while todo:
+        spans = {d: functools.reduce(operator.or_, (a for a, _ in factors if a >> d & 1), 0) for d in todo}
+        d = min(todo, key=lambda d: points(spans[d]))
+        todo.remove(d)
+        order.append(d)
+        if spans[d]:
+            peak = max(peak, points(spans[d]) * max(size for a, size in factors if a >> d & 1))
+            factors = [f for f in factors if not f[0] >> d & 1] + [(spans[d] & ~(1 << d), itemsize)]
+    last = functools.reduce(operator.or_, (a for a, _ in factors), 0)
+    return tuple(order), max(peak, points(last) * itemsize)
+
+
 def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
     """Points of a block of the given shape where every mask holds, counted
     per cell of the axes cell reads (size block[d] on those, 1 elsewhere).
 
     Each mask is 0-d or shaped over the block's axes with size 1 on those it
-    does not read.  The axes cell does not read are summed out one at a time,
-    which is bucket elimination (Dechter, 1999): an axis multiplies only the
-    factors that read it and sums their product over itself, so no product
-    spans more axes than its factors do together, and the axis whose product
-    is smallest goes first.  An axis no factor reads multiplies the count by
-    its length.  Factors stay boolean until their first sum; a count never
-    exceeds the block's points, at most CHUNK = 2**20, so int32 is exact.
-    The result broadcasts to cell.
+    does not read.  The axes cell does not read are summed out one at a time
+    in _plan's order, which is bucket elimination (Dechter, 1999): an axis
+    multiplies only the factors that read it and sums their product over
+    itself, so no product spans more axes than its factors do together.  An
+    axis no factor reads multiplies the count by its length.  Factors stay
+    boolean until their first sum, and counts are in _count_type(block),
+    which no count of the block's points overflows.  The result broadcasts
+    to cell.
     """
     factors = [np.asarray(m) for m in masks]
-    scale = 1
-    todo = [d for d in range(len(block)) if cell[d] == 1 < block[d]]
-    while todo:
-        buckets = {d: [f for f in factors if f.ndim and f.shape[d] > 1] for d in todo}
-        d = min(todo, key=lambda d: math.prod(map(max, zip(*(f.shape for f in buckets[d])))))
-        todo.remove(d)
-        if buckets[d]:
+    count, scale = _count_type(block), 1
+    for d in _plan(tuple(f.shape for f in factors), block, cell)[0]:
+        bucket = [f for f in factors if f.ndim and f.shape[d] > 1]
+        if bucket:
             factors = [f for f in factors if not (f.ndim and f.shape[d] > 1)]
-            product = functools.reduce(np.multiply, buckets[d])
-            factors.append(np.add.reduce(product, axis=d, keepdims=True, dtype=np.int32))
+            product = functools.reduce(np.multiply, bucket)
+            factors.append(np.add.reduce(product, axis=d, keepdims=True, dtype=count))
         else:
             scale *= block[d]
-    return functools.reduce(np.multiply, factors, scale)
+    return functools.reduce(np.multiply, factors, np.asarray(scale, dtype=count))
+
+
+def _first_at(masks, obj, low, live, block: tuple[int, ...]) -> tuple[int, float]:
+    """The flat index in the block of its first feasible point where obj is
+    low, and obj there.
+
+    The masks meet one sub-chunk of at most CHUNK points at a time, in C
+    order, and only where some live cell is at low; a sub-chunk that holds
+    such a cell but none of its feasible points is passed over.  The block's
+    low is at a live cell, so some sub-chunk holds the point.
+    """
+    at = obj == low
+    hit = live & at
+    offset = 0
+    for sub in _chunks(block):
+        size = _extent(sub, block)
+        if _part(hit, sub).any():
+            mask = np.broadcast_to(_meet(_part(m, sub) for m in masks), size) & _part(at, sub)
+            local = int(np.argmax(mask))
+            if mask.flat[local]:
+                return offset + local, float(np.broadcast_to(_part(obj, sub), size).flat[local])
+        offset += math.prod(size)
 
 
 def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mask_and_obj) -> GridResult:
-    """Chunked argmin over the lattice of full's axes for the free variables.
+    """Blocked argmin over the lattice of full's axes for the free variables.
 
     Each axis enters env as an open-mesh array (its own dimension, size 1 on
     every other), so an expression comes out shaped over only the axes it
@@ -315,19 +397,25 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     objective.
 
     The objective is judged once per cell of the axes it reads, never
-    broadcast to the chunk, and neither are the masks until a chunk
+    broadcast to the block, and neither are the masks until a block
     improves: _cell_counts counts each cell's feasible points from the
-    masks, a cell is live when its count is positive, and the chunk's low is
+    masks, a cell is live when its count is positive, and the block's low is
     the least objective over live cells.  A point where the objective is nan
-    is not feasible, so in the rare chunk whose objective holds a nan,
-    ~isnan(objective) is one more mask.  Only a chunk whose low beats the
-    best so far meets its masks over the whole chunk, looks for its first
-    feasible point at that value and reads the value there, so the sign of a
-    zero is the first point's.  Ties therefore resolve to the smallest flat
-    index, which is lexicographic order in axis values, even where the first
-    tying point lies in a later cell.  The first chunk with a feasible point
-    always takes it, so an objective that is +inf wherever it is feasible
-    still has a minimizer.
+    is not feasible, so in the rare block whose objective holds a nan,
+    ~isnan(objective) is one more mask.  Only a block whose low beats the
+    best so far looks for its first feasible point at that value (_first_at)
+    and reads the value there, so the sign of a zero is the first point's.
+    Ties therefore resolve to the smallest flat index, which is
+    lexicographic order in axis values, even where the first tying point
+    lies in a later cell.  The first block with a feasible point always
+    takes it, so an objective that is +inf wherever it is feasible still has
+    a minimizer.
+
+    A lattice of at most CHUNK points is one block.  A larger one is first
+    probed with two points per axis, which shows the axes each mask and the
+    objective read; a block then fits when it holds at most CHUNK points or
+    when _plan's peak for it, with the objective's nan mask counted in, is
+    at most CHUNK // 2 bytes.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -336,30 +424,41 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     shape = tuple(ax.points for ax in axes)
     values = [ax.values() for ax in axes]
     n = len(axes)
-    best_idx, best_val, feasible, start = -1, math.inf, 0, 0
-    for index in _chunks(shape):
+
+    def evaluate(index):
         env = {
             ax.name: values[d][index[d]].reshape([-1 if k == d else 1 for k in range(n)])
             for d, ax in enumerate(axes)
         }
-        block = tuple(env[ax.name].size for ax in axes)
         _complete(env, elim, params)
         with np.errstate(all="ignore"):
             masks, obj = mask_and_obj(env)
         obj = np.asarray(obj, dtype=float)
-        if obj.ndim == 0:
-            obj = obj.reshape((1,) * n)
+        return [np.asarray(m) for m in masks], obj.reshape((1,) * n) if obj.ndim == 0 else obj
+
+    fits = None
+    if math.prod(shape) > CHUNK:
+        masks, obj = evaluate((slice(0, 2),) * n)
+        reads = [[k > 1 for k in a.shape or (1,) * n] for a in (*masks, obj)]
+
+        def fits(block):
+            shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
+            return math.prod(block) <= CHUNK or _plan(shapes, block, shapes[-1])[1] <= CHUNK // 2
+
+    best_idx, best_val, feasible, start = -1, math.inf, 0, 0
+    for index in _chunks(shape, fits):
+        block = _extent(index, shape)
+        masks, obj = evaluate(index)
         nan = np.isnan(obj)
         cells = _cell_counts([*masks, ~nan] if nan.any() else masks, block, obj.shape)
         cells = np.broadcast_to(cells, obj.shape)
         count = int(cells.sum())
         feasible += count
         if count:
-            low = np.fmin.reduce(obj, axis=None, where=cells > 0, initial=math.inf)
+            live = cells > 0
+            low = np.fmin.reduce(obj, axis=None, where=live, initial=math.inf)
             if low < best_val or best_idx < 0:
-                mask = np.broadcast_to(_meet(masks), block)
-                local = int(np.argmax(mask & (obj == low)))
-                best_val = float(np.broadcast_to(obj, block).flat[local])
+                local, best_val = _first_at(masks, obj, low, live, block)
                 best_idx = start + local
         start += math.prod(block)
     if best_idx < 0:
@@ -419,23 +518,31 @@ def grid_minimize_conic(
         if elim is None:
             raise OracleError("no affine equality available to eliminate")
 
-    def affine(row, env):
-        # Only the nonzero columns, in column order, so the result is
-        # shaped over just the axes the row reads.
+    def nonzero(row):
+        # Only the nonzero columns, in column order, so an affine value is
+        # shaped over just the axes its row reads.
+        return [(row[i], cp.variables[i]) for i in np.flatnonzero(row)]
+
+    def affine(terms, env):
         acc = 0.0
-        for i in np.flatnonzero(row):
-            acc = acc + row[i] * env[cp.variables[i]]
+        for coeff, v in terms:
+            acc = acc + coeff * env[v]
         return acc
+
+    equalities = [
+        (nonzero(cp.A[r]), cp.b[r]) for r in range(cp.A.shape[0]) if elim is None or r != elim.constraint
+    ]
+    cones = [
+        (bl.kind, [(nonzero(cp.G[r]), cp.h[r]) for r in range(sl.start, sl.stop)])
+        for bl, sl in cp.block_slices()
+    ]
+    objective = nonzero(cp.c)
 
     def mask_and_obj(env):
         masks = [] if elim is None else [_solved_in_box(elim, env, full)]
-        for r in range(cp.A.shape[0]):
-            if elim is None or r != elim.constraint:
-                masks.append(np.abs(affine(cp.A[r], env) - cp.b[r]) <= tol)
-        for bl, sl in cp.block_slices():
-            s = [affine(cp.G[r], env) - cp.h[r] for r in range(sl.start, sl.stop)]
-            masks.append(_cone_mask(bl.kind, s, tol))
-        return masks, affine(cp.c, env)
+        masks += [np.abs(affine(terms, env) - b) <= tol for terms, b in equalities]
+        masks += [_cone_mask(kind, [affine(terms, env) - h for terms, h in rows], tol) for kind, rows in cones]
+        return masks, affine(objective, env)
 
     return _scan_grid(full, cp.variables, elim, {}, mask_and_obj)
 

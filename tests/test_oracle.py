@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -511,6 +512,13 @@ class TestPerCellObjective:
             SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 5),
             True,
         ),
+        # at CHUNK 50 one counting block holds x = -1 over two sub-chunks;
+        # the first, y < 0, holds that cell but none of its feasible points
+        "hit-before-feasible": (
+            mini("0.5 <= y", vars="x y z"),
+            SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 10),
+            True,
+        ),
     }
 
     @pytest.mark.parametrize("chunk", [1, 7, 50, None])
@@ -550,6 +558,7 @@ class TestPerCellObjective:
         assert solve("objective-on-unread-axis") == GridResult({"x": -1.0, "y": -1.0, "z": -1.0}, -1.0, 125)
         assert solve("constraint-on-every-axis").feasible_count == 72
         assert math.copysign(1.0, solve("constraint-on-every-axis").value) == -1.0
+        assert solve("hit-before-feasible").point == {"x": -1.0, "y": 5 / 9, "z": -1.0}
 
 
 class TestCellCounts:
@@ -576,19 +585,50 @@ class TestCellCounts:
         shape = tuple(n if d in reads else 1 for d, n in enumerate(block))
         return rng.random(shape) < rng.uniform(0.2, 0.9)
 
-    def test_random_structures(self):
+    @classmethod
+    def random_structures(cls):
+        """400 seeded (masks, block, cell) triples."""
         rng = np.random.default_rng(20)
         for _ in range(400):
             n = int(rng.integers(1, 5))
             block = tuple(int(k) for k in rng.integers(1, 6, size=n))
             masks = [
-                self.mask(rng, block, {d for d in range(n) if rng.random() < 0.4})
+                cls.mask(rng, block, {d for d in range(n) if rng.random() < 0.4})
                 for _ in range(rng.integers(0, 5))
             ]
             if rng.random() < 0.3:
-                masks.append(self.mask(rng, block, set(range(n))))
+                masks.append(cls.mask(rng, block, set(range(n))))
             cell = tuple(k if rng.random() < 0.3 else 1 for k in block)
+            yield masks, block, cell
+
+    def test_random_structures(self):
+        for masks, block, cell in self.random_structures():
             self.check(masks, block, cell)
+
+    def test_plan_peak_bounds_every_array_built(self, monkeypatch):
+        # every array _cell_counts builds comes from np.multiply or
+        # np.add.reduce; record their bytes
+        built = []
+
+        def note(out):
+            built.append(np.asarray(out).nbytes)
+            return out
+
+        class Recording:
+            add = types.SimpleNamespace(reduce=lambda *a, **k: note(np.add.reduce(*a, **k)))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, *a, **k):
+                return note(np.multiply(*a, **k))
+
+        monkeypatch.setattr(oracle, "np", Recording())
+        for masks, block, cell in self.random_structures():
+            built.clear()
+            oracle._cell_counts(masks, block, cell)
+            peak = oracle._plan(tuple(np.shape(m) for m in masks), block, cell)[1]
+            assert max(built, default=0) <= peak
 
     BLOCK = (3, 1, 4, 5)
 
@@ -633,9 +673,9 @@ class TestCellCounts:
 
 
 class TestScanMemory:
-    """No chunk-sized array outside an improving chunk: a criterion-4 scan's
-    traced peak stays below 2.5 bytes per chunk point (the met masks and
-    their AND with the tying cells, and little else)."""
+    """No CHUNK-sized array outside an improving block: a criterion-4 scan's
+    traced peak stays below 2.5 bytes per CHUNK point (one sub-chunk's met
+    masks and their AND with the tying cells, and little else)."""
 
     @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
     def test_peak_below_two_and_a_half_bytes_per_chunk_point(self, chain1, chain1_trace, abcd):
@@ -660,6 +700,64 @@ class TestScanMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * oracle.CHUNK
+
+
+def evaluations(monkeypatch, scan) -> int:
+    """How many times scan() calls the mask_and_obj it hands _scan_grid."""
+    calls = []
+    inner = oracle._scan_grid
+
+    def counting(full, variables, elim, params, mask_and_obj):
+        def counted(env):
+            calls.append(None)
+            return mask_and_obj(env)
+
+        return inner(full, variables, elim, params, counted)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_scan_grid", counting)
+        scan()
+    return len(calls)
+
+
+class TestCountingBlocks:
+    """A lattice of more than CHUNK points is counted in blocks sized by the
+    arrays the count builds, and meets only in CHUNK-point sub-chunks."""
+
+    def test_criterion_4_scan_evaluates_at_most_ten_times(self, monkeypatch, chain1_trace):
+        gx, gy, _ = TestGoldenScanCounts.GOLDEN[(1.0, 1.0, 1.0, 1.0)]
+        center = forward_map(chain1_trace, {"x": gx, "y": gy, **UNIT})
+        box = TestGoldenScanCounts.BOX
+        for t in ("t1", "t2", "t3"):
+            box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
+        final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
+        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) <= 10
+        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) <= 10
+
+    def test_small_lattice_is_one_block_without_probe(self, monkeypatch, chain1):
+        box = TestGoldenScanCounts.BOX
+        assert evaluations(monkeypatch, lambda: grid_minimize(chain1, UNIT, box, eliminate="y")) == 1
+
+    def test_hit_before_feasible_block_spans_sub_chunks(self, monkeypatch):
+        # the probe, then blocks of 6 and 4 x-rows (1000 points, 20 sub-chunks)
+        p, box, _ = TestPerCellObjective.CASES["hit-before-feasible"]
+        monkeypatch.setattr(oracle, "CHUNK", 50)
+        assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 3
+
+    def test_counts_past_int32_are_exact(self):
+        # 50**6 points, one mask per axis and an objective that reads none:
+        # the one cell counts more than 2**31 feasible points.  The first
+        # feasible point lies among the first four nodes of each axis.
+        p = mini(
+            "x1 <= 44, x2 <= 44, 2 <= x3, x4 <= 44, x5 <= 47, 1 <= x6",
+            vars="x1 x2 x3 x4 x5 x6",
+            objective="0",
+        )
+        box = SearchBox.uniform(p.variables, 0.0, 49.0, 50)
+        slow = _grid_sequential(p, {}, SearchBox.uniform(p.variables, 0.0, 3.0, 4))
+        for fast in (grid_minimize(p, {}, box), grid_minimize_conic(emit(p, {}), box)):
+            assert fast.feasible_count == 45 * 45 * 48 * 45 * 48 * 49 > 2**31
+            assert (fast.point, fast.value) == (slow.point, slow.value)
 
 
 class TestConicGrid:
