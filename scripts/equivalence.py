@@ -12,7 +12,10 @@ reduced forms: the write_trace and write_conic text; sample_feasible with
 n=300, seeds 0-3, printed as a list of points whether the tree returns one
 or one column per variable; grid_minimize and grid_minimize_conic, each
 with and without eliminate="auto".  Each problem that canonizes also
-gets check_primal's report at its emitted form's grid_minimize_conic point.
+gets check_primal's report at its emitted form's grid_minimize_conic point,
+and one line more: check_feasible and objective_value of the original
+problem at that point mapped back, and forward_map of the original
+problem's grid_minimize point.
 Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 32 gives the digest of its write_trace text and whether read_trace gives
 back the same trace.  Last, each problem of EDGE_CASES, at the edges of
@@ -27,8 +30,8 @@ case that raises prints the error's type and message instead of its
 result.  Parameters are bound to 1.0; boxes are the corpus manifest's
 where it gives one, else [-5, 5].
 
-That makes 240 oracle and file-format lines, 10 check_primal lines, 6
-k-chain lines and 106 edge-case lines: 362 in all.
+That makes 240 oracle and file-format lines, 10 check_primal lines, 10
+solution-map lines, 6 k-chain lines and 106 edge-case lines: 372 in all.
 """
 
 import hashlib
@@ -91,8 +94,9 @@ def show(run) -> str:
 def main(src: str) -> None:
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
     sys.path.insert(0, str(ROOT))
-    from conify import Axis, SearchBox, check_primal, emit, grid_minimize, grid_minimize_conic, oracle, parse
-    from conify import read_trace, reduce_problem, sample_feasible, write_conic, write_trace
+    from conify import Axis, SearchBox, backmap, check_feasible, check_primal, emit, forward_map, grid_minimize
+    from conify import grid_minimize_conic, objective_value, oracle, parse, read_trace, reduce_problem
+    from conify import sample_feasible, write_conic, write_trace
     from perfbench.kchain import chain_text
 
     manifest = json.loads((CORPUS / "manifest.json").read_text())
@@ -101,6 +105,7 @@ def main(src: str) -> None:
         params = {d.name: 1.0 for d in p.params}
         bounds = meta.get("boxes") or {}
         forms = {"original": p}
+        boxes = {}
         try:
             trace = reduce_problem(p)
         except Exception as e:
@@ -114,7 +119,7 @@ def main(src: str) -> None:
             for seed in range(4):
                 got = show(lambda: as_points(sample_feasible(q, params, (-5.0, 5.0), 300, seed=seed)))
                 print(f"{case} sample_feasible seed={seed}: {got}")
-            box = SearchBox(tuple(Axis(v, *bounds.get(v, (-5.0, 5.0)), RES) for v in q.variables))
+            box = boxes[form] = SearchBox(tuple(Axis(v, *bounds.get(v, (-5.0, 5.0)), RES) for v in q.variables))
             for eliminate in (None, "auto"):
                 got = show(lambda: grid_minimize(q, params, box, eliminate=eliminate))
                 print(f"{case} grid_minimize eliminate={eliminate}: {got}")
@@ -128,6 +133,15 @@ def main(src: str) -> None:
                 return check_primal(cp, [point[v] for v in cp.variables])
 
             print(f"{name} check_primal at grid_minimize_conic: {show(primal_at_lattice_point)}")
+
+            def maps_at_lattice_points():
+                back = backmap(trace, grid_minimize_conic(emit(trace.final, params), box).point)
+                full = {**params, **back}
+                at = grid_minimize(p, params, boxes["original"]).point
+                return check_feasible(p, full), objective_value(p, full), forward_map(trace, {**params, **at})
+
+            print(f"{name} backmap at grid_minimize_conic, forward_map at grid_minimize: "
+                  f"{show(maps_at_lattice_points)}")
 
     for k in KCHAIN_KS:
         p = parse(chain_text(k))

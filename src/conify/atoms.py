@@ -29,8 +29,6 @@ from .problem import (
     Var,
     _mask_ok,
     _veval,
-    comparison_holds,
-    evaluate,
 )
 
 
@@ -261,17 +259,18 @@ def check_is_greatest(
     g = gi.value(args)
     names = {f"__a{i}": v for i, v in enumerate(args)}
     c = gi.build_constraint(Var("__t"), tuple(Var(f"__a{i}") for i in range(len(args))))
-    lv = evaluate(c.lhs, {**names, "__t": g})
-    rv = evaluate(c.rhs, {**names, "__t": g})
-    if not comparison_holds(c.op, lv, rv, tol):
+
+    def holds(t, slack):
+        env = {**names, "__t": t}
+        with np.errstate(all="ignore"):
+            return _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), slack)
+
+    if not holds(g, tol):
         return IsGreatestResult(False, g, detail="described point fails its own constraint")
 
     n = int(round((hi - lo) / step)) + 1
     ys = (lo * (n - 1 - np.arange(n)) + hi * np.arange(n)) / (n - 1)
-    env = {**names, "__t": ys}
-    with np.errstate(all="ignore"):
-        holds = _mask_ok(c.op, _veval(c.lhs, env), _veval(c.rhs, env), 0.0)
-    above = holds & (ys > g + tol)
+    above = holds(ys, 0.0) & (ys > g + tol)
     if above.any():
         w = float(ys[above][0])
         return IsGreatestResult(False, g, counterexample=w,

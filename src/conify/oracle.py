@@ -15,10 +15,9 @@ nodes (a 201-point grid on [0, 2] contains 1.0 exactly) and refining a grid
 from n to 2n-1 points keeps every old node.
 
 Points where evaluation leaves an atom's domain (log of a nonpositive value,
-sqrt of a negative, division by zero) are skipped, matching the DomainError
-behaviour of scalar evaluation.  The vectorized path must mask those to nan
-itself: numpy maps log(0) to -inf, not nan, and masked comparisons must come
-out False.
+sqrt of a negative, division by zero) are skipped: the one evaluator,
+problem._veval, masks those to nan (numpy itself maps log(0) to -inf), and a
+nan fails every comparison, as it fails check_feasible at a single point.
 
 The vectorized scan evaluates on an open mesh: each axis is an array with its
 own dimension and size 1 on every other, so a constraint, a cone row or the

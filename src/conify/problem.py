@@ -1,15 +1,17 @@
 """Core problem model: expression trees, constraints, and point-wise semantics.
 
 A problem is a minimization over declared scalar variables, with named
-parameters that stay symbolic until a numeric context binds them.  Evaluation
-is real-valued; leaving an atom's domain raises DomainError rather than
-producing extended reals.  The vector twins (_veval, _mask_ok,
-_vcheck_feasible) evaluate many points at once over numpy arrays and mark such
-points nan instead; a nan never satisfies a comparison.
+parameters that stay symbolic until a numeric context binds them.  One
+evaluator, _veval, computes over arrays of points or at one point (0-d): a
+value outside an atom's domain becomes nan, and nan fails every comparison.
+evaluate and check_feasible are that evaluator at one point; only where
+evaluate's value is nan does _raise_domain_error walk the expression again
+to name the atom that left its domain, and the argument it was given.
 """
 
+import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,71 +164,8 @@ class Problem:
             raise ValueError(f"undeclared names: {sorted(undeclared)}")
 
 
-def evaluate(e: Expr, point: Assignment) -> float:
-    """Evaluate an expression at a point covering its variables and parameters."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        try:
-            return point[e.name]
-        except KeyError:
-            raise UnboundName(e.name) from None
-    assert isinstance(e, Call)
-    a = [evaluate(x, point) for x in e.args]
-    op = e.atom
-    if op == "add":
-        return a[0] + a[1]
-    if op == "sub":
-        return a[0] - a[1]
-    if op == "mul":
-        return a[0] * a[1]
-    if op == "div":
-        if a[1] == 0.0:
-            raise DomainError("div", 0.0)
-        return a[0] / a[1]
-    if op == "neg":
-        return -a[0]
-    if op == "pow":
-        k = int(a[1])
-        try:
-            return a[0] ** k
-        except OverflowError:
-            return math.copysign(math.inf, a[0]) if k % 2 else math.inf
-    if op == "exp":
-        try:
-            return math.exp(a[0])
-        except OverflowError:
-            return math.inf
-    if op == "log":
-        if a[0] <= 0.0:
-            raise DomainError("log", a[0])
-        return math.log(a[0])
-    if op == "sqrt":
-        if a[0] < 0.0:
-            raise DomainError("sqrt", a[0])
-        return math.sqrt(a[0])
-    if op == "abs":
-        return abs(a[0])
-    raise AssertionError(op)
-
-
-def comparison_holds(op: str, lv: float, rv: float, tol: float) -> bool:
-    """Comparator semantics: non-strict comparators get tol slack, strict none."""
-    if op == "<=":
-        return lv <= rv + tol
-    if op == "<":
-        return lv < rv
-    if op == "=":
-        return abs(lv - rv) <= tol
-    if op == ">=":
-        return lv + tol >= rv
-    if op == ">":
-        return lv > rv
-    raise AssertionError(op)
-
-
 def _veval(e: Expr, env: dict[str, np.ndarray | float]):
-    """Vector twin of evaluate over arrays; out-of-domain entries become nan."""
+    """e over arrays of points, or at one point; out-of-domain entries become nan."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, (Var, Param)):
@@ -264,7 +203,8 @@ def _veval(e: Expr, env: dict[str, np.ndarray | float]):
 
 
 def _mask_ok(op: str, lv, rv, tol: float) -> np.ndarray:
-    """Vector twin of comparison_holds; nan on either side compares False."""
+    """Comparator semantics: non-strict comparators get tol slack, strict none;
+    nan on either side compares False."""
     lv = np.asarray(lv, dtype=float)
     rv = np.asarray(rv, dtype=float)
     if op == "<=":
@@ -289,23 +229,9 @@ class Feasibility:
     error: ConifyError | None = None
 
 
-def check_feasible(p: Problem, point: Assignment, tol: float = 1e-7) -> Feasibility:
-    """Check every constraint at a point; report the first violation or eval error."""
-    for i, c in enumerate(p.constraints):
-        try:
-            lv = evaluate(c.lhs, point)
-            rv = evaluate(c.rhs, point)
-        except (DomainError, UnboundName) as err:
-            return Feasibility(False, index=i, error=err)
-        if not comparison_holds(c.op, lv, rv, tol):
-            return Feasibility(False, index=i)
-    return Feasibility(True)
-
-
 def _vcheck_feasible(p: Problem, env: dict[str, np.ndarray | float], tol: float = 1e-7) -> np.ndarray:
-    """Vector twin of check_feasible over an env of equal-length arrays: for
-    each point, the index of the first failing constraint, or -1.  A nan on
-    either side fails, where the scalar path reports a DomainError."""
+    """For each point of an env of equal-length arrays, or for one point, the
+    index of the first failing constraint, or -1.  A nan on either side fails."""
     first = np.full(np.broadcast_shapes(*map(np.shape, env.values())), -1)
     with np.errstate(all="ignore"):
         for i, c in enumerate(p.constraints):
@@ -314,6 +240,51 @@ def _vcheck_feasible(p: Problem, env: dict[str, np.ndarray | float], tol: float 
     return first
 
 
+def _raise_domain_error(e: Expr, env: Assignment) -> None:
+    """Raise the DomainError of the first atom of e, arguments before their
+    atom and left to right, that env puts outside its domain (log of <= 0,
+    sqrt of < 0, division by 0), or UnboundName at a name env lacks if that
+    comes first.  Return if there is none, as where inf - inf gives nan."""
+    if not isinstance(e, Call):
+        _veval(e, env)
+        return
+    for a in e.args:
+        _raise_domain_error(a, env)
+    if e.atom == "div" and _veval(e.args[1], env) == 0.0:
+        raise DomainError("div", 0.0)
+    if e.atom in ("log", "sqrt"):
+        v = float(_veval(e.args[0], env))
+        if v <= 0.0 if e.atom == "log" else v < 0.0:
+            raise DomainError(e.atom, v)
+
+
+def evaluate(e: Expr, point: Assignment) -> float:
+    """e at a point covering its variables and parameters: _veval at 0-d."""
+    with np.errstate(all="ignore"):
+        try:
+            v = float(_veval(e, point))
+        except UnboundName:
+            v = math.nan  # a domain fault before the name is raised instead
+        if v != v:
+            _raise_domain_error(e, point)
+    return v
+
+
 def objective_value(p: Problem, point: Assignment) -> float:
     return evaluate(p.objective, point)
 
+
+def check_feasible(p: Problem, point: Assignment, tol: float = 1e-7) -> Feasibility:
+    """_vcheck_feasible at one point, with the error evaluate raises on the
+    failing constraint, if any.  A name the point does not bind reads as nan
+    there, so its constraint fails in order like any other."""
+    i = int(_vcheck_feasible(p, collections.defaultdict(lambda: math.nan, point), tol))
+    if i < 0:
+        return Feasibility(True)
+    c = p.constraints[i]
+    try:
+        evaluate(c.lhs, point)
+        evaluate(c.rhs, point)
+    except (DomainError, UnboundName) as err:
+        return Feasibility(False, index=i, error=err)
+    return Feasibility(False, index=i)

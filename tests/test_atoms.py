@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from _reference import evaluate
 from conify.atoms import (
     ATOMS,
     Curvature,
@@ -15,7 +16,7 @@ from conify.atoms import (
     graph_impl,
     sign_of_value,
 )
-from conify.problem import ATOM_ARITY, Call, Const, Constraint, Var, evaluate
+from conify.problem import ATOM_ARITY, Call, Const, Constraint, Var
 
 
 class TestRegistry:

@@ -379,6 +379,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "OK" in out and "objective" in out
 
+    def test_readme_example(self, tmp_path, chain_file, capsys):
+        # README's canon, solve-oracle and verify commands: verify prints
+        # README's lines, with Python float reprs and no numpy ones
+        cone, trace, sol = (tmp_path / f"chain1.{ext}" for ext in ("cone", "trace", "sol"))
+        boxes = ["--box", "x=0:4", "--box", "y=-4:2", "--box", "t1=-4:2", "--box", "t2=0:2", "--box", "t3=-4:2"]
+        assert main(["canon", str(chain_file), *UNIT_ARGS, "--samples", "50",
+                     "--out", str(cone), "--trace", str(trace)]) == 0
+        assert main(["solve-oracle", str(cone), *boxes, "--res", "21", "--eliminate", "auto",
+                     "--tol", "1e-7", "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS]) == 0
+        out = capsys.readouterr().out
+        readme = (CORPUS.parent / "README.md").read_text()
+        assert out == readme.split("$ conify verify chain1.opt")[1].split("```")[0].split("\n", 1)[1]
+        assert "original objective 1.8\n" in out and "np.float64(" not in out
+
     def test_perturbed_primal_fails(self, tmp_path, chain_file, capsys):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
         from conify.conic import read_solution

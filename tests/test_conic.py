@@ -7,6 +7,7 @@ import pytest
 from _cones import make_weak_duality_pair, sample_cone_point, sample_dual_point
 from conify.conic import (
     ConeBlock,
+    ConicError,
     ConicFormatError,
     ConicProblem,
     DualCertificate,
@@ -14,6 +15,7 @@ from conify.conic import (
     StrictComparatorRemains,
     UnboundParameter,
     UnrecognizedShape,
+    _const_value,
     check_dual_bound,
     check_primal,
     cone_member,
@@ -26,6 +28,7 @@ from conify.conic import (
     write_solution,
 )
 from conify.dsl import parse
+from conify.problem import Call, Const
 from conify.reduce import reduce_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
@@ -133,6 +136,11 @@ class TestEmit:
     def test_unbound_parameter_named(self, chain1_trace):
         with pytest.raises(UnboundParameter, match="unbound parameter d"):
             emit(chain1_trace.final, {"a": 1.0, "b": 1.0, "c": 1.0})
+
+    def test_undefined_constant_named(self):
+        with pytest.raises(ConicError) as info:
+            _const_value(Call("sqrt", (Call("sub", (Const(0.0), Const(2.0))),)), {})
+        assert str(info.value) == "constant sqrt(0 - 2) is undefined: sqrt applied outside its domain (argument -2.0)"
 
     def test_objective_offset_rejected(self):
         with pytest.raises(Exception, match="constant"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _reference import evaluate
 from conify.atoms import Curvature, Sign, flip_curvature, flip_sign
 from conify.dcp import (
     OccPath,
@@ -22,7 +23,7 @@ from conify.dcp import (
     sign_of,
 )
 from conify.dsl import parse, parse_expr_in, print_expr
-from conify.problem import ATOM_ARITY, Call, Const, DomainError, Param, ParamDecl, Problem, Var, evaluate
+from conify.problem import ATOM_ARITY, Call, Const, DomainError, Param, ParamDecl, Problem, Var
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import comparison_holds, evaluate
 from conify import oracle
 from conify.conic import emit
 from conify.dsl import parse
@@ -36,9 +37,6 @@ from conify.problem import (
     _names,
     _veval,
     check_feasible,
-    comparison_holds,
-    evaluate,
-    objective_value,
 )
 from conify.reduce import forward_map, reduce_problem
 
@@ -97,7 +95,7 @@ def _grid_sequential(p, params, box, tol=1e-6, eliminate=None) -> GridResult:
         if not held:
             continue
         try:
-            val = objective_value(p, full)
+            val = evaluate(p.objective, full)
         except DomainError:
             continue
         if math.isnan(val):

@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
+from _reference import check_feasible, evaluate
 from conify import reduce
 from conify.dcp import OccPath, Polarity
 from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
 from conify.oracle import OracleError, sample_feasible
-from conify.problem import Call, Const, DomainError, Problem, Var, check_feasible, evaluate
+from conify.problem import Call, Const, DomainError, Problem, Var
 from conify.reduce import (
     AffineTarget,
     MissingDomainFact,
@@ -425,6 +426,7 @@ class TestSolutionMaps:
         assert fwd["t1"] == pytest.approx(math.exp(-0.28))
         assert fwd["t2"] == pytest.approx(math.sqrt(1.28))
         assert fwd["t3"] == pytest.approx(math.log(math.sqrt(1.28) + 1.0))
+        assert {type(fwd[t]) for t in ("t1", "t2", "t3")} == {float}
 
     def test_backmap_keeps_only_original_variables(self, chain1_trace):
         pt = {"x": 1.28, "y": -0.28, **self.PARAMS}
