@@ -22,16 +22,16 @@ back the same trace.  Last, each problem of EDGE_CASES, at the edges of
 the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
 -inf), of their per-cell counts (a constant-false constraint, an axis no
 constraint reads, a constraint on every axis, a chain over four axes) and
-of their counting blocks (a block whose first sub-chunk holds the best
-cell but none of its feasible points), goes through grid_minimize and
-grid_minimize_conic at the default CHUNK and at CHUNK 1, 7 and 50; each
-problem of WIDE_CASES (a count past int32) only at the default CHUNK.  A
-case that raises prints the error's type and message instead of its
-result.  Parameters are bound to 1.0; boxes are the corpus manifest's
-where it gives one, else [-5, 5].
+of their counting blocks and first-point search (a best cell whose first
+points are infeasible, a minimizer only at the last lattice point), goes
+through grid_minimize and grid_minimize_conic at the default CHUNK and at
+CHUNK 1, 7 and 50; each problem of WIDE_CASES (a count past int32) only at
+the default CHUNK.  A case that raises prints the error's type and message
+instead of its result.  Parameters are bound to 1.0; boxes are the corpus
+manifest's where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines and 106 edge-case lines: 372 in all.
+solution-map lines, 6 k-chain lines and 114 edge-case lines: 380 in all.
 """
 
 import hashlib
@@ -59,9 +59,11 @@ EDGE_CASES = (
     # chain1's reduced problem at unit parameters, y = 1 - x substituted
     ("four-axis chain", "x t1 t2 t3", "t1 <= t3, exp(1 - x) <= t1, t2 ^ 2 <= x, exp(t3) <= t2 + 1", "x",
      (0.0, 3.0), 9),
-    # at CHUNK 50, x = -1 is the best cell of a block of two sub-chunks, and
-    # the first (y < 0) holds none of its feasible points
+    # at CHUNK 50, x = -1 is the best cell of a 600-point block, and its
+    # first seven y rows hold none of its feasible points
     ("hit before feasible", "x y z", "0.5 <= y", "x", (-1.0, 1.0), 10),
+    # x = z = 1 is the only minimizer, and y = 1 the only feasible y there
+    ("minimizer at the last point", "x y z", "z <= y, y <= x, 1 <= x + z", "0 - x - z", (-1.0, 1.0), 5),
 )
 # 50**6 points, too many to scan at CHUNK 1, 7 or 50; the one cell counts
 # more than 2**31 feasible points

@@ -491,6 +491,8 @@ def read_conic(text: str) -> ConicProblem:
     names = tuple(ln.split())
     if len(names) != n:
         raise ConicFormatError(f"line {no}: expected {n} variable names")
+    if len(set(names)) != n:
+        raise ConicFormatError(f"line {no}: variable names must be distinct")
     no, ln = lines.next("OBJ")
     if not ln.startswith("OBJ"):
         raise ConicFormatError(f"line {no}: expected 'OBJ'")
@@ -525,7 +527,10 @@ def read_conic(text: str) -> ConicProblem:
                 dim = int(parts[2])
             except (IndexError, ValueError):
                 raise ConicFormatError(f"line {no}: missing cone dimension") from None
-        blocks.append(ConeBlock(parts[1], dim))
+        try:
+            blocks.append(ConeBlock(parts[1], dim))
+        except ValueError as err:
+            raise ConicFormatError(f"line {no}: {err}") from None
         for _ in range(dim):
             no, ln = lines.next("cone row")
             row = _numbers(no, ln, n + 1)

@@ -26,12 +26,11 @@ still judged, in exactly the arithmetic of a pointwise evaluation.  The scan
 walks counting blocks: in each, the per-constraint masks are counted per
 objective cell by summing out one axis at a time over the masks that read
 it, and a block is as large as that count allows (at most CHUNK // 2 bytes
-in its largest array, or at most CHUNK points).  The masks meet only in a
-block that improves on the best point so far, one sub-chunk of at most
-CHUNK points at a time, and only in the sub-chunks that hold a cell at the
-block's low.  So no array spans more than CHUNK points whatever the box
-shape; on chain1's reduced problem only one sub-chunk's met mask reaches
-that size.
+in its largest array, or at most CHUNK points).  A block that improves on
+the best point so far finds its first minimizing point by the same counts,
+one axis at a time: the first index of axis 0 with a feasible point at the
+block's low, then of axis 1 within it, and so on.  So the masks never meet
+over a block or any part of one.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -203,11 +202,6 @@ def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: f
     return masks
 
 
-def _meet(masks):
-    """The AND of masks, np.True_ when there are none."""
-    return functools.reduce(operator.and_, masks, np.True_)
-
-
 def _first_solvable(rows, variables, var: str | None) -> Elimination | None:
     """Elimination for the first of rows, (index, row, rhs) triples, that
     _solve_for can solve for var (or by its rule); None when none can."""
@@ -291,12 +285,6 @@ def _extent(index, shape) -> tuple[int, ...]:
     return tuple(len(range(*sl.indices(k))) for sl, k in zip(index, shape))
 
 
-def _part(a, index):
-    """a's part at index, one slice per axis of the block a is shaped over
-    (size 1 on the axes a does not read, or 0-d)."""
-    return a[tuple(sl if k > 1 else slice(None) for sl, k in zip(index, a.shape))]
-
-
 def _count_type(block: tuple[int, ...]) -> np.dtype:
     """The integer type of a block's counts: int32, unless the block holds
     more points than int32 can count."""
@@ -364,26 +352,24 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
     return functools.reduce(np.multiply, factors, np.asarray(scale, dtype=count))
 
 
-def _first_at(masks, obj, low, live, block: tuple[int, ...]) -> tuple[int, float]:
+def _first_at(masks, obj, low, block: tuple[int, ...]) -> tuple[int, float]:
     """The flat index in the block of its first feasible point where obj is
     low, and obj there.
 
-    The masks meet one sub-chunk of at most CHUNK points at a time, in C
-    order, and only where some live cell is at low; a sub-chunk that holds
-    such a cell but none of its feasible points is passed over.  The block's
-    low is at a live cell, so some sub-chunk holds the point.
-    """
-    at = obj == low
-    hit = live & at
-    offset = 0
-    for sub in _chunks(block):
-        size = _extent(sub, block)
-        if _part(hit, sub).any():
-            mask = np.broadcast_to(_meet(_part(m, sub) for m in masks), size) & _part(at, sub)
-            local = int(np.argmax(mask))
-            if mask.flat[local]:
-                return offset + local, float(np.broadcast_to(_part(obj, sub), size).flat[local])
-        offset += math.prod(size)
+    Bucket elimination's decoding pass: in axis order, _cell_counts counts
+    such points per index of one axis, and the first index with a positive
+    count is fixed in every factor that reads the axis.  The block's low is
+    at a live cell, so every axis has one."""
+    n, factors, index = len(block), [*masks, obj == low], []
+    for d in range(n):
+        cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
+        counts = np.broadcast_to(_cell_counts(factors, (1,) * d + block[d:], cell), cell)
+        i = int(np.argmax(counts.ravel() > 0))
+        index.append(i)
+        cut = (slice(None),) * d + (slice(i, i + 1),)
+        factors = [f[cut] if f.ndim and f.shape[d] > 1 else f for f in factors]
+    at = tuple(i if k > 1 else 0 for i, k in zip(index, obj.shape))
+    return int(np.ravel_multi_index(index, block)), float(obj[at])
 
 
 def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mask_and_obj) -> GridResult:
@@ -395,26 +381,26 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     sees it; it returns the masks whose meet is the feasible set, and the
     objective.
 
-    The objective is judged once per cell of the axes it reads, never
-    broadcast to the block, and neither are the masks until a block
-    improves: _cell_counts counts each cell's feasible points from the
-    masks, a cell is live when its count is positive, and the block's low is
-    the least objective over live cells.  A point where the objective is nan
-    is not feasible, so in the rare block whose objective holds a nan,
-    ~isnan(objective) is one more mask.  Only a block whose low beats the
-    best so far looks for its first feasible point at that value (_first_at)
-    and reads the value there, so the sign of a zero is the first point's.
-    Ties therefore resolve to the smallest flat index, which is
-    lexicographic order in axis values, even where the first tying point
-    lies in a later cell.  The first block with a feasible point always
-    takes it, so an objective that is +inf wherever it is feasible still has
-    a minimizer.
+    The objective is judged once per cell of the axes it reads, and the
+    masks never meet over a block: _cell_counts counts each cell's feasible
+    points from the masks, a cell is live when its count is positive, and
+    the block's low is the least objective over live cells.  A point where
+    the objective is nan is not feasible, so in the rare block whose
+    objective holds a nan, ~isnan(objective) is one more mask.  Only a block
+    whose low beats the best so far looks for its first feasible point at
+    that value (_first_at, by more counts) and reads the value there, so the
+    sign of a zero is the first point's.  Ties therefore resolve to the
+    smallest flat index, which is lexicographic order in axis values, even
+    where the first tying point lies in a later cell.  The first block with
+    a feasible point always takes it, so an objective that is +inf wherever
+    it is feasible still has a minimizer.
 
     A lattice of at most CHUNK points is one block.  A larger one is first
     probed with two points per axis, which shows the axes each mask and the
     objective read; a block then fits when it holds at most CHUNK points or
-    when _plan's peak for it, with the objective's nan mask counted in, is
-    at most CHUNK // 2 bytes.
+    when _plan's peak for its count, with the objective's nan mask counted
+    in, is at most CHUNK // 2 bytes and for each of _first_at's counts at
+    most CHUNK bytes.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -442,7 +428,14 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
 
         def fits(block):
             shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
-            return math.prod(block) <= CHUNK or _plan(shapes, block, shapes[-1])[1] <= CHUNK // 2
+
+            def search(d):  # _first_at's count along axis d, the axes before it fixed
+                cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
+                return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell)[1]
+
+            return math.prod(block) <= CHUNK or (
+                _plan(shapes, block, shapes[-1])[1] <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
+            )
 
     best_idx, best_val, feasible, start = -1, math.inf, 0, 0
     for index in _chunks(shape, fits):
@@ -454,10 +447,9 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
         count = int(cells.sum())
         feasible += count
         if count:
-            live = cells > 0
-            low = np.fmin.reduce(obj, axis=None, where=live, initial=math.inf)
+            low = np.fmin.reduce(obj, axis=None, where=cells > 0, initial=math.inf)
             if low < best_val or best_idx < 0:
-                local, best_val = _first_at(masks, obj, low, live, block)
+                local, best_val = _first_at(masks, obj, low, block)
                 best_idx = start + local
         start += math.prod(block)
     if best_idx < 0:
@@ -741,7 +733,8 @@ def sample_feasible(p: Problem, params: Assignment, box, n: int, seed: int = 0) 
         }
         with np.errstate(all="ignore"):
             _complete(env, elim, params)
-            mask = np.broadcast_to(_meet(_feasible(p, elim, env, full, 0.0)), (batch,))
+            mask = functools.reduce(operator.and_, _feasible(p, elim, env, full, 0.0), np.True_)
+            mask = np.broadcast_to(mask, (batch,))
         kept = np.flatnonzero(mask)[: n - found]
         for v in p.variables:
             cols[v].append(np.broadcast_to(env[v], (batch,))[kept])

@@ -317,6 +317,23 @@ class TestSolveOracle:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: bad {option[0]} ")
 
+    @pytest.mark.parametrize(
+        "names,cone,message",
+        [
+            ("x", "CONE ORTHANT 0\n", "line 6: cone blocks need dimension >= 1"),
+            ("x", "CONE SOC -2\n", "line 6: cone blocks need dimension >= 1"),
+            ("x x", "", "line 3: variable names must be distinct"),
+        ],
+        ids=["orthant-0", "soc-negative", "repeated-name"],
+    )
+    def test_malformed_cone_file_exits_two(self, tmp_path, capsys, names, cone, message):
+        src = tmp_path / "bad.cone"
+        objective = " ".join("1" for _ in names.split())
+        src.write_text(f"CONICFORM 1\nVARS {len(names.split())}\n{names}\nOBJ {objective}\nEQ 0\n{cone}END\n")
+        assert main(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bad.sol").exists()
+
     def test_unknown_box_variable_exits_two(self, capsys):
         code = main(
             ["solve-oracle", str(CORPUS / "exp_budget.opt"),

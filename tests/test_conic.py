@@ -368,6 +368,17 @@ class TestConicFiles:
         with pytest.raises(ConicFormatError):
             read_conic(text)
 
+    @pytest.mark.parametrize("cone", ["CONE ORTHANT 0", "CONE SOC -2"])
+    def test_non_positive_cone_dimension_rejected(self, cone):
+        text = f"CONICFORM 1\nVARS 1\nx\nOBJ 1\nEQ 0\n{cone}\nEND\n"
+        with pytest.raises(ConicFormatError, match=r"^line 6: cone blocks need dimension >= 1$"):
+            read_conic(text)
+
+    def test_repeated_variable_names_rejected(self):
+        text = "CONICFORM 1\nVARS 2\nx x\nOBJ 1 0\nEQ 0\nEND\n"
+        with pytest.raises(ConicFormatError, match=r"^line 3: variable names must be distinct$"):
+            read_conic(text)
+
     def test_solution_round_trip_with_dual(self):
         sol = SolutionFile(
             primal=np.array([1.0, 2.5]),

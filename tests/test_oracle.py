@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import itertools
 import json
 import math
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from _reference import comparison_holds, evaluate
 from conify import oracle
-from conify.conic import emit
+from conify.conic import ConicError, emit
 from conify.dsl import parse
 from conify.oracle import (
     Axis,
@@ -41,6 +43,10 @@ from conify.problem import (
 from conify.reduce import forward_map, reduce_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+# scripts/equivalence.py, for its EDGE_CASES: problems at the lattice scans' edges
+_spec = importlib.util.spec_from_file_location("equivalence", CORPUS.parent / "scripts" / "equivalence.py")
+EQUIVALENCE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(EQUIVALENCE)
 UNIT = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
 
 
@@ -427,18 +433,36 @@ class TestGoldenScanCounts:
         (1.0, 2.0, 1.0, 1.0): (0.86, 0.07, 4892835),
     }
 
-    @pytest.mark.parametrize("abcd", list(GOLDEN))
-    def test_feasible_counts(self, chain1_trace, abcd):
-        gx, gy, gcount = self.GOLDEN[abcd]
-        params = dict(zip("abcd", abcd))
-        center = forward_map(chain1_trace, {"x": gx, "y": gy, **params})
-        box = self.BOX
+    @classmethod
+    def reduced_box(cls, chain1_trace, abcd):
+        """BOX with 51-point t axes of width 0.5 around the golden point
+        mapped forward: 401 x 51^3 points once y is eliminated."""
+        gx, gy, _ = cls.GOLDEN[abcd]
+        center = forward_map(chain1_trace, {"x": gx, "y": gy, **dict(zip("abcd", abcd))})
+        box = cls.BOX
         for t in ("t1", "t2", "t3"):
             box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
+        return box
+
+    @classmethod
+    def scans(cls, chain1, chain1_trace, abcd):
+        """Criterion 4's scans at abcd: the original problem over BOX, the
+        reduced one as cone data and as expression trees over reduced_box."""
+        params, box = dict(zip("abcd", abcd)), cls.reduced_box(chain1_trace, abcd)
+        cp = emit(chain1_trace.final, params)
+        return [
+            lambda: grid_minimize(chain1, params, cls.BOX, eliminate="y"),
+            lambda: grid_minimize_conic(cp, box, eliminate="y"),
+            lambda: grid_minimize(chain1_trace.final, params, box, eliminate="y"),
+        ]
+
+    @pytest.mark.parametrize("abcd", list(GOLDEN))
+    def test_feasible_counts(self, chain1_trace, abcd):
+        params, box = dict(zip("abcd", abcd)), self.reduced_box(chain1_trace, abcd)
         cone = grid_minimize_conic(emit(chain1_trace.final, params), box, eliminate="y")
         tree = grid_minimize(chain1_trace.final, params, box, eliminate="y")
         assert cone == tree
-        assert cone.feasible_count == gcount
+        assert cone.feasible_count == self.GOLDEN[abcd][2]
 
 
 class TestPerCellObjective:
@@ -510,8 +534,8 @@ class TestPerCellObjective:
             SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 5),
             True,
         ),
-        # at CHUNK 50 one counting block holds x = -1 over two sub-chunks;
-        # the first, y < 0, holds that cell but none of its feasible points
+        # the best cell, x = -1, holds no feasible point in its first seven
+        # y rows; at CHUNK 50 its counting block has 600 points
         "hit-before-feasible": (
             mini("0.5 <= y", vars="x y z"),
             SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 10),
@@ -670,26 +694,55 @@ class TestCellCounts:
         assert got.tolist() == [[[[20 * value]]]] * 3
 
 
+class TestFirstAt:
+    """_first_at finds the argmax of the masks' broadcast AND with obj ==
+    low, and the objective there, sign of zero included."""
+
+    # few values, so cells tie; both zeros; nan, which no low equals
+    VALUES = np.array([-1.0, -0.0, 0.0, 1.0, math.nan])
+
+    def test_random_structures(self):
+        rng = np.random.default_rng(21)
+        seen = set()
+        for masks, block, _ in TestCellCounts.random_structures():
+            obj = rng.choice(self.VALUES, size=tuple(k if rng.random() < 0.5 else 1 for k in block))
+            meet = np.broadcast_to(functools.reduce(np.logical_and, masks, np.True_), block)
+            full = np.broadcast_to(obj, block)
+            feasible = meet & ~np.isnan(full)
+            if not feasible.any():
+                continue
+            low = np.min(full[feasible])
+            first = int(np.argmax(meet & (full == low)))
+            index, value = oracle._first_at(masks, obj, low, block)
+            assert (index, value) == (first, full.flat[first])
+            assert math.copysign(1.0, value) == math.copysign(1.0, full.flat[first])
+            at_low = feasible & (full == low)
+            cells = at_low.any(axis=tuple(d for d, k in enumerate(obj.shape) if k == 1), keepdims=True)
+            cell = tuple(i if k > 1 else 0 for i, k in zip(np.unravel_index(first, block), obj.shape))
+            zeros = np.signbit(full[at_low]) if low == 0 else np.array([True])
+            seen.update(
+                edge
+                for edge, hit in [
+                    ("0-d mask", any(np.ndim(m) == 0 for m in masks)),
+                    ("objective reads no axis", obj.size == 1 < math.prod(block)),
+                    ("nan", np.isnan(obj).any()),
+                    ("both zeros", zeros.any() and not zeros.all()),
+                    ("tie across cells", np.count_nonzero(cells) > 1),
+                    ("first tie in a later cell", np.ravel_multi_index(cell, obj.shape) != np.argmax(cells)),
+                ]
+                if hit
+            )
+        assert len(seen) == 6
+
+
 class TestScanMemory:
-    """No CHUNK-sized array outside an improving block: a criterion-4 scan's
-    traced peak stays below 2.5 bytes per CHUNK point (one sub-chunk's met
-    masks and their AND with the tying cells, and little else)."""
+    """The masks never meet over a block: a criterion-4 scan's traced peak
+    stays below half a byte per CHUNK point, and in blocks of more than
+    CHUNK points every count keeps to the budget its block was planned for."""
 
     @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
-    def test_peak_below_two_and_a_half_bytes_per_chunk_point(self, chain1, chain1_trace, abcd):
-        gx, gy, _ = TestGoldenScanCounts.GOLDEN[abcd]
-        params = dict(zip("abcd", abcd))
-        center = forward_map(chain1_trace, {"x": gx, "y": gy, **params})
-        box = TestGoldenScanCounts.BOX
-        for t in ("t1", "t2", "t3"):
-            box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
-        cp = emit(chain1_trace.final, params)
-        scans = [
-            lambda: grid_minimize(chain1, params, TestGoldenScanCounts.BOX, eliminate="y"),
-            lambda: grid_minimize_conic(cp, box, eliminate="y"),
-            lambda: grid_minimize(chain1_trace.final, params, box, eliminate="y"),
-        ]
-        for scan in scans:
+    def test_peak_below_half_a_byte_per_chunk_point(self, chain1, chain1_trace, abcd):
+        for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -697,7 +750,50 @@ class TestScanMemory:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak < 2.5 * oracle.CHUNK
+            assert peak < 0.5 * oracle.CHUNK
+
+    def test_planned_peaks_keep_to_the_budget(self, monkeypatch, chain1, chain1_trace):
+        # _plan's peak for every _cell_counts call in a block of more than
+        # CHUNK points, with its budget: CHUNK // 2 bytes for the block's own
+        # count, CHUNK for each of _first_at's per-axis counts
+        searching, planned = [], []
+        count, first_at, chunk = oracle._cell_counts, oracle._first_at, oracle.CHUNK
+
+        def counted(masks, block, cell):
+            if math.prod(searching[-1] if searching else block) > oracle.CHUNK:
+                budget = oracle.CHUNK if searching else oracle.CHUNK // 2
+                planned.append((budget, oracle._plan(tuple(np.shape(m) for m in masks), block, cell)[1]))
+            return count(masks, block, cell)
+
+        def searched(masks, obj, low, block):
+            searching.append(block)
+            try:
+                return first_at(masks, obj, low, block)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(oracle, "_cell_counts", counted)
+        monkeypatch.setattr(oracle, "_first_at", searched)
+        for abcd in TestGoldenScanCounts.GOLDEN:
+            for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
+                scan()
+        monkeypatch.setattr(oracle, "CHUNK", 50)
+        cases = [
+            (mini(constraints, vars=names, objective=objective), SearchBox.uniform(names.split(), lo, hi, points))
+            for _, names, constraints, objective, (lo, hi), points in EQUIVALENCE.EDGE_CASES
+        ]
+        # here the search along x, not the block's own count, limits blocks
+        # to 8 x-rows; the count alone would allow 12
+        xyz = (Axis("x", -1.0, 1.0, 24), Axis("y", -1.0, 1.0, 2), Axis("z", -1.0, 1.0, 3))
+        cases.append((mini("x <= y, y <= z", vars="x y z", objective="z"), SearchBox(xyz)))
+        for p, box in cases:
+            for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
+                try:
+                    scan()
+                except (Infeasible, ConicError):
+                    pass
+        assert {budget for budget, _ in planned} == {chunk, chunk // 2, 50, 25}
+        assert all(peak <= budget for budget, peak in planned)
 
 
 def evaluations(monkeypatch, scan) -> int:
@@ -720,14 +816,10 @@ def evaluations(monkeypatch, scan) -> int:
 
 class TestCountingBlocks:
     """A lattice of more than CHUNK points is counted in blocks sized by the
-    arrays the count builds, and meets only in CHUNK-point sub-chunks."""
+    arrays their counts build: the block's own and _first_at's per axis."""
 
     def test_criterion_4_scan_evaluates_at_most_ten_times(self, monkeypatch, chain1_trace):
-        gx, gy, _ = TestGoldenScanCounts.GOLDEN[(1.0, 1.0, 1.0, 1.0)]
-        center = forward_map(chain1_trace, {"x": gx, "y": gy, **UNIT})
-        box = TestGoldenScanCounts.BOX
-        for t in ("t1", "t2", "t3"):
-            box = box.with_axis(t, center[t] - 0.25, center[t] + 0.25, 51)
+        box = TestGoldenScanCounts.reduced_box(chain1_trace, (1.0, 1.0, 1.0, 1.0))
         final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
         assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) <= 10
         assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) <= 10
@@ -737,7 +829,8 @@ class TestCountingBlocks:
         assert evaluations(monkeypatch, lambda: grid_minimize(chain1, UNIT, box, eliminate="y")) == 1
 
     def test_hit_before_feasible_block_spans_sub_chunks(self, monkeypatch):
-        # the probe, then blocks of 6 and 4 x-rows (1000 points, 20 sub-chunks)
+        # the probe, then blocks of 6 and 4 x-rows (1000 points); the first
+        # block's search fixes x = -1, then y = 5/9, then z = -1
         p, box, _ = TestPerCellObjective.CASES["hit-before-feasible"]
         monkeypatch.setattr(oracle, "CHUNK", 50)
         assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 3
