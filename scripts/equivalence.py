@@ -21,7 +21,8 @@ Then one line per k-chain (perfbench/kchain.py) for k = 1, 2, 4, 8, 16 and
 back the same trace.  Last, each problem of EDGE_CASES, at the edges of
 the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
 -inf), of their per-cell counts (a constant-false constraint, an axis no
-constraint reads, a constraint on every axis, a chain over four axes) and
+constraint reads, a constraint on every axis, a chain over four axes, three
+constraints on one summed axis) and
 of their counting blocks and first-point search (a best cell whose first
 points are infeasible, a minimizer only at the last lattice point), goes
 through grid_minimize and grid_minimize_conic at the default CHUNK and at
@@ -31,7 +32,7 @@ instead of its result.  Parameters are bound to 1.0; boxes are the corpus
 manifest's where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines and 114 edge-case lines: 380 in all.
+solution-map lines, 6 k-chain lines and 122 edge-case lines: 388 in all.
 """
 
 import hashlib
@@ -59,11 +60,14 @@ EDGE_CASES = (
     # chain1's reduced problem at unit parameters, y = 1 - x substituted
     ("four-axis chain", "x t1 t2 t3", "t1 <= t3, exp(1 - x) <= t1, t2 ^ 2 <= x, exp(t3) <= t2 + 1", "x",
      (0.0, 3.0), 9),
-    # at CHUNK 50, x = -1 is the best cell of a 600-point block, and its
-    # first seven y rows hold none of its feasible points
+    # x = -1 is the best cell, and its first seven y rows hold none of its
+    # feasible points; at CHUNK 50 they fill the first of its two blocks
     ("hit before feasible", "x y z", "0.5 <= y", "x", (-1.0, 1.0), 10),
     # x = z = 1 is the only minimizer, and y = 1 the only feasible y there
     ("minimizer at the last point", "x y z", "z <= y, y <= x, 1 <= x + z", "0 - x - z", (-1.0, 1.0), 5),
+    # summing y out takes one einsum over three factors, through an
+    # intermediate
+    ("three constraints on a summed axis", "x y z w", "x <= y, z <= y, 0.5 <= w + y", "x + z", (-1.0, 1.0), 5),
 )
 # 50**6 points, too many to scan at CHUNK 1, 7 or 50; the one cell counts
 # more than 2**31 feasible points

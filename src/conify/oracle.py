@@ -24,13 +24,15 @@ own dimension and size 1 on every other, so a constraint, a cone row or the
 objective is computed only over the axes it reads.  Every lattice point is
 still judged, in exactly the arithmetic of a pointwise evaluation.  The scan
 walks counting blocks: in each, the per-constraint masks are counted per
-objective cell by summing out one axis at a time over the masks that read
-it, and a block is as large as that count allows (at most CHUNK // 2 bytes
-in its largest array, or at most CHUNK points).  A block that improves on
-the best point so far finds its first minimizing point by the same counts,
-one axis at a time: the first index of axis 0 with a feasible point at the
-block's low, then of axis 1 within it, and so on.  So the masks never meet
-over a block or any part of one.
+objective cell by summing out one axis at a time, each sum one np.einsum
+over the masks and counts that read the axis, a sum of products that never
+builds their product.  Counts are float64, exact while a block has fewer
+than 2**53 points.  A block is as large as its counts allow: at most
+CHUNK // 2 bytes held at once by the arrays they build, or at most CHUNK
+points.  A block that improves on the best point so far finds its first
+minimizing point by the same counts, one axis at a time: the first index of
+axis 0 with a feasible point at the block's low, then of axis 1 within it,
+and so on.  So the masks never meet over a block or any part of one.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -46,7 +48,9 @@ import functools
 import itertools
 import math
 import operator
+import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,15 +260,18 @@ def _chunks(shape: tuple[int, ...], fits=None):
     fits(block) says whether a block of that shape is small enough; by
     default a block fits when it holds at most CHUNK points.  Axes before the
     split axis take one index per block, the split axis the longest run of
-    indices that fits (at least one, found by bisection), and every later
-    axis its full range; the split axis is the first one whose trailing axes
-    fit together.  Yields one index slice per axis.
+    indices that fits (at least one, found by bisection unless the whole
+    axis fits), and every later axis its full range; the split axis is the
+    first one whose trailing axes fit together.  Yields one index slice per
+    axis.
     """
     fits = fits or (lambda block: math.prod(block) <= CHUNK)
     split = len(shape) - 1
     while split > 0 and fits((1,) * split + shape[split:]):
         split -= 1
     run, top = 1, shape[split]
+    if split == 0 and fits(shape):
+        run = top
     while run < top:
         mid = (run + top + 1) // 2
         if fits((1,) * split + (mid,) + shape[split + 1 :]):
@@ -286,43 +293,104 @@ def _extent(index, shape) -> tuple[int, ...]:
 
 
 def _count_type(block: tuple[int, ...]) -> np.dtype:
-    """The integer type of a block's counts: int32, unless the block holds
-    more points than int32 can count."""
-    return np.dtype(np.int32 if math.prod(block) < 2**31 else np.int64)
+    """The type of a block's counts: float64, whose integers are exact below
+    2**53, unless the block holds that many points; then int64."""
+    return np.dtype(np.float64 if math.prod(block) < 2**53 else np.int64)
+
+
+class _Plan(NamedTuple):
+    steps: tuple  # (positions, subscripts, path, shape), one per einsum
+    scale: int  # the lengths of the summed axes no factor reads, multiplied
+    peak: int  # bytes
 
 
 # The same shapes recur in every block of a scan and in every scan of a problem.
 @functools.lru_cache(maxsize=256)
-def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The order in which _cell_counts sums out the axes cell does not read
-    from factors of the given shapes, and the bytes of the largest array it
-    builds on the way.
+def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan:
+    """The einsums by which _cell_counts counts from factors of the given
+    shapes, and the most bytes the arrays they build hold at once.
 
-    The next axis is the one whose product (the factors that read it,
-    broadcast) has the fewest points, the earliest axis on a tie.  A product
-    is boolean while none of its factors has been summed, and counts in
-    _count_type(block) after; so does the last product, of the factors left
-    and the scale.
+    The factors are the masks and, last, the scale as a 0-d count.  A step
+    takes the factors at its positions out of the list and appends their
+    einsum over the axes they read, reshaped to shape.  There is one step
+    per axis that cell does not read and some factor reads, which sums it
+    out of the factors that read it, and a last step that multiplies the
+    factors left.  A step's einsum follows path, np.einsum_path's greedy
+    order (found here once), when one of its contractions is a matrix
+    product: two operands that share the summed axis and each keep an axis
+    the other lacks, which np.einsum hands to matmul.  Otherwise path is
+    False and the einsum is one loop, which parses no path.
+
+    The bytes held during a step are the counts earlier steps built that are
+    still factors, a count-type copy of each mask the step reads, and at
+    each contraction the intermediates not yet consumed, the contraction's
+    output and its scratch: when it sums an axis out of two operands along
+    a path, a copy of each (np.einsum may transpose both for matmul), and
+    otherwise an iterator's buffers, at most np.getbufsize() elements for
+    each operand and the output.  The next axis is the one whose step holds
+    the fewest, the earliest axis on a tie.
     """
     n, itemsize = len(block), _count_type(block).itemsize
 
-    def points(axes):
-        return math.prod(block[d] for d in range(n) if axes >> d & 1)
+    def nbytes(axes):
+        return itemsize * math.prod(block[d] for d in range(n) if axes >> d & 1)
 
-    # (axes read, one bit each; bytes per point)
-    factors = [(sum(1 << d for d, k in enumerate(s) if k > 1), 1) for s in shapes]
-    order, peak = [], 0
-    todo = [d for d in range(n) if cell[d] == 1 < block[d]]
-    while todo:
-        spans = {d: functools.reduce(operator.or_, (a for a, _ in factors if a >> d & 1), 0) for d in todo}
-        d = min(todo, key=lambda d: points(spans[d]))
-        todo.remove(d)
-        order.append(d)
-        if spans[d]:
-            peak = max(peak, points(spans[d]) * max(size for a, size in factors if a >> d & 1))
-            factors = [f for f in factors if not f[0] >> d & 1] + [(spans[d] & ~(1 << d), itemsize)]
-    last = functools.reduce(operator.or_, (a for a, _ in factors), 0)
-    return tuple(order), max(peak, points(last) * itemsize)
+    def subscript(axes):
+        return "".join(string.ascii_letters[d] for d in range(n) if axes >> d & 1)
+
+    def step(take, summed):
+        """(bytes held beyond the counts built before, output axes,
+        subscripts, optimize) of the einsum of the factors at take."""
+        ops = [factors[i][0] for i in take]
+        out = functools.reduce(operator.or_, ops) & ~summed
+        subscripts = ",".join(map(subscript, ops)) + "->" + subscript(out)
+        held = sum(nbytes(a) for a, made in (factors[i] for i in take) if not made)
+
+        def run(path):
+            """(bytes held, whether a contraction is a matrix product) along
+            path, or with path False in one loop."""
+            top, level, operands, matmul = held, held, [(a, False) for a in ops], False
+            for pos in path[1:] if path else [tuple(range(len(ops)))]:
+                ins = [operands.pop(i) for i in sorted(pos, reverse=True)]
+                axes = functools.reduce(operator.or_, (a for a, _ in ins))
+                keep = axes & functools.reduce(operator.or_, (a for a, _ in operands), out)
+                if path and len(ins) == 2 and keep != axes:
+                    (a, _), (b, _) = ins
+                    scratch, matmul = nbytes(a) + nbytes(b), matmul or bool(a & keep & ~b and b & keep & ~a)
+                else:
+                    scratch = (len(ins) + 1) * min(nbytes(axes), itemsize * np.getbufsize())
+                top = max(top, level + scratch + nbytes(keep))
+                level += nbytes(keep) - sum(nbytes(a) for a, inter in ins if inter)
+                operands.append((keep, True))
+            return top, matmul
+
+        path = ["einsum_path", tuple(range(len(ops)))]
+        if len(ops) > 2:
+            dims = (tuple(block[d] for d in range(n) if a >> d & 1) for a in ops)
+            path = np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in dims), optimize="greedy")[0]
+        top, matmul = run(path)
+        if not matmul:
+            path = False
+            top, _ = run(path)
+        return top, out, subscripts, path
+
+    # (axes read, one bit each; whether _cell_counts built it)
+    factors = [(sum(1 << d for d, k in enumerate(s) if k > 1), False) for s in shapes] + [(0, True)]
+    read = functools.reduce(operator.or_, (a for a, _ in factors))
+    todo = [d for d in range(n) if cell[d] == 1 < block[d] and read >> d & 1]
+    scale = math.prod(block[d] for d in range(n) if cell[d] == 1 and not read >> d & 1)
+    steps, built, peak = [], itemsize, 0
+    while True:
+        buckets = [(tuple(i for i, (a, _) in enumerate(factors) if a >> d & 1), 1 << d) for d in todo]
+        options = ((*step(*b), *b) for b in buckets or [(tuple(range(len(factors))), 0)])
+        top, out, subscripts, path, take, summed = min(options, key=lambda o: o[0])
+        peak = max(peak, built + top)
+        built += nbytes(out) - sum(nbytes(factors[i][0]) for i in take if factors[i][1])
+        steps.append((take, subscripts, path, tuple(block[d] if out >> d & 1 else 1 for d in range(n))))
+        factors = [f for i, f in enumerate(factors) if i not in take] + [(out, True)]
+        if not todo:
+            return _Plan(tuple(steps), scale, peak)
+        todo.remove(summed.bit_length() - 1)
 
 
 def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
@@ -331,25 +399,24 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
 
     Each mask is 0-d or shaped over the block's axes with size 1 on those it
     does not read.  The axes cell does not read are summed out one at a time
-    in _plan's order, which is bucket elimination (Dechter, 1999): an axis
-    multiplies only the factors that read it and sums their product over
-    itself, so no product spans more axes than its factors do together.  An
-    axis no factor reads multiplies the count by its length.  Factors stay
-    boolean until their first sum, and counts are in _count_type(block),
-    which no count of the block's points overflows.  The result broadcasts
-    to cell.
+    in _plan's order, which is bucket elimination (Dechter, 1999): one
+    np.einsum sums an axis out of the factors that read it, a sum of
+    products that never builds their product and runs as matmul where it
+    is a matrix product, so no count spans more axes than its factors do
+    together.  An axis no factor reads multiplies the count by its length.
+    Counts are in _count_type(block): every partial sum counts points of
+    the block, so float64 is exact while the block has fewer than 2**53.
+    The result broadcasts to cell.
     """
-    factors = [np.asarray(m) for m in masks]
-    count, scale = _count_type(block), 1
-    for d in _plan(tuple(f.shape for f in factors), block, cell)[0]:
-        bucket = [f for f in factors if f.ndim and f.shape[d] > 1]
-        if bucket:
-            factors = [f for f in factors if not (f.ndim and f.shape[d] > 1)]
-            product = functools.reduce(np.multiply, bucket)
-            factors.append(np.add.reduce(product, axis=d, keepdims=True, dtype=count))
-        else:
-            scale *= block[d]
-    return functools.reduce(np.multiply, factors, np.asarray(scale, dtype=count))
+    count = _count_type(block)
+    plan = _plan(tuple(np.shape(m) for m in masks), block, cell)
+    factors = [*map(np.asarray, masks), np.asarray(plan.scale, dtype=count)]
+    for take, subscripts, path, shape in plan.steps:
+        operands = [factors[i].squeeze().astype(count, copy=False) for i in take]
+        factors = [f for i, f in enumerate(factors) if i not in take]
+        factors.append(np.einsum(subscripts, *operands, optimize=path).reshape(shape))
+        del operands  # the step's mask copies, gone before the next step's are made
+    return factors[0]
 
 
 def _first_at(masks, obj, low, block: tuple[int, ...]) -> tuple[int, float]:
@@ -398,9 +465,10 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     A lattice of at most CHUNK points is one block.  A larger one is first
     probed with two points per axis, which shows the axes each mask and the
     objective read; a block then fits when it holds at most CHUNK points or
-    when _plan's peak for its count, with the objective's nan mask counted
-    in, is at most CHUNK // 2 bytes and for each of _first_at's counts at
-    most CHUNK bytes.
+    when the arrays its count builds, with the objective's nan mask counted
+    in, hold at most CHUNK // 2 bytes at once by _plan's peak, and those of
+    each of _first_at's counts at most CHUNK bytes.  Blocks grow until that
+    binds: a lattice that fits whole is one block.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -431,10 +499,10 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
 
             def search(d):  # _first_at's count along axis d, the axes before it fixed
                 cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
-                return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell)[1]
+                return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell).peak
 
             return math.prod(block) <= CHUNK or (
-                _plan(shapes, block, shapes[-1])[1] <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
+                _plan(shapes, block, shapes[-1]).peak <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
             )
 
     best_idx, best_val, feasible, start = -1, math.inf, 0, 0

@@ -5,7 +5,6 @@ import json
 import math
 import pathlib
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -535,7 +534,7 @@ class TestPerCellObjective:
             True,
         ),
         # the best cell, x = -1, holds no feasible point in its first seven
-        # y rows; at CHUNK 50 its counting block has 600 points
+        # y rows; at CHUNK 50 the first of its two counting blocks holds none
         "hit-before-feasible": (
             mini("0.5 <= y", vars="x y z"),
             SearchBox.uniform(("x", "y", "z"), -1.0, 1.0, 10),
@@ -627,30 +626,42 @@ class TestCellCounts:
         for masks, block, cell in self.random_structures():
             self.check(masks, block, cell)
 
-    def test_plan_peak_bounds_every_array_built(self, monkeypatch):
-        # every array _cell_counts builds comes from np.multiply or
-        # np.add.reduce; record their bytes
-        built = []
+    def test_plan_peak_bounds_every_array_built(self):
+        # tracemalloc sees every array _cell_counts builds, np.einsum's
+        # copies, intermediates and buffers included.  Each structure grows
+        # 6-fold along every axis longer than one point, so that its arrays
+        # outweigh the interpreter's own objects (parsed subscripts, lists,
+        # array headers): a few KiB that do not grow with the block, allowed
+        # for on top of _plan's peak.
+        def longer(shape):
+            return tuple(6 * k if k > 1 else 1 for k in shape)
 
-        def note(out):
-            built.append(np.asarray(out).nbytes)
-            return out
+        def grown(mask):
+            for d, k in enumerate(np.shape(mask)):
+                if k > 1:
+                    mask = np.repeat(mask, 6, axis=d)
+            return mask
 
-        class Recording:
-            add = types.SimpleNamespace(reduce=lambda *a, **k: note(np.add.reduce(*a, **k)))
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def multiply(self, *a, **k):
-                return note(np.multiply(*a, **k))
-
-        monkeypatch.setattr(oracle, "np", Recording())
-        for masks, block, cell in self.random_structures():
-            built.clear()
-            oracle._cell_counts(masks, block, cell)
-            peak = oracle._plan(tuple(np.shape(m) for m in masks), block, cell)[1]
-            assert max(built, default=0) <= peak
+        # one more sums the middle axis out of a three-axis mask, which
+        # matmul reads transposed, so np.einsum copies it
+        block = (5, 7, 5, 5)
+        rng = np.random.default_rng(4)
+        middle = [self.mask(rng, block, {0, 1, 2}), self.mask(rng, block, {1, 3})], block, (5, 1, 5, 5)
+        large = 0
+        for masks, block, cell in [*self.random_structures(), middle]:
+            masks, block, cell = [grown(m) for m in masks], longer(block), longer(cell)
+            planned = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak
+            oracle._cell_counts(masks, block, cell)  # fills numpy's caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                oracle._cell_counts(masks, block, cell)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= planned + 8192
+            large += planned > 8 * 8192
+        assert large >= 60
 
     BLOCK = (3, 1, 4, 5)
 
@@ -762,7 +773,7 @@ class TestScanMemory:
         def counted(masks, block, cell):
             if math.prod(searching[-1] if searching else block) > oracle.CHUNK:
                 budget = oracle.CHUNK if searching else oracle.CHUNK // 2
-                planned.append((budget, oracle._plan(tuple(np.shape(m) for m in masks), block, cell)[1]))
+                planned.append((budget, oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak))
             return count(masks, block, cell)
 
         def searched(masks, obj, low, block):
@@ -777,22 +788,25 @@ class TestScanMemory:
         for abcd in TestGoldenScanCounts.GOLDEN:
             for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
                 scan()
-        monkeypatch.setattr(oracle, "CHUNK", 50)
+        # At 8 bytes a count, the least count of a block, a 0-d one, takes
+        # 48 bytes with its copy, scale and buffers: more than CHUNK 50's
+        # budget of 25, so small lattices are scanned at CHUNK 128
+        monkeypatch.setattr(oracle, "CHUNK", 128)
         cases = [
             (mini(constraints, vars=names, objective=objective), SearchBox.uniform(names.split(), lo, hi, points))
             for _, names, constraints, objective, (lo, hi), points in EQUIVALENCE.EDGE_CASES
         ]
         # here the search along x, not the block's own count, limits blocks
-        # to 8 x-rows; the count alone would allow 12
-        xyz = (Axis("x", -1.0, 1.0, 24), Axis("y", -1.0, 1.0, 2), Axis("z", -1.0, 1.0, 3))
-        cases.append((mini("x <= y, y <= z", vars="x y z", objective="z"), SearchBox(xyz)))
+        # to one x-row of 144 points; the count alone would allow them all
+        xyz = (Axis("x", -1.0, 1.0, 10), Axis("y", -1.0, 1.0, 12), Axis("z", -1.0, 1.0, 12))
+        cases.append((mini("0 <= 1", vars="x y z", objective="x"), SearchBox(xyz)))
         for p, box in cases:
             for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
                 try:
                     scan()
                 except (Infeasible, ConicError):
                     pass
-        assert {budget for budget, _ in planned} == {chunk, chunk // 2, 50, 25}
+        assert {budget for budget, _ in planned} == {chunk, chunk // 2, 128, 64}
         assert all(peak <= budget for budget, peak in planned)
 
 
@@ -818,22 +832,27 @@ class TestCountingBlocks:
     """A lattice of more than CHUNK points is counted in blocks sized by the
     arrays their counts build: the block's own and _first_at's per axis."""
 
-    def test_criterion_4_scan_evaluates_at_most_ten_times(self, monkeypatch, chain1_trace):
+    def test_criterion_4_scan_evaluates_at_most_four_times(self, monkeypatch, chain1_trace):
+        # the probe and at most three blocks of x-rows
         box = TestGoldenScanCounts.reduced_box(chain1_trace, (1.0, 1.0, 1.0, 1.0))
         final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
-        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) <= 10
-        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) <= 10
+        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) <= 4
+        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) <= 4
 
     def test_small_lattice_is_one_block_without_probe(self, monkeypatch, chain1):
         box = TestGoldenScanCounts.BOX
         assert evaluations(monkeypatch, lambda: grid_minimize(chain1, UNIT, box, eliminate="y")) == 1
 
-    def test_hit_before_feasible_block_spans_sub_chunks(self, monkeypatch):
-        # the probe, then blocks of 6 and 4 x-rows (1000 points); the first
-        # block's search fixes x = -1, then y = 5/9, then z = -1
+    def test_hit_before_feasible_scans_fifty_point_blocks(self, monkeypatch):
+        # the probe, then 20 blocks of 5 y-rows by 10 z-nodes (50 points):
+        # the y mask's 8-byte count copy alone outgrows CHUNK // 2 = 25
+        # bytes, so no block of more than CHUNK points fits.  The first
+        # block, x = -1 and y up to -1/9, counts no feasible point; the
+        # second one's search fixes x = -1, then y = 5/9, then z = -1
         p, box, _ = TestPerCellObjective.CASES["hit-before-feasible"]
         monkeypatch.setattr(oracle, "CHUNK", 50)
-        assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 3
+        assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 21
+        assert grid_minimize(p, {}, box).point == {"x": -1.0, "y": 5 / 9, "z": -1.0}
 
     def test_counts_past_int32_are_exact(self):
         # 50**6 points, one mask per axis and an objective that reads none:
@@ -849,6 +868,21 @@ class TestCountingBlocks:
         for fast in (grid_minimize(p, {}, box), grid_minimize_conic(emit(p, {}), box)):
             assert fast.feasible_count == 45 * 45 * 48 * 45 * 48 * 49 > 2**31
             assert (fast.point, fast.value) == (slow.point, slow.value)
+
+    def test_counts_past_2_53_are_exact(self, monkeypatch):
+        # 50**10 points, one mask per axis and an objective that reads none:
+        # the whole lattice is one block, counted in int64, and its one cell
+        # counts 45**10 > 2**53 feasible points.  Each axis's first feasible
+        # node is 0 for x <= 44 and 5 for 5 <= x.
+        names = [f"x{i}" for i in range(10)]
+        p = mini(", ".join(f"{v} <= 44" if i % 2 else f"5 <= {v}" for i, v in enumerate(names)), " ".join(names), "0")
+        box = SearchBox.uniform(names, 0.0, 49.0, 50)
+        first = {v: 0.0 if i % 2 else 5.0 for i, v in enumerate(names)}
+        for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
+            assert evaluations(monkeypatch, scan) == 2
+            fast = scan()
+            assert fast.feasible_count == 45**10 > 2**53
+            assert (fast.point, fast.value) == (first, 0.0)
 
 
 class TestConicGrid:
