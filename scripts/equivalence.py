@@ -24,15 +24,16 @@ the lattice scans' reduction (a tie across cells, nan, -0.0 against 0.0,
 constraint reads, a constraint on every axis, a chain over four axes, three
 constraints on one summed axis) and
 of their counting blocks and first-point search (a best cell whose first
-points are infeasible, a minimizer only at the last lattice point), goes
-through grid_minimize and grid_minimize_conic at the default CHUNK and at
-CHUNK 1, 7 and 50; each problem of WIDE_CASES (a count past int32) only at
-the default CHUNK.  A case that raises prints the error's type and message
+points are infeasible, a minimizer only at the last lattice point), and of
+their read sets (constraints that read a solved variable, scanned with
+eliminate="auto"), goes through grid_minimize and grid_minimize_conic at
+the default CHUNK and at CHUNK 1, 7 and 50; each problem of WIDE_CASES (a
+count past int32) only at the default CHUNK.  A case that raises prints the error's type and message
 instead of its result.  Parameters are bound to 1.0; boxes are the corpus
 manifest's where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines and 122 edge-case lines: 388 in all.
+solution-map lines, 6 k-chain lines and 130 edge-case lines: 396 in all.
 """
 
 import hashlib
@@ -44,36 +45,42 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
 RES = 9  # lattice points per axis: small enough for five axes
 KCHAIN_KS = (1, 2, 4, 8, 16, 32)
-# (label, variables, constraints, objective, axis range, points per axis)
+# (label, variables, constraints, objective, axis range, points per axis,
+# eliminate)
 EDGE_CASES = (
-    ("trailing-axis tie", "x z", "0.25 <= abs(z), 0 <= x + z", "abs(z)", (-1.0, 1.0), 5),
-    ("middle axis", "x y z", "1 <= x + y + z, y <= x, 0 <= z", "2 * y", (-1.0, 1.0), 5),
-    ("nan at feasible points", "x y z", "0 <= z + 1", "log(x) + z", (-1.0, 2.0), 7),
-    ("constant", "x y", "1 <= x + y", "2", (0.0, 1.0), 5),
-    ("conic c = 0", "x y", "1 <= x + y", "0 * x", (0.0, 1.0), 5),
-    ("-0.0 first", "x", "x <= 1", "0 * x", (-1.0, 1.0), 5),
-    ("0.0 first", "x z", "0 <= x + z", "0 * z", (-1.0, 1.0), 5),
-    ("pow overflow to -inf", "x y", "0 <= y", "x ^ 3", (-1e200, 1e200), 5),
-    ("constant false", "x y z", "1 <= 0", "x", (-1.0, 1.0), 5),
-    ("objective on an unread axis", "x y z", "x <= 1", "z", (-1.0, 1.0), 5),
-    ("constraint on every axis", "x y z", "x + y + z <= 0", "0 * x", (-1.0, 1.0), 5),
+    ("trailing-axis tie", "x z", "0.25 <= abs(z), 0 <= x + z", "abs(z)", (-1.0, 1.0), 5, None),
+    ("middle axis", "x y z", "1 <= x + y + z, y <= x, 0 <= z", "2 * y", (-1.0, 1.0), 5, None),
+    ("nan at feasible points", "x y z", "0 <= z + 1", "log(x) + z", (-1.0, 2.0), 7, None),
+    ("constant", "x y", "1 <= x + y", "2", (0.0, 1.0), 5, None),
+    ("conic c = 0", "x y", "1 <= x + y", "0 * x", (0.0, 1.0), 5, None),
+    ("-0.0 first", "x", "x <= 1", "0 * x", (-1.0, 1.0), 5, None),
+    ("0.0 first", "x z", "0 <= x + z", "0 * z", (-1.0, 1.0), 5, None),
+    ("pow overflow to -inf", "x y", "0 <= y", "x ^ 3", (-1e200, 1e200), 5, None),
+    ("constant false", "x y z", "1 <= 0", "x", (-1.0, 1.0), 5, None),
+    ("objective on an unread axis", "x y z", "x <= 1", "z", (-1.0, 1.0), 5, None),
+    ("constraint on every axis", "x y z", "x + y + z <= 0", "0 * x", (-1.0, 1.0), 5, None),
     # chain1's reduced problem at unit parameters, y = 1 - x substituted
     ("four-axis chain", "x t1 t2 t3", "t1 <= t3, exp(1 - x) <= t1, t2 ^ 2 <= x, exp(t3) <= t2 + 1", "x",
-     (0.0, 3.0), 9),
+     (0.0, 3.0), 9, None),
     # x = -1 is the best cell, and its first seven y rows hold none of its
     # feasible points; at CHUNK 50 they fill the first of its two blocks
-    ("hit before feasible", "x y z", "0.5 <= y", "x", (-1.0, 1.0), 10),
+    ("hit before feasible", "x y z", "0.5 <= y", "x", (-1.0, 1.0), 10, None),
     # x = z = 1 is the only minimizer, and y = 1 the only feasible y there
-    ("minimizer at the last point", "x y z", "z <= y, y <= x, 1 <= x + z", "0 - x - z", (-1.0, 1.0), 5),
+    ("minimizer at the last point", "x y z", "z <= y, y <= x, 1 <= x + z", "0 - x - z", (-1.0, 1.0), 5, None),
     # summing y out takes one einsum over three factors, through an
     # intermediate
-    ("three constraints on a summed axis", "x y z w", "x <= y, z <= y, 0.5 <= w + y", "x + z", (-1.0, 1.0), 5),
+    ("three constraints on a summed axis", "x y z w", "x <= y, z <= y, 0.5 <= w + y", "x + z",
+     (-1.0, 1.0), 5, None),
+    # z is solved out of the equality, and two more constraints read it: their
+    # masks come out shaped over the axes of x and y, z's formula's variables
+    ("solved variable read by another constraint", "x y z", "x + y + z = 1, 0 <= z, z <= x", "x - y",
+     (-1.0, 1.0), 9, "auto"),
 )
 # 50**6 points, too many to scan at CHUNK 1, 7 or 50; the one cell counts
 # more than 2**31 feasible points
 WIDE_CASES = (
     ("six axes past int32", "x1 x2 x3 x4 x5 x6",
-     "x1 <= 44, x2 <= 44, 2 <= x3, x4 <= 44, x5 <= 47, 1 <= x6", "0", (0.0, 49.0), 50),
+     "x1 <= 44, x2 <= 44, 2 <= x3, x4 <= 44, x5 <= 47, 1 <= x6", "0", (0.0, 49.0), 50, None),
 )
 
 
@@ -161,13 +168,14 @@ def main(src: str) -> None:
 
     default_chunk = oracle.CHUNK
     for cases, chunks in ((EDGE_CASES, (default_chunk, 1, 7, 50)), (WIDE_CASES, (default_chunk,))):
-        for label, names, constraints, objective, (lo, hi), points in cases:
+        for label, names, constraints, objective, (lo, hi), points, eliminate in cases:
             q = parse(f"minimization\n!vars {names}\n!objective {objective}\n!constraints\n{constraints}\n")
             box = SearchBox.uniform(q.variables, lo, hi, points)
             for chunk in chunks:
                 oracle.CHUNK = chunk
-                print(f"edge {label} CHUNK={chunk} grid_minimize: {show(lambda: grid_minimize(q, {}, box))}")
-                got = show(lambda: grid_minimize_conic(emit(q, {}), box))
+                got = show(lambda: grid_minimize(q, {}, box, eliminate=eliminate))
+                print(f"edge {label} CHUNK={chunk} grid_minimize: {got}")
+                got = show(lambda: grid_minimize_conic(emit(q, {}), box, eliminate=eliminate))
                 print(f"edge {label} CHUNK={chunk} grid_minimize_conic: {got}")
     oracle.CHUNK = default_chunk
 

@@ -89,16 +89,21 @@ def _write_text(path: pathlib.Path, text: str) -> None:
         raise _Unusable(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _parse_params(pairs: list[str]) -> dict[str, float]:
-    out = {}
+def _parse_params(pairs: list[str], decls) -> dict[str, float]:
+    """--param values by name, each finite and of the sign its ParamDecl in decls declares."""
+    signs, out = {d.name: d.sign for d in decls}, {}
     for item in pairs:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _Unusable(f"bad --param {item!r}, expected name=value")
         try:
-            out[name] = float(value)
+            out[name] = v = float(value)
         except ValueError:
             raise _Unusable(f"bad --param value {value!r} for {name}") from None
+        if not math.isfinite(v):
+            raise _Unusable(f"bad --param value {value!r} for {name}, expected a finite number")
+        if not {"nonneg": v >= 0, "pos": v > 0, "nonpos": v <= 0, "neg": v < 0}.get(signs.get(name), True):
+            raise _Unusable(f"bad --param value {value!r} for {name}, declared {signs[name]}")
     return out
 
 
@@ -151,7 +156,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_canon(args) -> int:
     p = parse(_read_text(args.problem))
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, p.params)
     if not args.skip_verify and args.samples < 1:
         raise _Unusable(f"bad --samples {args.samples}, expected at least 1 (or --skip-verify)")
     cp, trace = canonize(p, params)
@@ -207,7 +212,7 @@ def _cmd_solve_oracle(args) -> int:
         solve = functools.partial(grid_minimize_conic, cp)
     else:
         p = parse(text)
-        params = _parse_params(args.param)
+        params = _parse_params(args.param, p.params)
         missing = [d.name for d in p.params if d.name not in params]
         if missing:
             raise UnboundParameter(f"unbound parameter {missing[0]}")
@@ -233,7 +238,7 @@ def _auto_res(axes: int) -> int:
 
 def _cmd_verify(args) -> int:
     p = parse(_read_text(args.problem))
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, p.params)
     trace = read_trace(_read_text(args.trace), p)
     sol = read_solution(_read_text(args.solution))
     cp = emit(trace.final, params)

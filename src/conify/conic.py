@@ -466,13 +466,17 @@ class _Lines:
 
 
 def _numbers(no: int, text: str, count: int | None = None) -> list[float]:
+    """A line's numbers.  With count given, problem data: count finite numbers."""
     parts = text.split()
     if count is not None and len(parts) != count:
         raise ConicFormatError(f"line {no}: expected {count} numbers, found {len(parts)}")
     try:
-        return [float(x) for x in parts]
+        out = [float(x) for x in parts]
     except ValueError:
         raise ConicFormatError(f"line {no}: unreadable number") from None
+    if count is not None and not all(map(math.isfinite, out)):
+        raise ConicFormatError(f"line {no}: non-finite number")
+    return out
 
 
 def read_conic(text: str) -> ConicProblem:

@@ -254,18 +254,16 @@ def _free(variables, elim: Elimination | None) -> list[str]:
 # --- grid search ----------------------------------------------------------------
 
 
-def _chunks(shape: tuple[int, ...], fits=None):
+def _chunks(shape: tuple[int, ...], fits):
     """C-order blocks of the lattice, each as large as fits allows.
 
-    fits(block) says whether a block of that shape is small enough; by
-    default a block fits when it holds at most CHUNK points.  Axes before the
-    split axis take one index per block, the split axis the longest run of
-    indices that fits (at least one, found by bisection unless the whole
-    axis fits), and every later axis its full range; the split axis is the
-    first one whose trailing axes fit together.  Yields one index slice per
-    axis.
+    fits(block) says whether a block of that shape is small enough.  Axes
+    before the split axis take one index per block, the split axis the
+    longest run of indices that fits (at least one, found by bisection
+    unless the whole axis fits), and every later axis its full range; the
+    split axis is the first one whose trailing axes fit together.  Yields
+    each block as one index slice per axis and its shape.
     """
-    fits = fits or (lambda block: math.prod(block) <= CHUNK)
     split = len(shape) - 1
     while split > 0 and fits((1,) * split + shape[split:]):
         split -= 1
@@ -280,16 +278,9 @@ def _chunks(shape: tuple[int, ...], fits=None):
             top = mid - 1
     for prefix in itertools.product(*map(range, shape[:split])):
         for lo in range(0, shape[split], run):
-            yield (
-                *(slice(i, i + 1) for i in prefix),
-                slice(lo, min(lo + run, shape[split])),
-                *(slice(None),) * (len(shape) - split - 1),
-            )
-
-
-def _extent(index, shape) -> tuple[int, ...]:
-    """The shape of the part of shape that index, one slice per axis, cuts."""
-    return tuple(len(range(*sl.indices(k))) for sl, k in zip(index, shape))
+            hi = min(lo + run, shape[split])
+            index = (*(slice(i, i + 1) for i in prefix), slice(lo, hi), *(slice(None),) * (len(shape) - split - 1))
+            yield index, (1,) * split + (hi - lo,) + shape[split + 1 :]
 
 
 def _count_type(block: tuple[int, ...]) -> np.dtype:
@@ -439,14 +430,22 @@ def _first_at(masks, obj, low, block: tuple[int, ...]) -> tuple[int, float]:
     return int(np.ravel_multi_index(index, block)), float(obj[at])
 
 
-def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mask_and_obj) -> GridResult:
+def _read_axes(reads, axes, elim: Elimination | None) -> list[tuple[bool, ...]]:
+    """Whether each of reads, a set of variable names, reads each of axes; a
+    set that names the solved variable reads elim.formula's variables too."""
+    solved = set() if elim is None else _names(elim.formula)[0]
+    return [tuple(ax.name in r or (ax.name in solved and elim.var in r) for ax in axes) for r in reads]
+
+
+def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, reads, mask_and_obj) -> GridResult:
     """Blocked argmin over the lattice of full's axes for the free variables.
 
     Each axis enters env as an open-mesh array (its own dimension, size 1 on
     every other), so an expression comes out shaped over only the axes it
     reads.  The solved variable and params join env before mask_and_obj
     sees it; it returns the masks whose meet is the feasible set, and the
-    objective.
+    objective.  reads holds the variables of each mask and, last, of the
+    objective, so a block's shapes are known before it is evaluated.
 
     The objective is judged once per cell of the axes it reads, and the
     masks never meet over a block: _cell_counts counts each cell's feasible
@@ -462,13 +461,12 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     a feasible point always takes it, so an objective that is +inf wherever
     it is feasible still has a minimizer.
 
-    A lattice of at most CHUNK points is one block.  A larger one is first
-    probed with two points per axis, which shows the axes each mask and the
-    objective read; a block then fits when it holds at most CHUNK points or
-    when the arrays its count builds, with the objective's nan mask counted
-    in, hold at most CHUNK // 2 bytes at once by _plan's peak, and those of
-    each of _first_at's counts at most CHUNK bytes.  Blocks grow until that
-    binds: a lattice that fits whole is one block.
+    A block fits when it holds at most CHUNK points, or when the arrays its
+    count builds, with the objective's nan mask counted in, hold at most
+    CHUNK // 2 bytes at once by _plan's peak, and those of each of
+    _first_at's counts at most CHUNK bytes.  Blocks grow until that binds:
+    a lattice that fits whole is one block, and every block is evaluated
+    once.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -477,8 +475,21 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
     shape = tuple(ax.points for ax in axes)
     values = [ax.values() for ax in axes]
     n = len(axes)
+    reads = _read_axes(reads, axes, elim)
 
-    def evaluate(index):
+    def fits(block):
+        shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
+
+        def search(d):  # _first_at's count along axis d, the axes before it fixed
+            cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
+            return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell).peak
+
+        return math.prod(block) <= CHUNK or (
+            _plan(shapes, block, shapes[-1]).peak <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
+        )
+
+    best_idx, best_val, feasible, start = -1, math.inf, 0, 0
+    for index, block in _chunks(shape, fits):
         env = {
             ax.name: values[d][index[d]].reshape([-1 if k == d else 1 for k in range(n)])
             for d, ax in enumerate(axes)
@@ -486,32 +497,10 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, mas
         _complete(env, elim, params)
         with np.errstate(all="ignore"):
             masks, obj = mask_and_obj(env)
-        obj = np.asarray(obj, dtype=float)
-        return [np.asarray(m) for m in masks], obj.reshape((1,) * n) if obj.ndim == 0 else obj
-
-    fits = None
-    if math.prod(shape) > CHUNK:
-        masks, obj = evaluate((slice(0, 2),) * n)
-        reads = [[k > 1 for k in a.shape or (1,) * n] for a in (*masks, obj)]
-
-        def fits(block):
-            shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
-
-            def search(d):  # _first_at's count along axis d, the axes before it fixed
-                cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
-                return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell).peak
-
-            return math.prod(block) <= CHUNK or (
-                _plan(shapes, block, shapes[-1]).peak <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
-            )
-
-    best_idx, best_val, feasible, start = -1, math.inf, 0, 0
-    for index in _chunks(shape, fits):
-        block = _extent(index, shape)
-        masks, obj = evaluate(index)
+        masks = [np.asarray(m) for m in masks]
+        obj = np.asarray(obj, dtype=float).reshape(np.shape(obj) or (1,) * n)
         nan = np.isnan(obj)
-        cells = _cell_counts([*masks, ~nan] if nan.any() else masks, block, obj.shape)
-        cells = np.broadcast_to(cells, obj.shape)
+        cells = np.broadcast_to(_cell_counts([*masks, ~nan] if nan.any() else masks, block, obj.shape), obj.shape)
         count = int(cells.sum())
         feasible += count
         if count:
@@ -554,7 +543,10 @@ def grid_minimize(
     def mask_and_obj(env):
         return _feasible(p, elim, env, full, tol), np.asarray(_veval(p.objective, env), dtype=float)
 
-    return _scan_grid(full, p.variables, elim, params, mask_and_obj)
+    # the variables of each of _feasible's masks, then of the objective
+    reads = [] if elim is None else [{elim.var}]
+    reads += [_names(c.lhs, c.rhs)[0] for i, c in enumerate(p.constraints) if elim is None or i != elim.constraint]
+    return _scan_grid(full, p.variables, elim, params, [*reads, _names(p.objective)[0]], mask_and_obj)
 
 
 # --- conic grid search ----------------------------------------------------------
@@ -603,7 +595,10 @@ def grid_minimize_conic(
         masks += [_cone_mask(kind, [affine(terms, env) - h for terms, h in rows], tol) for kind, rows in cones]
         return masks, affine(objective, env)
 
-    return _scan_grid(full, cp.variables, elim, {}, mask_and_obj)
+    reads = [] if elim is None else [{elim.var}]
+    reads += [{v for _, v in terms} for terms, _ in equalities]
+    reads += [{v for terms, _ in rows for _, v in terms} for _, rows in cones]
+    return _scan_grid(full, cp.variables, elim, {}, [*reads, {v for _, v in objective}], mask_and_obj)
 
 
 # --- feasible sampling ----------------------------------------------------------
@@ -748,8 +743,7 @@ def _tighten(p: Problem, params: Assignment, full: SearchBox, elim) -> dict:
                     _narrow(lhs, *_out(R[0] if eq else -math.inf, R[1]), L, box)
                     _narrow(rhs, *_out(L[0], L[1] if eq else math.inf), R, box)
                 except _Empty as err:
-                    names: set = set()
-                    _names(err.args[0], names, set())
+                    names = _names(err.args[0])[0]
                     raise Infeasible(
                         f"constraint {i} ({print_constraint(p.constraints[i])}) cannot "
                         "hold in the box" + (f": no room left for {', '.join(sorted(names))}" if names else "")

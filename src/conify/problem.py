@@ -128,14 +128,18 @@ class ParamDecl:
 Assignment = dict[str, float]
 
 
-def _names(e: Expr, vars_out: set, params_out: set) -> None:
-    if isinstance(e, Var):
-        vars_out.add(e.name)
-    elif isinstance(e, Param):
-        params_out.add(e.name)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _names(a, vars_out, params_out)
+def _names(*es: Expr) -> tuple[set[str], set[str]]:
+    """The variables and the parameters that the expressions name."""
+    variables, params, todo = set(), set(), list(es)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            variables.add(e.name)
+        elif isinstance(e, Param):
+            params.add(e.name)
+        elif isinstance(e, Call):
+            todo.extend(e.args)
+    return variables, params
 
 
 @dataclass(frozen=True)
@@ -151,15 +155,8 @@ class Problem:
         names = list(self.variables) + [d.name for d in self.params]
         if len(set(names)) != len(names):
             raise ValueError("variable/parameter names must be distinct")
-        used_vars: set = set()
-        used_params: set = set()
-        _names(self.objective, used_vars, used_params)
-        for c in self.constraints:
-            _names(c.lhs, used_vars, used_params)
-            _names(c.rhs, used_vars, used_params)
-        undeclared = (used_vars - set(self.variables)) | (
-            used_params - {d.name for d in self.params}
-        )
+        used_vars, used_params = _names(self.objective, *(e for c in self.constraints for e in (c.lhs, c.rhs)))
+        undeclared = (used_vars - set(self.variables)) | (used_params - {d.name for d in self.params})
         if undeclared:
             raise ValueError(f"undeclared names: {sorted(undeclared)}")
 

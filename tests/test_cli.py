@@ -1,6 +1,7 @@
 import pathlib
 import random
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -553,6 +554,67 @@ class TestNanAndTol:
         argv = {"canon": files[:1], "solve-oracle": [files[0], "--res", "3"], "verify": files}[command]
         assert main([command, *argv, f"--tol={tol}"]) == 2
         assert capsys.readouterr().err == f"error: bad --tol {float(tol)}, expected a finite number >= 0\n"
+
+
+class TestUnusableData:
+    """A --param value that is not finite or contradicts its declared sign,
+    and a cone file with non-finite data, exit 2 with one line that names
+    the parameter or the line, and no numpy warning."""
+
+    @staticmethod
+    def run(argv, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        return code, out.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["canon", "solve-oracle", "verify"])
+    def test_chain_param_a(self, tmp_path, chain_file, capsys, command, value):
+        canon_chain(tmp_path, chain_file)
+        sol = tmp_path / "chain1.sol"
+        sol.write_text("SOLUTION 1\nPRIMAL 1 0 1 1 1\nEND\n")
+        given = ["--param", f"a={value}", *UNIT_ARGS[2:]]
+        argv = {
+            "canon": [str(chain_file), "--skip-verify"],
+            "solve-oracle": [str(chain_file), "--res", "3"],
+            "verify": [str(chain_file), str(tmp_path / "chain1.trace"), str(sol)],
+        }[command]
+        code, err = self.run([command, *argv, *given], capsys)
+        why = "declared nonneg" if value == "-1" else "expected a finite number"
+        assert (code, err) == (2, f"error: bad --param value {value!r} for a, {why}\n")
+
+    @pytest.mark.parametrize(
+        "name,value,sign", [("p", "0", "pos"), ("q", "1e-300", "nonpos"), ("r", "0", "neg"), ("r", "-0.0", "neg")]
+    )
+    def test_declared_signs(self, tmp_path, capsys, name, value, sign):
+        src = tmp_path / "signs.opt"
+        src.write_text("minimization\n!params p: pos, q: nonpos, r: neg\n!vars x\n!objective x\n"
+                       "!constraints\np <= x, x <= 1 - q - r\n")
+        given = {"p": "1", "q": "0", "r": "-1", name: value}
+        argv = ["canon", str(src), "--skip-verify", *(f"--param={k}={v}" for k, v in given.items())]
+        code, err = self.run(argv, capsys)
+        assert (code, err) == (2, f"error: bad --param value {value!r} for {name}, declared {sign}\n")
+        assert main(["canon", str(src), "--skip-verify", "--param=p=1", "--param=q=-0.0", "--param=r=-1"]) == 0
+
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("OBJ nan 1.0\nEQ 0\n", 4),
+            ("OBJ 1 0\nEQ 1\n1 1 inf\n", 6),
+            ("OBJ 1 0\nEQ 0\nCONE ORTHANT 1\n-inf 1 0\n", 7),
+        ],
+        ids=["obj", "eq", "cone"],
+    )
+    def test_non_finite_cone_data(self, tmp_path, capsys, rows, line):
+        src = tmp_path / "bad.cone"
+        src.write_text(f"CONICFORM 1\nVARS 2\nx y\n{rows}END\n")
+        code, err = self.run(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")], capsys)
+        assert (code, err) == (2, f"error: line {line}: non-finite number\n")
+        assert not (tmp_path / "bad.sol").exists()
 
 
 class TestInfinitePrimal:

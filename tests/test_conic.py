@@ -379,6 +379,25 @@ class TestConicFiles:
         with pytest.raises(ConicFormatError, match=r"^line 3: variable names must be distinct$"):
             read_conic(text)
 
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("OBJ nan 1.0\nEQ 0\n", 4),
+            ("OBJ 1 0\nEQ 1\n1 inf 1\n", 6),
+            ("OBJ 1 0\nEQ 1\n1 1 nan\n", 6),
+            ("OBJ 1 0\nEQ 0\nCONE ORTHANT 2\n1 0 0\n0 1 -inf\n", 8),
+        ],
+        ids=["obj", "eq-coefficient", "eq-constant", "cone-constant"],
+    )
+    def test_non_finite_problem_data_names_its_line(self, rows, line):
+        with pytest.raises(ConicFormatError, match=rf"^line {line}: non-finite number$"):
+            read_conic(f"CONICFORM 1\nVARS 2\nx y\n{rows}END\n")
+
+    def test_solution_may_hold_non_finite_numbers(self):
+        # a nan or infinite solution reads, and then fails its check
+        sol = read_solution("SOLUTION 1\nPRIMAL nan inf\nDUAL_EQ -inf\nEND\n")
+        assert np.isnan(sol.primal[0]) and sol.primal[1] == math.inf and sol.dual_eq[0] == -math.inf
+
     def test_solution_round_trip_with_dual(self):
         sol = SolutionFile(
             primal=np.array([1.0, 2.5]),

@@ -258,10 +258,7 @@ class TestMultiAxisScan:
     def test_constraints_read_different_axes(self, chain1_trace):
         reads = set()
         for c in chain1_trace.final.constraints:
-            vs = set()
-            _names(c.lhs, vs, set())
-            _names(c.rhs, vs, set())
-            reads.add(frozenset(vs))
+            reads.add(frozenset(_names(c.lhs, c.rhs)[0]))
         assert len(reads) == len(chain1_trace.final.constraints)
         assert set().union(*reads) == {"x", "y", "t1", "t2", "t3"}
         assert all(len(r) <= 2 for r in reads)
@@ -315,10 +312,10 @@ class TestChunking:
 
     def test_chunks_stay_bounded_when_one_row_is_too_big(self):
         shape = (3, 2_000_000)
-        sizes = [
-            np.prod([len(range(*sl.indices(n))) for sl, n in zip(index, shape)])
-            for index in oracle._chunks(shape)
-        ]
+        blocks = list(oracle._chunks(shape, lambda block: math.prod(block) <= oracle.CHUNK))
+        for index, block in blocks:
+            assert block == tuple(len(range(*sl.indices(n))) for sl, n in zip(index, shape))
+        sizes = [math.prod(block) for _, block in blocks]
         assert max(sizes) <= oracle.CHUNK
         assert sum(sizes) == np.prod(shape)
 
@@ -794,7 +791,7 @@ class TestScanMemory:
         monkeypatch.setattr(oracle, "CHUNK", 128)
         cases = [
             (mini(constraints, vars=names, objective=objective), SearchBox.uniform(names.split(), lo, hi, points))
-            for _, names, constraints, objective, (lo, hi), points in EQUIVALENCE.EDGE_CASES
+            for _, names, constraints, objective, (lo, hi), points, _ in EQUIVALENCE.EDGE_CASES
         ]
         # here the search along x, not the block's own count, limits blocks
         # to one x-row of 144 points; the count alone would allow them all
@@ -810,17 +807,24 @@ class TestScanMemory:
         assert all(peak <= budget for budget, peak in planned)
 
 
-def evaluations(monkeypatch, scan) -> int:
-    """How many times scan() calls the mask_and_obj it hands _scan_grid."""
+def evaluations(monkeypatch, scan, seen=None) -> int:
+    """How many times scan() calls the mask_and_obj it hands _scan_grid, its
+    last argument.  seen, if given, is called with _scan_grid's arguments
+    and with each evaluation's env and result."""
     calls = []
     inner = oracle._scan_grid
 
-    def counting(full, variables, elim, params, mask_and_obj):
+    def counting(*args):
+        *rest, mask_and_obj = args
+
         def counted(env):
             calls.append(None)
-            return mask_and_obj(env)
+            got = mask_and_obj(env)
+            if seen is not None:
+                seen(args, env, got)
+            return got
 
-        return inner(full, variables, elim, params, counted)
+        return inner(*rest, counted)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_scan_grid", counting)
@@ -832,26 +836,26 @@ class TestCountingBlocks:
     """A lattice of more than CHUNK points is counted in blocks sized by the
     arrays their counts build: the block's own and _first_at's per axis."""
 
-    def test_criterion_4_scan_evaluates_at_most_four_times(self, monkeypatch, chain1_trace):
-        # the probe and at most three blocks of x-rows
+    def test_criterion_4_scan_evaluates_twice(self, monkeypatch, chain1_trace):
+        # two blocks, of 394 and 7 x-rows, each evaluated once
         box = TestGoldenScanCounts.reduced_box(chain1_trace, (1.0, 1.0, 1.0, 1.0))
         final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
-        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) <= 4
-        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) <= 4
+        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) == 2
+        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) == 2
 
-    def test_small_lattice_is_one_block_without_probe(self, monkeypatch, chain1):
+    def test_small_lattice_is_one_block(self, monkeypatch, chain1):
         box = TestGoldenScanCounts.BOX
         assert evaluations(monkeypatch, lambda: grid_minimize(chain1, UNIT, box, eliminate="y")) == 1
 
     def test_hit_before_feasible_scans_fifty_point_blocks(self, monkeypatch):
-        # the probe, then 20 blocks of 5 y-rows by 10 z-nodes (50 points):
+        # 20 blocks of 5 y-rows by 10 z-nodes (50 points):
         # the y mask's 8-byte count copy alone outgrows CHUNK // 2 = 25
         # bytes, so no block of more than CHUNK points fits.  The first
         # block, x = -1 and y up to -1/9, counts no feasible point; the
         # second one's search fixes x = -1, then y = 5/9, then z = -1
         p, box, _ = TestPerCellObjective.CASES["hit-before-feasible"]
         monkeypatch.setattr(oracle, "CHUNK", 50)
-        assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 21
+        assert evaluations(monkeypatch, lambda: grid_minimize(p, {}, box)) == 20
         assert grid_minimize(p, {}, box).point == {"x": -1.0, "y": 5 / 9, "z": -1.0}
 
     def test_counts_past_int32_are_exact(self):
@@ -879,10 +883,58 @@ class TestCountingBlocks:
         box = SearchBox.uniform(names, 0.0, 49.0, 50)
         first = {v: 0.0 if i % 2 else 5.0 for i, v in enumerate(names)}
         for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
-            assert evaluations(monkeypatch, scan) == 2
+            assert evaluations(monkeypatch, scan) == 1
             fast = scan()
             assert fast.feasible_count == 45**10 > 2**53
             assert (fast.point, fast.value) == (first, 0.0)
+
+
+class TestReadSets:
+    """The read sets the scans state, closed through the solved formula,
+    are the axes each mask and the objective come out shaped over."""
+
+    @staticmethod
+    def check(args, env, got):
+        full, variables, elim, _, reads, _ = args
+        axes = [full.axis(v) for v in oracle._free(variables, elim)]
+        block = tuple(np.size(env[ax.name]) for ax in axes)
+        masks, obj = got
+        flags = oracle._read_axes(reads, axes, elim)
+        assert len(flags) == len(masks) + 1
+        for a, read in zip([*masks, obj], flags):
+            # a 0-d mask or objective reads no axis
+            assert (np.shape(a) or (1,) * len(block)) == tuple(k if r else 1 for k, r in zip(block, read))
+
+    def scans(self, p, params, box):
+        for eliminate in (None, "auto"):
+            yield lambda: grid_minimize(p, params, box, eliminate=eliminate)
+            yield lambda: grid_minimize_conic(emit(p, params), box, eliminate=eliminate)
+
+    def test_corpus(self, monkeypatch, manifest):
+        checked = []
+        for name, meta in manifest.items():
+            p = parse(CORPUS.joinpath(name).read_text())
+            params = {d.name: 1.0 for d in p.params}
+            forms = [p] + ([reduce_problem(p).final] if meta["canonizable"] else [])
+            for q in forms:
+                bounds = meta.get("boxes") or {}
+                box = SearchBox(tuple(Axis(v, *bounds.get(v, (-5.0, 5.0)), 5) for v in q.variables))
+                for scan in self.scans(q, params, box):
+                    try:
+                        checked.append(evaluations(monkeypatch, scan, self.check))
+                    except (OracleError, ConicError):
+                        pass
+        assert sum(checked) > 40
+
+    @pytest.mark.parametrize("case", list(TestPerCellObjective.CASES))
+    def test_per_cell_cases_in_small_blocks(self, monkeypatch, case):
+        p, box, _ = TestPerCellObjective.CASES[case]
+        monkeypatch.setattr(oracle, "CHUNK", 50)
+        for scan in self.scans(p, {}, box):
+            try:
+                evaluations(monkeypatch, scan, self.check)
+            except (OracleError, ConicError):
+                pass
 
 
 class TestConicGrid:
