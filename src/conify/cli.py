@@ -90,12 +90,17 @@ def _write_text(path: pathlib.Path, text: str) -> None:
 
 
 def _parse_params(pairs: list[str], decls) -> dict[str, float]:
-    """--param values by name, each finite and of the sign its ParamDecl in decls declares."""
+    """--param values by name, each given once, declared by a ParamDecl in
+    decls, finite and of the sign declared."""
     signs, out = {d.name: d.sign for d in decls}, {}
     for item in pairs:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _Unusable(f"bad --param {item!r}, expected name=value")
+        if name not in signs:
+            raise _Unusable(f"bad --param {item!r}, the problem declares no parameter {name}")
+        if name in out:
+            raise _Unusable(f"bad --param {item!r}, {name} given twice")
         try:
             out[name] = v = float(value)
         except ValueError:
@@ -114,6 +119,8 @@ def _parse_boxes(pairs: list[str]) -> dict[str, tuple[float, float]]:
         lo, sep2, hi = span.partition(":")
         if not sep or not sep2:
             raise _Unusable(f"bad --box {item!r}, expected var=lo:hi")
+        if name in out:
+            raise _Unusable(f"bad --box {item!r}, {name} given twice")
         try:
             out[name] = (float(lo), float(hi))
         except ValueError:
@@ -207,6 +214,7 @@ def _cmd_solve_oracle(args) -> int:
         raise _Unusable(f"bad --res {args.res}, expected at least 2 points per axis")
     head = _Lines(text).items[:1]
     if head and head[0][1].startswith("CONICFORM"):
+        _parse_params(args.param, ())  # a conic file's parameters are bound already
         cp = read_conic(text)
         names = cp.variables
         solve = functools.partial(grid_minimize_conic, cp)

@@ -234,8 +234,12 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
     """Emit conic form with parameters bound.
 
     Row order is deterministic: equality rows in constraint order, then cone
-    blocks in constraint order.
+    blocks in constraint order.  A parameter bound to inf or nan raises
+    ConicError before any arithmetic.
     """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ConicError(f"parameter {name} is {value}, expected a finite number")
     vidx = {v: i for i, v in enumerate(p.variables)}
     n = len(p.variables)
 
@@ -587,15 +591,15 @@ def read_solution(text: str) -> SolutionFile:
     if not ln.startswith("PRIMAL"):
         raise ConicFormatError(f"line {no}: expected 'PRIMAL'")
     primal = np.array(_numbers(no, ln[len("PRIMAL"):]))
-    dual_eq = dual_cone = None
+    duals = {}
     while True:
         no, ln = lines.next("'DUAL_...' or 'END'")
         if ln == "END":
             break
-        if ln.startswith("DUAL_EQ"):
-            dual_eq = np.array(_numbers(no, ln[len("DUAL_EQ"):]))
-        elif ln.startswith("DUAL_CONE"):
-            dual_cone = np.array(_numbers(no, ln[len("DUAL_CONE"):]))
-        else:
+        key = next((k for k in ("DUAL_EQ", "DUAL_CONE") if ln.startswith(k)), None)
+        if key is None:
             raise ConicFormatError(f"line {no}: expected DUAL_EQ, DUAL_CONE or END")
-    return SolutionFile(primal, dual_eq, dual_cone)
+        if key in duals:
+            raise ConicFormatError(f"line {no}: second {key}")
+        duals[key] = np.array(_numbers(no, ln[len(key):]))
+    return SolutionFile(primal, duals.get("DUAL_EQ"), duals.get("DUAL_CONE"))

@@ -26,13 +26,15 @@ still judged, in exactly the arithmetic of a pointwise evaluation.  The scan
 walks counting blocks: in each, the per-constraint masks are counted per
 objective cell by summing out one axis at a time, each sum one np.einsum
 over the masks and counts that read the axis, a sum of products that never
-builds their product.  Counts are float64, exact while a block has fewer
+builds their product: a matrix product of two factors runs as matmul, any
+other sum as one loop.  Counts are float64, exact while a block has fewer
 than 2**53 points.  A block is as large as its counts allow: at most
-CHUNK // 2 bytes held at once by the arrays they build, or at most CHUNK
-points.  A block that improves on the best point so far finds its first
-minimizing point by the same counts, one axis at a time: the first index of
-axis 0 with a feasible point at the block's low, then of axis 1 within it,
-and so on.  So the masks never meet over a block or any part of one.
+CHUNK // 2 bytes held at once by the arrays any one of them builds, or at
+most CHUNK points.  A block that improves on the best point so far finds
+its first minimizing point by the same counts, one axis at a time: the
+first index of axis 0 with a feasible point at the block's low, then of
+axis 1 within it, and so on.  So the masks never meet over a block or any
+part of one.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -290,7 +292,7 @@ def _count_type(block: tuple[int, ...]) -> np.dtype:
 
 
 class _Plan(NamedTuple):
-    steps: tuple  # (positions, subscripts, path, shape), one per einsum
+    steps: tuple  # (positions, subscripts, matmul, shape), one per einsum
     scale: int  # the lengths of the summed axes no factor reads, multiplied
     peak: int  # bytes
 
@@ -306,20 +308,18 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
     einsum over the axes they read, reshaped to shape.  There is one step
     per axis that cell does not read and some factor reads, which sums it
     out of the factors that read it, and a last step that multiplies the
-    factors left.  A step's einsum follows path, np.einsum_path's greedy
-    order (found here once), when one of its contractions is a matrix
-    product: two operands that share the summed axis and each keep an axis
-    the other lacks, which np.einsum hands to matmul.  Otherwise path is
-    False and the einsum is one loop, which parses no path.
+    factors left.  A step is one np.einsum call: matmul is True when it is
+    a matrix product, two factors that share the summed axis and each keep
+    an axis the other lacks, which np.einsum hands to matmul; otherwise the
+    einsum runs as one loop.
 
     The bytes held during a step are the counts earlier steps built that are
-    still factors, a count-type copy of each mask the step reads, and at
-    each contraction the intermediates not yet consumed, the contraction's
-    output and its scratch: when it sums an axis out of two operands along
-    a path, a copy of each (np.einsum may transpose both for matmul), and
-    otherwise an iterator's buffers, at most np.getbufsize() elements for
-    each operand and the output.  The next axis is the one whose step holds
-    the fewest, the earliest axis on a tie.
+    still factors, a count-type copy of each mask the step reads, the step's
+    output and its scratch: for a matrix product a copy of both factors
+    (np.einsum may transpose both for matmul), and for a loop an iterator's
+    buffers, at most np.getbufsize() elements for each factor and the
+    output.  The next axis is the one whose step holds the fewest, the
+    earliest axis on a tie.
     """
     n, itemsize = len(block), _count_type(block).itemsize
 
@@ -331,39 +331,18 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
 
     def step(take, summed):
         """(bytes held beyond the counts built before, output axes,
-        subscripts, optimize) of the einsum of the factors at take."""
+        subscripts, matmul) of the einsum of the factors at take."""
         ops = [factors[i][0] for i in take]
-        out = functools.reduce(operator.or_, ops) & ~summed
-        subscripts = ",".join(map(subscript, ops)) + "->" + subscript(out)
+        axes = functools.reduce(operator.or_, ops)
+        out = axes & ~summed
+        matmul = bool(summed) and len(ops) == 2 and bool(ops[0] & ~ops[1] and ops[1] & ~ops[0])
+        if matmul:
+            scratch = nbytes(ops[0]) + nbytes(ops[1])
+        else:
+            scratch = (len(ops) + 1) * min(nbytes(axes), itemsize * np.getbufsize())
         held = sum(nbytes(a) for a, made in (factors[i] for i in take) if not made)
-
-        def run(path):
-            """(bytes held, whether a contraction is a matrix product) along
-            path, or with path False in one loop."""
-            top, level, operands, matmul = held, held, [(a, False) for a in ops], False
-            for pos in path[1:] if path else [tuple(range(len(ops)))]:
-                ins = [operands.pop(i) for i in sorted(pos, reverse=True)]
-                axes = functools.reduce(operator.or_, (a for a, _ in ins))
-                keep = axes & functools.reduce(operator.or_, (a for a, _ in operands), out)
-                if path and len(ins) == 2 and keep != axes:
-                    (a, _), (b, _) = ins
-                    scratch, matmul = nbytes(a) + nbytes(b), matmul or bool(a & keep & ~b and b & keep & ~a)
-                else:
-                    scratch = (len(ins) + 1) * min(nbytes(axes), itemsize * np.getbufsize())
-                top = max(top, level + scratch + nbytes(keep))
-                level += nbytes(keep) - sum(nbytes(a) for a, inter in ins if inter)
-                operands.append((keep, True))
-            return top, matmul
-
-        path = ["einsum_path", tuple(range(len(ops)))]
-        if len(ops) > 2:
-            dims = (tuple(block[d] for d in range(n) if a >> d & 1) for a in ops)
-            path = np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in dims), optimize="greedy")[0]
-        top, matmul = run(path)
-        if not matmul:
-            path = False
-            top, _ = run(path)
-        return top, out, subscripts, path
+        subscripts = ",".join(map(subscript, ops)) + "->" + subscript(out)
+        return held + scratch + nbytes(out), out, subscripts, matmul
 
     # (axes read, one bit each; whether _cell_counts built it)
     factors = [(sum(1 << d for d, k in enumerate(s) if k > 1), False) for s in shapes] + [(0, True)]
@@ -374,10 +353,10 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
     while True:
         buckets = [(tuple(i for i, (a, _) in enumerate(factors) if a >> d & 1), 1 << d) for d in todo]
         options = ((*step(*b), *b) for b in buckets or [(tuple(range(len(factors))), 0)])
-        top, out, subscripts, path, take, summed = min(options, key=lambda o: o[0])
+        top, out, subscripts, matmul, take, summed = min(options, key=lambda o: o[0])
         peak = max(peak, built + top)
         built += nbytes(out) - sum(nbytes(factors[i][0]) for i in take if factors[i][1])
-        steps.append((take, subscripts, path, tuple(block[d] if out >> d & 1 else 1 for d in range(n))))
+        steps.append((take, subscripts, matmul, tuple(block[d] if out >> d & 1 else 1 for d in range(n))))
         factors = [f for i, f in enumerate(factors) if i not in take] + [(out, True)]
         if not todo:
             return _Plan(tuple(steps), scale, peak)
@@ -402,10 +381,10 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
     count = _count_type(block)
     plan = _plan(tuple(np.shape(m) for m in masks), block, cell)
     factors = [*map(np.asarray, masks), np.asarray(plan.scale, dtype=count)]
-    for take, subscripts, path, shape in plan.steps:
+    for take, subscripts, matmul, shape in plan.steps:
         operands = [factors[i].squeeze().astype(count, copy=False) for i in take]
         factors = [f for i, f in enumerate(factors) if i not in take]
-        factors.append(np.einsum(subscripts, *operands, optimize=path).reshape(shape))
+        factors.append(np.einsum(subscripts, *operands, optimize=matmul).reshape(shape))
         del operands  # the step's mask copies, gone before the next step's are made
     return factors[0]
 
@@ -451,22 +430,21 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
     masks never meet over a block: _cell_counts counts each cell's feasible
     points from the masks, a cell is live when its count is positive, and
     the block's low is the least objective over live cells.  A point where
-    the objective is nan is not feasible, so in the rare block whose
-    objective holds a nan, ~isnan(objective) is one more mask.  Only a block
-    whose low beats the best so far looks for its first feasible point at
-    that value (_first_at, by more counts) and reads the value there, so the
-    sign of a zero is the first point's.  Ties therefore resolve to the
-    smallest flat index, which is lexicographic order in axis values, even
-    where the first tying point lies in a later cell.  The first block with
-    a feasible point always takes it, so an objective that is +inf wherever
-    it is feasible still has a minimizer.
+    the objective is nan is not feasible, so ~isnan(objective) is one more
+    mask in every block's count.  Only a block whose low beats the best so
+    far looks for its first feasible point at that value (_first_at, by more
+    counts) and reads the value there, so the sign of a zero is the first
+    point's.  Ties therefore resolve to the smallest flat index, which is
+    lexicographic order in axis values, even where the first tying point
+    lies in a later cell.  The first block with a feasible point always
+    takes it, so an objective that is +inf wherever it is feasible still has
+    a minimizer.
 
-    A block fits when it holds at most CHUNK points, or when the arrays its
-    count builds, with the objective's nan mask counted in, hold at most
-    CHUNK // 2 bytes at once by _plan's peak, and those of each of
-    _first_at's counts at most CHUNK bytes.  Blocks grow until that binds:
-    a lattice that fits whole is one block, and every block is evaluated
-    once.
+    A block fits when it holds at most CHUNK points, or when the arrays
+    built by every count it may run to, its own and each of _first_at's,
+    hold at most CHUNK // 2 bytes at once by _plan's peak.  Blocks grow
+    until that binds: a lattice that fits whole is one block, and every
+    block is evaluated once.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -480,13 +458,13 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
     def fits(block):
         shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
 
-        def search(d):  # _first_at's count along axis d, the axes before it fixed
-            cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
-            return _plan(tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell).peak
+        def counts():  # (shapes, block, cell) of the block's own, then of _first_at's along each axis
+            yield shapes, block, shapes[-1]
+            for d in range(n):
+                cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
+                yield tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell
 
-        return math.prod(block) <= CHUNK or (
-            _plan(shapes, block, shapes[-1]).peak <= CHUNK // 2 and all(search(d) <= CHUNK for d in range(n))
-        )
+        return math.prod(block) <= CHUNK or all(_plan(*c).peak <= CHUNK // 2 for c in counts())
 
     best_idx, best_val, feasible, start = -1, math.inf, 0, 0
     for index, block in _chunks(shape, fits):
@@ -499,8 +477,7 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
             masks, obj = mask_and_obj(env)
         masks = [np.asarray(m) for m in masks]
         obj = np.asarray(obj, dtype=float).reshape(np.shape(obj) or (1,) * n)
-        nan = np.isnan(obj)
-        cells = np.broadcast_to(_cell_counts([*masks, ~nan] if nan.any() else masks, block, obj.shape), obj.shape)
+        cells = np.broadcast_to(_cell_counts([*masks, ~np.isnan(obj)], block, obj.shape), obj.shape)
         count = int(cells.sum())
         feasible += count
         if count:

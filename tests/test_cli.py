@@ -413,6 +413,12 @@ class TestVerify:
         assert out == readme.split("$ conify verify chain1.opt")[1].split("```")[0].split("\n", 1)[1]
         assert "original objective 1.8\n" in out and "np.float64(" not in out
 
+    def test_second_dual_section_exits_two(self, tmp_path, chain_file, capsys):
+        trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
+        sol.write_text(sol.read_text().replace("END", "DUAL_EQ 1\nDUAL_EQ 5 6\nEND"))
+        assert main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS]) == 2
+        assert capsys.readouterr().err == "error: solution: line 4: second DUAL_EQ\n"
+
     def test_perturbed_primal_fails(self, tmp_path, chain_file, capsys):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
         from conify.conic import read_solution
@@ -615,6 +621,41 @@ class TestUnusableData:
         code, err = self.run(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")], capsys)
         assert (code, err) == (2, f"error: line {line}: non-finite number\n")
         assert not (tmp_path / "bad.sol").exists()
+
+
+class TestOptionNames:
+    """A --param the problem does not declare, any --param on a cone file,
+    and a --param or --box name given twice exit 2 with one line that
+    names the option."""
+
+    @pytest.mark.parametrize("command", ["canon", "solve-oracle", "verify"])
+    def test_undeclared_param(self, tmp_path, chain_file, capsys, command):
+        canon_chain(tmp_path, chain_file)
+        argv = {
+            "canon": [str(chain_file), "--skip-verify"],
+            "solve-oracle": [str(chain_file), "--res", "3"],
+            "verify": [str(chain_file), str(tmp_path / "chain1.trace"), str(tmp_path / "chain1.sol")],
+        }[command]
+        code, err = TestUnusableData.run([command, *argv, *UNIT_ARGS, "--param", "zz=5"], capsys)
+        assert (code, err) == (2, "error: bad --param 'zz=5', the problem declares no parameter zz\n")
+
+    @pytest.mark.parametrize("given", [["--param", "qq=3"], UNIT_ARGS[:2]])
+    def test_any_param_on_a_cone_file(self, tmp_path, chain_file, capsys, given):
+        cone, _ = canon_chain(tmp_path, chain_file)
+        name = given[1].partition("=")[0]
+        code, err = TestUnusableData.run(["solve-oracle", str(cone), "--res", "3", *given], capsys)
+        assert (code, err) == (2, f"error: bad --param {given[1]!r}, the problem declares no parameter {name}\n")
+        assert not cone.with_suffix(".sol").exists()
+
+    def test_param_given_twice(self, chain_file, capsys):
+        argv = ["canon", str(chain_file), "--skip-verify", *UNIT_ARGS, "--param", "c=2"]
+        code, err = TestUnusableData.run(argv, capsys)
+        assert (code, err) == (2, "error: bad --param 'c=2', c given twice\n")
+
+    def test_box_given_twice(self, capsys):
+        argv = ["solve-oracle", str(CORPUS / "lp_box.opt"), "--res", "3", "--box", "x=0:4", "--box", "x=0:1"]
+        code, err = TestUnusableData.run(argv, capsys)
+        assert (code, err) == (2, "error: bad --box 'x=0:1', x given twice\n")
 
 
 class TestInfinitePrimal:

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from conify.conic import (
 )
 from conify.dsl import parse
 from conify.problem import Call, Const
-from conify.reduce import reduce_problem
+from conify.reduce import canonize, reduce_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 UNIT = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
@@ -93,6 +94,16 @@ class TestEmit:
         assert np.array_equal(cp.G, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(cp.h, [0.0, -1.0, 0.0])
         assert [(b.kind, b.dim) for b in cp.blocks] == [("EXP", 3)]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, chain1, chain1_trace, value):
+        # named before any arithmetic, so numpy warns of nothing
+        bound = {**UNIT, "a": value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: emit(chain1_trace.final, bound), lambda: canonize(chain1, bound)):
+                with pytest.raises(ConicError, match=rf"^parameter a is {value}, expected a finite number$"):
+                    call()
 
     def test_chain_final_emission(self, chain1_trace):
         cp = emit(chain1_trace.final, UNIT)
@@ -410,6 +421,11 @@ class TestConicFiles:
         sol = SolutionFile(primal=np.array([0.25]), dual_eq=None, dual_cone=None)
         again = read_solution(write_solution(sol))
         assert again == sol and again.dual_eq is None
+
+    @pytest.mark.parametrize("key", ["DUAL_EQ", "DUAL_CONE"])
+    def test_solution_section_given_twice_names_its_line(self, key):
+        with pytest.raises(ConicFormatError, match=rf"^line 4: second {key}$"):
+            read_solution(f"SOLUTION 1\nPRIMAL 1 2\n{key} 1\n{key} 5 6\nEND\n")
 
     def test_solution_garbage_rejected(self):
         with pytest.raises(ConicFormatError):

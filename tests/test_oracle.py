@@ -695,6 +695,20 @@ class TestCellCounts:
         assert peak < math.prod(block) / 20
         assert np.array_equal(np.broadcast_to(got, (1, 1, 1, 51)), self.reference(masks, block, (1, 1, 1, 51)))
 
+    def test_three_factor_bucket_is_one_loop(self, monkeypatch):
+        # ab,bc,b->ac holds the matrix product ab,bc->ac, but a bucket of
+        # three factors is one np.einsum loop, planned with no path search
+        def no_search(*args, **kwargs):
+            raise AssertionError("np.einsum_path called")
+
+        monkeypatch.setattr(np, "einsum_path", no_search)
+        block, cell = (5, 6, 7), (5, 1, 7)
+        rng = np.random.default_rng(5)
+        masks = [self.mask(rng, block, r) for r in ({0, 1}, {1, 2}, {1})]
+        plan = oracle._plan.__wrapped__(tuple(np.shape(m) for m in masks), block, cell)
+        assert plan.steps == (((0, 1, 2), "ab,bc,b->ac", False, cell), ((0, 1), ",ac->ac", False, cell))
+        self.check(masks, block, cell)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_zero_d_masks_multiply_through(self, value):
         masks = [np.bool_(value), np.ones((3, 1, 1, 5), dtype=bool)]
@@ -746,7 +760,8 @@ class TestFirstAt:
 class TestScanMemory:
     """The masks never meet over a block: a criterion-4 scan's traced peak
     stays below half a byte per CHUNK point, and in blocks of more than
-    CHUNK points every count keeps to the budget its block was planned for."""
+    CHUNK points every count keeps to the one budget of CHUNK // 2 bytes
+    its block was planned for."""
 
     @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
     def test_peak_below_half_a_byte_per_chunk_point(self, chain1, chain1_trace, abcd):
@@ -762,15 +777,16 @@ class TestScanMemory:
 
     def test_planned_peaks_keep_to_the_budget(self, monkeypatch, chain1, chain1_trace):
         # _plan's peak for every _cell_counts call in a block of more than
-        # CHUNK points, with its budget: CHUNK // 2 bytes for the block's own
-        # count, CHUNK for each of _first_at's per-axis counts
+        # CHUNK points, the block's own count and each of _first_at's
+        # per-axis counts alike, with the CHUNK it ran at and whether
+        # _first_at made it
         searching, planned = [], []
         count, first_at, chunk = oracle._cell_counts, oracle._first_at, oracle.CHUNK
 
         def counted(masks, block, cell):
             if math.prod(searching[-1] if searching else block) > oracle.CHUNK:
-                budget = oracle.CHUNK if searching else oracle.CHUNK // 2
-                planned.append((budget, oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak))
+                peak = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak
+                planned.append((oracle.CHUNK, bool(searching), peak))
             return count(masks, block, cell)
 
         def searched(masks, obj, low, block):
@@ -794,17 +810,17 @@ class TestScanMemory:
             for _, names, constraints, objective, (lo, hi), points, _ in EQUIVALENCE.EDGE_CASES
         ]
         # here the search along x, not the block's own count, limits blocks
-        # to one x-row of 144 points; the count alone would allow them all
+        # to one x-row of 144 points; the count alone would allow two
         xyz = (Axis("x", -1.0, 1.0, 10), Axis("y", -1.0, 1.0, 12), Axis("z", -1.0, 1.0, 12))
-        cases.append((mini("0 <= 1", vars="x y z", objective="x"), SearchBox(xyz)))
+        cases.append((mini("x <= 0", vars="x y z", objective="0"), SearchBox(xyz)))
         for p, box in cases:
             for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
                 try:
                     scan()
                 except (Infeasible, ConicError):
                     pass
-        assert {budget for budget, _ in planned} == {chunk, chunk // 2, 128, 64}
-        assert all(peak <= budget for budget, peak in planned)
+        assert {(at, search) for at, search, _ in planned} == {(chunk, False), (chunk, True), (128, False), (128, True)}
+        assert all(peak <= at // 2 for at, _, peak in planned)
 
 
 def evaluations(monkeypatch, scan, seen=None) -> int:
