@@ -1,0 +1,94 @@
+"""Run the benchmark on two checkouts in alternating pairs and write BENCH_<label>.json.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload lattice \\
+        --workload corpus-loop --seeds 1-10 --label mychange
+
+Each directory is a whole checkout (src/, corpus/, perfbench/).  For every
+workload and seed it runs `perfbench/run.py --workload W --seed S --seconds
+T --trace 0` once in each checkout, one after the other, with T
+BENCHMARK.json's run_seconds; the parent runs first at even pair numbers
+and second at odd ones, so neither side always meets a warmer or cooler
+machine.  A run that prints no JSON result is recorded as null.
+
+BENCH_<label>.json, written to the working directory, holds per workload:
+every run's result line (`correct`, `attempted`, `failed`, `metrics`), and
+per end-to-end metric of BENCHMARK.json the parent's and the change's
+median, the distance between the parent's quartiles (statistics.quantiles,
+inclusive method) and in how many pairs the change was better.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+
+def run(checkout: pathlib.Path, workload: str, seed: int, seconds: float):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run([*cmd, "--trace", "0"], cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
+
+
+def seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def summary(pairs, metrics) -> dict:
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        got = [
+            (p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+            for p in pairs
+            if p["parent"] and p["change"]
+        ]
+        if not got:
+            continue
+        parent, change = zip(*got)
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        better = sum((c > p) if m["better"] == "higher" else (c < p) for p, c in got)
+        out[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_quartile_spread": q3 - q1,
+            "change_better": f"{better}/{len(got)}",
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seeds", type=seeds, default=seeds("1-10"))
+    ap.add_argument("--label", required=True)
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    report = {"seconds": seconds, "workloads": {}}
+    for workload in args.workload:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                pair[side] = run(getattr(args, side), workload, seed, seconds)
+                print(workload, seed, side, json.dumps(pair[side] and pair[side]["metrics"]), flush=True)
+            pairs.append(pair)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, spec["end_to_end"])}
+    out = pathlib.Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -135,7 +135,10 @@ def _make_box(names, boxes: dict[str, tuple[float, float]], res: int) -> SearchB
     for name, (lo, hi) in boxes.items():
         if name not in names:
             raise _Unusable(f"--box names unknown variable {name}")
-        box = box.with_axis(name, lo, hi, res)
+        try:
+            box = box.with_axis(name, lo, hi, res)
+        except ValueError as e:
+            raise _Unusable(f"bad --box {name}={lo!r}:{hi!r}, {e}") from None
     return box
 
 

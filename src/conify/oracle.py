@@ -30,11 +30,15 @@ builds their product: a matrix product of two factors runs as matmul, any
 other sum as one loop.  Counts are float64, exact while a block has fewer
 than 2**53 points.  A block is as large as its counts allow: at most
 CHUNK // 2 bytes held at once by the arrays any one of them builds, or at
-most CHUNK points.  A block that improves on the best point so far finds
-its first minimizing point by the same counts, one axis at a time: the
-first index of axis 0 with a feasible point at the block's low, then of
-axis 1 within it, and so on.  So the masks never meet over a block or any
-part of one.
+most CHUNK points.  Those bytes are the masks' count copies, the einsums'
+outputs and what numpy makes besides: a copy of both factors for a matrix
+product other than a plain one of two matrices, which matmul reads as
+views, and iterator buffers for a loop whose operands broadcast against
+each other.  A lattice that fits whole is one block.  A block that
+improves on the best point so far finds its first minimizing point by the
+same counts, one axis at a time: the first index of axis 0 with a feasible
+point at the block's low, then of axis 1 within it, and so on.  So the
+masks never meet over a block or any part of one.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -51,6 +55,7 @@ import itertools
 import math
 import operator
 import string
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +106,12 @@ class Axis:
             raise ValueError("axes need at least two points")
         if not (self.lo <= self.hi):
             raise ValueError(f"axis {self.name}: lo must not exceed hi")
+        # Each term of a node is at most points - 1 times the wider bound, so
+        # only a product past half the float range can make a node overflow.
+        if not (self.points - 1) * max(abs(self.lo), abs(self.hi)) <= sys.float_info.max / 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(self.values()).all():
+                    raise ValueError(f"axis {self.name}: a node of the {self.points}-point lattice is not finite")
 
     def values(self) -> np.ndarray:
         n = self.points
@@ -259,19 +270,22 @@ def _free(variables, elim: Elimination | None) -> list[str]:
 def _chunks(shape: tuple[int, ...], fits):
     """C-order blocks of the lattice, each as large as fits allows.
 
-    fits(block) says whether a block of that shape is small enough.  Axes
-    before the split axis take one index per block, the split axis the
-    longest run of indices that fits (at least one, found by bisection
-    unless the whole axis fits), and every later axis its full range; the
-    split axis is the first one whose trailing axes fit together.  Yields
-    each block as one index slice per axis and its shape.
+    fits(block) says whether a block of that shape is small enough.  A
+    lattice that fits is one block.  Otherwise axes before the split axis
+    take one index per block, the split axis the longest run of indices
+    that fits (at least one, found by bisection), and every later axis its
+    full range; the split axis is the first one whose trailing axes fit
+    together.  Yields each block as one index slice per axis and its shape.
     """
+    if fits(shape):
+        yield (slice(None),) * len(shape), shape
+        return
     split = len(shape) - 1
     while split > 0 and fits((1,) * split + shape[split:]):
         split -= 1
-    run, top = 1, shape[split]
-    if split == 0 and fits(shape):
-        run = top
+    # no block takes the whole split axis: at split 0 the first fits call
+    # said so, and elsewhere the loop's last one
+    run, top = 1, shape[split] - 1
     while run < top:
         mid = (run + top + 1) // 2
         if fits((1,) * split + (mid,) + shape[split + 1 :]):
@@ -315,11 +329,18 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
 
     The bytes held during a step are the counts earlier steps built that are
     still factors, a count-type copy of each mask the step reads, the step's
-    output and its scratch: for a matrix product a copy of both factors
-    (np.einsum may transpose both for matmul), and for a loop an iterator's
-    buffers, at most np.getbufsize() elements for each factor and the
-    output.  The next axis is the one whose step holds the fewest, the
-    earliest axis on a tie.
+    output and its scratch, the copies and buffers numpy makes besides:
+    - a matrix product whose output reads two axes, so that each factor
+      reads two, makes none: numpy's _parse_eq_to_batch_matmul hands matmul
+      both factors as they are or transposed, views that need no copy;
+    - any other matrix product, batched or fusing axes, a copy of both
+      factors, since fusing a transposed factor's axes copies it;
+    - a loop whose operands other than 0-d ones all read the same axes
+      makes none: its iterator walks every operand in step, unbuffered;
+    - any other loop an iterator's buffers, at most np.getbufsize()
+      elements for each factor and the output.
+    The next axis is the one whose step holds the fewest, the earliest axis
+    on a tie.
     """
     n, itemsize = len(block), _count_type(block).itemsize
 
@@ -337,7 +358,9 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
         out = axes & ~summed
         matmul = bool(summed) and len(ops) == 2 and bool(ops[0] & ~ops[1] and ops[1] & ~ops[0])
         if matmul:
-            scratch = nbytes(ops[0]) + nbytes(ops[1])
+            scratch = 0 if out.bit_count() == 2 else nbytes(ops[0]) + nbytes(ops[1])
+        elif len(set(ops) - {0}) <= 1:
+            scratch = 0
         else:
             scratch = (len(ops) + 1) * min(nbytes(axes), itemsize * np.getbufsize())
         held = sum(nbytes(a) for a, made in (factors[i] for i in take) if not made)

@@ -657,6 +657,14 @@ class TestOptionNames:
         code, err = TestUnusableData.run(argv, capsys)
         assert (code, err) == (2, "error: bad --box 'x=0:1', x given twice\n")
 
+    def test_box_whose_lattice_overflows(self, tmp_path, chain_file, capsys):
+        # each bound is finite, but the node formula's 2 * 1e308 is not
+        out = tmp_path / "wide.sol"
+        argv = ["solve-oracle", str(chain_file), "--res", "3", "--box", "x=0:1e308", *UNIT_ARGS, "--out", str(out)]
+        code, err = TestUnusableData.run(argv, capsys)
+        assert (code, err) == (2, "error: bad --box x=0.0:1e+308, axis x: a node of the 3-point lattice is not finite\n")
+        assert not out.exists()
+
 
 class TestInfinitePrimal:
     """An infinite primal coordinate fails verify before the backmap, even

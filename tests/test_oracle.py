@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def mini(constraints, vars="x", objective="x"):
     return parse(
         f"minimization\n!vars {vars}\n!objective {objective}\n!constraints\n{constraints}"
     )
+
+
+def traced_peak(run) -> int:
+    """The most bytes tracemalloc sees held at once while run() runs, above
+    what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def points(cols):
@@ -124,6 +137,16 @@ class TestAxesAndBoxes:
     def test_axis_needs_at_least_two_points(self):
         with pytest.raises(Exception):
             Axis("x", 0.0, 1.0, 1)
+
+    def test_axis_nodes_must_be_finite(self):
+        # 2 * 1e308 overflows in the node formula, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                Axis("x", 0.0, 1e308, 3)
+            with pytest.raises(ValueError, match="not finite"):
+                Axis("x", 0.0, math.inf, 2)
+            assert Axis("x", -1e308, 1e308, 2).values().tolist() == [-1e308, 1e308]
 
     def test_uniform_box(self):
         box = SearchBox.uniform(("x", "y"), -1.0, 1.0, 5)
@@ -309,6 +332,16 @@ class TestChunking:
         expected = [scan() for scan in scans]
         monkeypatch.setattr(oracle, "CHUNK", chunk)
         assert [scan() for scan in scans] == expected
+
+    def test_lattice_that_fits_is_one_block_by_one_fits_call(self):
+        asked = []
+
+        def fits(block):
+            asked.append(block)
+            return True
+
+        assert list(oracle._chunks((3, 4, 5), fits)) == [((slice(None),) * 3, (3, 4, 5))]
+        assert asked == [(3, 4, 5)]
 
     def test_chunks_stay_bounded_when_one_row_is_too_big(self):
         shape = (3, 2_000_000)
@@ -623,40 +656,54 @@ class TestCellCounts:
         for masks, block, cell in self.random_structures():
             self.check(masks, block, cell)
 
+    # One structure per charge class of _plan, with the step that shows it:
+    # (block, the axes each mask reads, cell, first step's subscripts, matmul)
+    CHARGE_CLASSES = [
+        # a matrix product of two matrices runs on views, one transposed
+        ((2, 6, 7, 8), [{1, 3}, {2, 3}], (1, 6, 7, 1), "bd,cd->bc", True),
+        # and one whose output numpy permutes
+        ((6, 7, 2, 8), [{1, 3}, {0, 1}], (6, 1, 1, 8), "bd,ab->ad", True),
+        # a batched product that fuses a and c, from the transposed bacd:
+        # np.einsum copies the first factor
+        ((2, 2, 2, 2, 3), [{0, 1, 2, 3}, {1, 3, 4}], (2, 2, 2, 1, 3), "abcd,bde->abce", True),
+        # a sum that fuses a and c, from the transposed acb: np.einsum
+        # copies the first factor
+        ((5, 7, 5, 5), [{0, 1, 2}, {1, 3}], (5, 1, 5, 5), "abc,bd->acd", True),
+        # a loop over operands that read the same axes needs no buffers
+        ((9, 2, 10), [{0, 2}, {0, 2}], (9, 1, 1), "ac,ac->a", False),
+        # a loop over operands that broadcast fills np.getbufsize() buffers
+        ((9, 9, 10), [{2}, {0, 1}, set(), {2}], (9, 9, 10), "c,ab,,c,->abc", False),
+    ]
+
     def test_plan_peak_bounds_every_array_built(self):
         # tracemalloc sees every array _cell_counts builds, np.einsum's
         # copies, intermediates and buffers included.  Each structure grows
-        # 6-fold along every axis longer than one point, so that its arrays
+        # 7-fold along every axis longer than one point, so that its arrays
         # outweigh the interpreter's own objects (parsed subscripts, lists,
         # array headers): a few KiB that do not grow with the block, allowed
         # for on top of _plan's peak.
         def longer(shape):
-            return tuple(6 * k if k > 1 else 1 for k in shape)
+            return tuple(7 * k if k > 1 else 1 for k in shape)
 
         def grown(mask):
             for d, k in enumerate(np.shape(mask)):
                 if k > 1:
-                    mask = np.repeat(mask, 6, axis=d)
+                    mask = np.repeat(mask, 7, axis=d)
             return mask
 
-        # one more sums the middle axis out of a three-axis mask, which
-        # matmul reads transposed, so np.einsum copies it
-        block = (5, 7, 5, 5)
         rng = np.random.default_rng(4)
-        middle = [self.mask(rng, block, {0, 1, 2}), self.mask(rng, block, {1, 3})], block, (5, 1, 5, 5)
+        classes = []
+        for block, reads, cell, subscripts, matmul in self.CHARGE_CLASSES:
+            masks = [self.mask(rng, block, r) for r in reads]
+            step = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).steps[0]
+            assert step[1:3] == (subscripts, matmul)
+            classes.append((masks, block, cell))
         large = 0
-        for masks, block, cell in [*self.random_structures(), middle]:
+        for masks, block, cell in [*self.random_structures(), *classes]:
             masks, block, cell = [grown(m) for m in masks], longer(block), longer(cell)
             planned = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak
             oracle._cell_counts(masks, block, cell)  # fills numpy's caches
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                oracle._cell_counts(masks, block, cell)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= planned + 8192
+            assert traced_peak(lambda: oracle._cell_counts(masks, block, cell)) <= planned + 8192
             large += planned > 8 * 8192
         assert large >= 60
 
@@ -685,15 +732,9 @@ class TestCellCounts:
         block = (7, 51, 51, 51)
         rng = np.random.default_rng(3)
         masks = [self.mask(rng, block, {0, d}) for d in (1, 2, 3)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = oracle._cell_counts(masks, block, (1, 1, 1, 51))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < math.prod(block) / 20
-        assert np.array_equal(np.broadcast_to(got, (1, 1, 1, 51)), self.reference(masks, block, (1, 1, 1, 51)))
+        cell = (1, 1, 1, 51)
+        assert traced_peak(lambda: oracle._cell_counts(masks, block, cell)) < math.prod(block) / 20
+        self.check(masks, block, cell)
 
     def test_three_factor_bucket_is_one_loop(self, monkeypatch):
         # ab,bc,b->ac holds the matrix product ab,bc->ac, but a bucket of
@@ -766,14 +807,7 @@ class TestScanMemory:
     @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
     def test_peak_below_half_a_byte_per_chunk_point(self, chain1, chain1_trace, abcd):
         for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                scan()
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak < 0.5 * oracle.CHUNK
+            assert traced_peak(scan) < 0.5 * oracle.CHUNK
 
     def test_planned_peaks_keep_to_the_budget(self, monkeypatch, chain1, chain1_trace):
         # _plan's peak for every _cell_counts call in a block of more than
@@ -852,12 +886,30 @@ class TestCountingBlocks:
     """A lattice of more than CHUNK points is counted in blocks sized by the
     arrays their counts build: the block's own and _first_at's per axis."""
 
-    def test_criterion_4_scan_evaluates_twice(self, monkeypatch, chain1_trace):
-        # two blocks, of 394 and 7 x-rows, each evaluated once
+    def test_criterion_4_scan_evaluates_once(self, monkeypatch, chain1_trace):
+        # the whole 401 x 51^3 lattice is one block
         box = TestGoldenScanCounts.reduced_box(chain1_trace, (1.0, 1.0, 1.0, 1.0))
         final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
-        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) == 2
-        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) == 2
+        assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) == 1
+        assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) == 1
+
+    def test_criterion_4_block_keeps_to_its_plan(self, monkeypatch, chain1_trace):
+        # the block's own count, on the masks the tree scan builds: planned
+        # within CHUNK // 2 bytes, and traced within that plan
+        box = TestGoldenScanCounts.reduced_box(chain1_trace, (1.0, 1.0, 1.0, 1.0))
+        counts, count = [], oracle._cell_counts
+
+        def recorded(masks, block, cell):
+            counts.append((masks, block, cell))
+            return count(masks, block, cell)
+
+        monkeypatch.setattr(oracle, "_cell_counts", recorded)
+        grid_minimize(chain1_trace.final, UNIT, box, eliminate="y")
+        masks, block, cell = counts[0]
+        assert block == (401, 51, 51, 51)
+        planned = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).peak
+        assert planned <= oracle.CHUNK // 2
+        assert traced_peak(lambda: count(masks, block, cell)) <= planned + 8192
 
     def test_small_lattice_is_one_block(self, monkeypatch, chain1):
         box = TestGoldenScanCounts.BOX
