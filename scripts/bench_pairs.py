@@ -11,10 +11,13 @@ and second at odd ones, so neither side always meets a warmer or cooler
 machine.  A run that prints no JSON result is recorded as null.
 
 BENCH_<label>.json, written to the working directory, holds per workload:
-every run's result line (`correct`, `attempted`, `failed`, `metrics`), and
-per end-to-end metric of BENCHMARK.json the parent's and the change's
-median, the distance between the parent's quartiles (statistics.quantiles,
-inclusive method) and in how many pairs the change was better.
+every run's result line (`correct`, `attempted`, `failed`, `metrics`), the
+seeds of the runs that are null or not correct per side ("left_out"), and
+per end-to-end metric of BENCHMARK.json, over the pairs whose runs are both
+correct, the parent's and the change's median, the distance between the
+parent's quartiles (statistics.quantiles, inclusive method; null below two
+pairs) and in how many pairs the change was better.  The script exits 1
+when any run is null or not correct, after writing the file.
 """
 
 import argparse
@@ -40,24 +43,31 @@ def seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def usable(run) -> bool:
+    """Whether a run printed a result and that result is correct."""
+    return bool(run and run["correct"])
+
+
 def summary(pairs, metrics) -> dict:
-    out = {}
+    """The seeds of the runs left out, per side, under "left_out"; then per
+    metric, the pairs whose runs are both usable compared."""
+    out = {"left_out": {side: [p["seed"] for p in pairs if not usable(p[side])] for side in ("parent", "change")}}
+    kept = [p for p in pairs if usable(p["parent"]) and usable(p["change"])]
     for m in metrics:
         name = m["name"]
-        got = [
-            (p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
-            for p in pairs
-            if p["parent"] and p["change"]
-        ]
+        got = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"]) for p in kept]
         if not got:
             continue
         parent, change = zip(*got)
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        spread = None
+        if len(got) >= 2:
+            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+            spread = q3 - q1
         better = sum((c > p) if m["better"] == "higher" else (c < p) for p, c in got)
         out[name] = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
-            "parent_quartile_spread": q3 - q1,
+            "parent_quartile_spread": spread,
             "change_better": f"{better}/{len(got)}",
         }
     return out
@@ -73,7 +83,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    report = {"seconds": seconds, "workloads": {}}
+    report, missing = {"seconds": seconds, "workloads": {}}, False
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -84,10 +94,14 @@ def main(argv=None) -> int:
                 print(workload, seed, side, json.dumps(pair[side] and pair[side]["metrics"]), flush=True)
             pairs.append(pair)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, spec["end_to_end"])}
+        for side, dropped in report["workloads"][workload]["summary"]["left_out"].items():
+            if dropped:
+                missing = True
+                print(f"{workload}: {side} runs at seeds {dropped} printed no result or one not correct", flush=True)
     out = pathlib.Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":

@@ -229,6 +229,8 @@ def _cmd_solve_oracle(args) -> int:
             raise UnboundParameter(f"unbound parameter {missing[0]}")
         names = p.variables
         solve = functools.partial(grid_minimize, p, params)
+    if args.eliminate not in (None, "auto", *names):
+        raise _Unusable(f"bad --eliminate {args.eliminate}, the problem has no variable {args.eliminate}")
     res = args.res or _auto_res(len(names) - (1 if args.eliminate else 0))
     result = solve(_make_box(names, boxes, res), tol=args.tol, eliminate=args.eliminate)
 

@@ -35,10 +35,12 @@ outputs and what numpy makes besides: a copy of both factors for a matrix
 product other than a plain one of two matrices, which matmul reads as
 views, and iterator buffers for a loop whose operands broadcast against
 each other.  A lattice that fits whole is one block.  A block that
-improves on the best point so far finds its first minimizing point by the
-same counts, one axis at a time: the first index of axis 0 with a feasible
-point at the block's low, then of axis 1 within it, and so on.  So the
-masks never meet over a block or any part of one.
+improves on the best point so far finds its first minimizing point from
+its own counts and then by the same counts, one axis at a time: the
+leading axes the objective reads are fixed at the first objective cell at
+the block's low that holds a feasible point, then each later axis at its
+first index with a feasible point at the low, and so on.  So the masks
+never meet over a block or any part of one.
 
 Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
@@ -412,23 +414,36 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
     return factors[0]
 
 
-def _first_at(masks, obj, low, block: tuple[int, ...]) -> tuple[int, float]:
-    """The flat index in the block of its first feasible point where obj is
-    low, and obj there.
+def _leading(shape: tuple[int, ...], block: tuple[int, ...]) -> int:
+    """How many leading axes of block an array of the given shape spans in
+    full, up to the first it does not."""
+    return next((d for d, k in enumerate(block) if shape[d] != k), len(block))
 
-    Bucket elimination's decoding pass: in axis order, _cell_counts counts
-    such points per index of one axis, and the first index with a positive
-    count is fixed in every factor that reads the axis.  The block's low is
-    at a live cell, so every axis has one."""
-    n, factors, index = len(block), [*masks, obj == low], []
+
+def _first_at(masks, obj, low, block: tuple[int, ...], cells) -> tuple[int, float]:
+    """The flat index in the block of its first feasible point where obj is
+    low, and obj there; cells is the block's count per cell of obj.
+
+    Bucket elimination's decoding pass.  The leading axes obj reads, those
+    up to the first it does not, need no count: cells says which of obj's
+    cells hold a feasible point, and the first such cell at low, in C order,
+    fixes them.  Then in axis order _cell_counts counts the points at low
+    per index of one axis, and the first index with a positive count is
+    fixed in every factor that reads the axis.  The block's low is at a live
+    cell, so every axis has one."""
+    n = len(block)
+    k = _leading(obj.shape, block)
+    live = ((cells > 0) & (obj == low)).any(axis=tuple(range(k, n)))
+    index = [int(i) for i in np.unravel_index(int(np.argmax(live)), block[:k])]
+    factors = [*masks, obj == low]
     for d in range(n):
-        cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
-        counts = np.broadcast_to(_cell_counts(factors, (1,) * d + block[d:], cell), cell)
-        i = int(np.argmax(counts.ravel() > 0))
-        index.append(i)
-        cut = (slice(None),) * d + (slice(i, i + 1),)
+        if d >= k:
+            cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
+            counts = np.broadcast_to(_cell_counts(factors, (1,) * d + block[d:], cell), cell)
+            index.append(int(np.argmax(counts.ravel() > 0)))
+        cut = (slice(None),) * d + (slice(index[d], index[d] + 1),)
         factors = [f[cut] if f.ndim and f.shape[d] > 1 else f for f in factors]
-    at = tuple(i if k > 1 else 0 for i, k in zip(index, obj.shape))
+    at = tuple(i if m > 1 else 0 for i, m in zip(index, obj.shape))
     return int(np.ravel_multi_index(index, block)), float(obj[at])
 
 
@@ -455,19 +470,20 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
     the block's low is the least objective over live cells.  A point where
     the objective is nan is not feasible, so ~isnan(objective) is one more
     mask in every block's count.  Only a block whose low beats the best so
-    far looks for its first feasible point at that value (_first_at, by more
-    counts) and reads the value there, so the sign of a zero is the first
-    point's.  Ties therefore resolve to the smallest flat index, which is
-    lexicographic order in axis values, even where the first tying point
-    lies in a later cell.  The first block with a feasible point always
-    takes it, so an objective that is +inf wherever it is feasible still has
-    a minimizer.
+    far looks for its first feasible point at that value (_first_at, from
+    the block's counts on the leading axes the objective reads and by more
+    counts on the rest) and reads the value there, so the sign of a zero is
+    the first point's.  Ties therefore resolve to the smallest flat index,
+    which is lexicographic order in axis values, even where the first tying
+    point lies in a later cell.  The first block with a feasible point
+    always takes it, so an objective that is +inf wherever it is feasible
+    still has a minimizer.
 
     A block fits when it holds at most CHUNK points, or when the arrays
-    built by every count it may run to, its own and each of _first_at's,
-    hold at most CHUNK // 2 bytes at once by _plan's peak.  Blocks grow
-    until that binds: a lattice that fits whole is one block, and every
-    block is evaluated once.
+    built by every count it may run to, its own and each of _first_at's
+    past the leading axes the objective reads, hold at most CHUNK // 2
+    bytes at once by _plan's peak.  Blocks grow until that binds: a lattice
+    that fits whole is one block, and every block is evaluated once.
     """
     axes = tuple(full.axis(v) for v in _free(variables, elim))
     if not axes:
@@ -481,9 +497,9 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
     def fits(block):
         shapes = tuple(tuple(k if r else 1 for k, r in zip(block, read)) for read in reads)
 
-        def counts():  # (shapes, block, cell) of the block's own, then of _first_at's along each axis
+        def counts():  # (shapes, block, cell) of the block's own, then of _first_at's along each axis it counts
             yield shapes, block, shapes[-1]
-            for d in range(n):
+            for d in range(_leading(shapes[-1], block), n):
                 cell = (1,) * d + block[d : d + 1] + (1,) * (n - d - 1)
                 yield tuple((1,) * d + s[d:] for s in shapes), (1,) * d + block[d:], cell
 
@@ -506,7 +522,7 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
         if count:
             low = np.fmin.reduce(obj, axis=None, where=cells > 0, initial=math.inf)
             if low < best_val or best_idx < 0:
-                local, best_val = _first_at(masks, obj, low, block)
+                local, best_val = _first_at(masks, obj, low, block, cells)
                 best_idx = start + local
         start += math.prod(block)
     if best_idx < 0:

@@ -289,9 +289,10 @@ class TestSolveOracle:
         if emitted:
             assert main(["canon", str(src), "--skip-verify"]) == 0
             src = src.with_suffix(".cone")
-        capsys.readouterr()
-        assert main(["solve-oracle", str(src), "--res", "3", "--eliminate", "z"]) == 1
-        assert capsys.readouterr().err.strip() == "no variable z to eliminate"
+        # an option value the problem cannot use, as an unknown --box name
+        code, err = TestUnusableData.run(["solve-oracle", str(src), "--res", "3", "--eliminate", "z"], capsys)
+        assert (code, err) == (2, "error: bad --eliminate z, the problem has no variable z\n")
+        assert not src.with_suffix(".sol").exists()
 
     def test_emitted_file_eliminates_from_any_equality_row(self, tmp_path, capsys):
         # z has no term in the first equality row, only in the second.

@@ -764,9 +764,17 @@ class TestFirstAt:
     # few values, so cells tie; both zeros; nan, which no low equals
     VALUES = np.array([-1.0, -0.0, 0.0, 1.0, math.nan])
 
-    def test_random_structures(self):
+    def test_random_structures(self, monkeypatch):
+        # cells as _scan_grid builds them; _first_at counts only the axes
+        # past the leading ones the objective reads
         rng = np.random.default_rng(21)
-        seen = set()
+        seen, calls, count = set(), [], oracle._cell_counts
+
+        def counted(*args):
+            calls.append(None)
+            return count(*args)
+
+        monkeypatch.setattr(oracle, "_cell_counts", counted)
         for masks, block, _ in TestCellCounts.random_structures():
             obj = rng.choice(self.VALUES, size=tuple(k if rng.random() < 0.5 else 1 for k in block))
             meet = np.broadcast_to(functools.reduce(np.logical_and, masks, np.True_), block)
@@ -776,11 +784,15 @@ class TestFirstAt:
                 continue
             low = np.min(full[feasible])
             first = int(np.argmax(meet & (full == low)))
-            index, value = oracle._first_at(masks, obj, low, block)
+            cells = np.broadcast_to(count([*masks, ~np.isnan(obj)], block, obj.shape), obj.shape)
+            calls.clear()
+            index, value = oracle._first_at(masks, obj, low, block, cells)
             assert (index, value) == (first, full.flat[first])
+            lead = oracle._leading(obj.shape, block)
+            assert len(calls) == len(block) - lead
             assert math.copysign(1.0, value) == math.copysign(1.0, full.flat[first])
             at_low = feasible & (full == low)
-            cells = at_low.any(axis=tuple(d for d, k in enumerate(obj.shape) if k == 1), keepdims=True)
+            ties = at_low.any(axis=tuple(d for d, k in enumerate(obj.shape) if k == 1), keepdims=True)
             cell = tuple(i if k > 1 else 0 for i, k in zip(np.unravel_index(first, block), obj.shape))
             zeros = np.signbit(full[at_low]) if low == 0 else np.array([True])
             seen.update(
@@ -790,12 +802,15 @@ class TestFirstAt:
                     ("objective reads no axis", obj.size == 1 < math.prod(block)),
                     ("nan", np.isnan(obj).any()),
                     ("both zeros", zeros.any() and not zeros.all()),
-                    ("tie across cells", np.count_nonzero(cells) > 1),
-                    ("first tie in a later cell", np.ravel_multi_index(cell, obj.shape) != np.argmax(cells)),
+                    ("tie across cells", np.count_nonzero(ties) > 1),
+                    ("first tie in a later cell", np.ravel_multi_index(cell, obj.shape) != np.argmax(ties)),
+                    ("objective reads a leading run of axes", obj.shape[0] > 1 and lead < len(block)),
+                    ("objective reads every axis, no count", obj.size > 1 and lead == len(block)),
+                    ("objective reads a later axis, not axis 0", obj.shape[0] == 1 < block[0] and obj.size > 1),
                 ]
                 if hit
             )
-        assert len(seen) == 6
+        assert len(seen) == 9
 
 
 class TestScanMemory:
@@ -823,10 +838,10 @@ class TestScanMemory:
                 planned.append((oracle.CHUNK, bool(searching), peak))
             return count(masks, block, cell)
 
-        def searched(masks, obj, low, block):
+        def searched(masks, obj, low, block, cells):
             searching.append(block)
             try:
-                return first_at(masks, obj, low, block)
+                return first_at(masks, obj, low, block, cells)
             finally:
                 searching.pop()
 
@@ -892,6 +907,25 @@ class TestCountingBlocks:
         final, cp = chain1_trace.final, emit(chain1_trace.final, UNIT)
         assert evaluations(monkeypatch, lambda: grid_minimize(final, UNIT, box, eliminate="y")) == 1
         assert evaluations(monkeypatch, lambda: grid_minimize_conic(cp, box, eliminate="y")) == 1
+
+    @pytest.mark.parametrize("abcd", list(TestGoldenScanCounts.GOLDEN))
+    def test_criterion_4_scans_count_once_per_axis_left(self, monkeypatch, chain1, chain1_trace, abcd):
+        # the block's own count, then _first_at's along every axis but the
+        # leading one the objective reads: none on the original scan's one
+        # x axis, one per t axis on the cone and tree scans
+        calls, count = [], oracle._cell_counts
+
+        def counted(*args):
+            calls.append(None)
+            return count(*args)
+
+        monkeypatch.setattr(oracle, "_cell_counts", counted)
+        per_scan = []
+        for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
+            calls.clear()
+            scan()
+            per_scan.append(len(calls))
+        assert per_scan == [1, 4, 4]
 
     def test_criterion_4_block_keeps_to_its_plan(self, monkeypatch, chain1_trace):
         # the block's own count, on the masks the tree scan builds: planned
