@@ -28,12 +28,17 @@ points are infeasible, a minimizer only at the last lattice point), and of
 their read sets (constraints that read a solved variable, scanned with
 eliminate="auto"), goes through grid_minimize and grid_minimize_conic at
 the default CHUNK and at CHUNK 1, 7 and 50; each problem of WIDE_CASES (a
-count past int32) only at the default CHUNK.  A case that raises prints the error's type and message
-instead of its result.  Parameters are bound to 1.0; boxes are the corpus
-manifest's where it gives one, else [-5, 5].
+count past int32) only at the default CHUNK.  Then each problem of
+CONIC_CASES, conic data emit never writes (an all-zero or -0.0 row, an
+all-zero c, cone rows that read no variable), goes through
+grid_minimize_conic at each of its eliminate settings at the default CHUNK.
+A case that raises prints the error's type and message instead of its
+result.  Parameters are bound to 1.0; boxes are the corpus manifest's where
+it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines and 130 edge-case lines: 396 in all.
+solution-map lines, 6 k-chain lines, 130 edge-case lines and 15 conic-case
+lines: 411 in all.
 """
 
 import hashlib
@@ -82,6 +87,42 @@ WIDE_CASES = (
     ("six axes past int32", "x1 x2 x3 x4 x5 x6",
      "x1 <= 44, x2 <= 44, 2 <= x3, x4 <= 44, x5 <= 47, 1 <= x6", "0", (0.0, 49.0), 50, None),
 )
+
+
+# Conic problems emit never writes, built from their rows: (label, variables,
+# c, equality rows, cone blocks, axis range, points per axis, eliminate
+# settings).  Each equality row is its coefficients then b; each cone block
+# is its kind and its rows, each its coefficients then h.
+CONIC_CASES = (
+    ("all-zero row before the solvable one", "x y", [1.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+     [("ORTHANT", [[1.0, 0.0, 0.0], [0.0, 1.0, -0.5]])], (-1.0, 1.0), 5, (None, "auto", "y")),
+    ("-0.0 coefficients", "x y", [-0.0, 1.0], [[-0.0, 1.0, 0.5]], [("ORTHANT", [[1.0, -0.0, 0.0]])],
+     (-1.0, 1.0), 5, (None, "auto", "x", "y")),
+    ("all-zero c", "x y", [0.0, -0.0], [], [("ORTHANT", [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])],
+     (-1.0, 1.0), 5, (None, "auto")),
+    ("cone rows that read no variable", "x y z", [0.0, 1.0, 1.0], [[1.0, 0.0, -1.0, 0.0]],
+     [("SOC", [[0.0, 0.0, 0.0, -2.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, -1.0]]),
+      ("EXP", [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0]]),
+      ("ORTHANT", [[0.0, 1.0, 0.0, -0.5], [0.0, 0.0, 0.0, -1.0]])],
+     (-1.0, 1.0), 5, (None, "auto")),
+    ("a cone row false everywhere", "x y", [1.0, 1.0], [], [("ORTHANT", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+     (-1.0, 1.0), 5, (None,)),
+    ("a variable only a later row holds", "x y z", [1.0, 1.0, 1.0], [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.5]],
+     [("ORTHANT", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0]])], (-1.0, 1.0), 9, (None, "auto", "z")),
+)
+
+
+def conic_problem(names, c, equalities, cones):
+    """The ConicProblem of one of CONIC_CASES' rows.  It imports conify
+    when called, from the tree main puts first on sys.path."""
+    import numpy as np
+    from conify.conic import ConeBlock, ConicProblem
+
+    n = len(names.split())
+    rows = [row for _, block in cones for row in block]
+    eq, g = np.array(equalities, dtype=float).reshape(-1, n + 1), np.array(rows, dtype=float).reshape(-1, n + 1)
+    blocks = tuple(ConeBlock(kind, len(block)) for kind, block in cones)
+    return ConicProblem(tuple(names.split()), np.array(c), eq[:, :n], eq[:, n], g[:, :n], g[:, n], blocks)
 
 
 def as_points(sampled) -> list:
@@ -178,6 +219,13 @@ def main(src: str) -> None:
                 got = show(lambda: grid_minimize_conic(emit(q, {}), box, eliminate=eliminate))
                 print(f"edge {label} CHUNK={chunk} grid_minimize_conic: {got}")
     oracle.CHUNK = default_chunk
+
+    for label, names, c, equalities, cones, (lo, hi), points, eliminates in CONIC_CASES:
+        box = SearchBox.uniform(names.split(), lo, hi, points)
+        cp = conic_problem(names, c, equalities, cones)
+        for eliminate in eliminates:
+            got = show(lambda: grid_minimize_conic(cp, box, eliminate=eliminate))
+            print(f"conic {label} eliminate={eliminate}: {got}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcp import is_affine
+from .atoms import Curvature
+from .dcp import curvature_of, is_affine
 from .dsl import print_expr
 from .problem import (
     Assignment,
@@ -177,17 +178,29 @@ def _has_var(e: Expr) -> bool:
     return False
 
 
-def _const_value(e: Expr, params: Assignment) -> float:
+def _const_value(e: Expr, params: Assignment, variables=()) -> float:
+    """e's value at params, with each of variables at 0."""
     try:
-        return evaluate(e, params)
+        return evaluate(e, {**dict.fromkeys(variables, 0.0), **params} if variables else params)
     except UnboundName as err:
         raise UnboundParameter(f"unbound parameter {err.name}") from None
     except DomainError as err:
         raise ConicError(f"constant {print_expr(e)} is undefined: {err}") from None
 
 
+def _constant(e: Expr) -> bool:
+    """Does dcp type e constant, although it may name a variable (0 * x)?"""
+    return curvature_of(e, {}) == Curvature.CONSTANT
+
+
 def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarray, float]:
-    """Coefficient vector and constant of an affine expression."""
+    """Coefficient vector and constant of an affine expression.
+
+    A subterm that names no variable is a constant.  So is one that dcp
+    types constant, such as 0 * x in 0 * x * y, valued with every variable
+    at 0.  dcp is asked only where the walk would otherwise give up, so
+    _linear raises _NotAffine exactly where is_affine fails, unless a
+    constant the walk meets first cannot be valued (ConicError)."""
     n = len(vidx)
     if not _has_var(e):
         return np.zeros(n), _const_value(e, params)
@@ -208,25 +221,29 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
             r0, c0 = _linear(e.args[0], vidx, params)
             return -r0, -c0
         if e.atom == "mul":
-            if not _has_var(e.args[0]):
-                k = _const_value(e.args[0], params)
-                r, c = _linear(e.args[1], vidx, params)
-            elif not _has_var(e.args[1]):
-                k = _const_value(e.args[1], params)
-                r, c = _linear(e.args[0], vidx, params)
+            if (i := next((i for i in (0, 1) if not _has_var(e.args[i])), None)) is not None:
+                k = _const_value(e.args[i], params)
+            elif (i := next((i for i in (0, 1) if _constant(e.args[i])), None)) is not None:
+                k = _const_value(e.args[i], params, vidx)
             else:
                 raise _NotAffine
+            r, c = _linear(e.args[1 - i], vidx, params)
             return k * r, k * c
         if e.atom == "div":
-            if _has_var(e.args[1]):
+            if not _has_var(e.args[1]):
+                k = _const_value(e.args[1], params)
+            elif _constant(e.args[1]):
+                k = _const_value(e.args[1], params, vidx)
+            else:
                 raise _NotAffine
-            k = _const_value(e.args[1], params)
             if k == 0.0:
                 raise ConicError(f"divisor {print_expr(e.args[1])} is zero: {DomainError('div', k)}")
             r, c = _linear(e.args[0], vidx, params)
             return r / k, c / k
         if e.atom == "pow" and e.args[1] == Const(1.0):
             return _linear(e.args[0], vidx, params)
+        if _constant(e):  # an atom of constant arguments, such as exp(0 * x)
+            return np.zeros(n), _const_value(e, params, vidx)
     raise _NotAffine
 
 

@@ -3,11 +3,13 @@
 Enumerates a finite lattice over a box, keeps feasible points, and returns the
 lexicographically first minimizer.  This is the ground truth the reduction
 pipeline is checked against, so it stays deliberately dumb: no pruning, no
-continuous optimization, nothing shared with the canonizer beyond expression
-evaluation and the cone membership rule, conic._cone_mask, which
-conic.cone_member applies to one point and the conic scan to a lattice.
-Anything past three or four free axes is out of its depth; that is a
-feature, not a bug.
+continuous optimization.  It shares with the canonizer the evaluator
+problem._veval, the cone membership rule conic._cone_mask (which
+conic.cone_member applies to one point, the scans to a lattice) and
+conic._linear, which reads affine equalities for find_elimination as for
+emit.  The conic scan is the expression scan of its own rows.  Anything
+past three or four free axes is out of its depth; that is a feature, not a
+bug.
 
 Lattice nodes use the exact affine combination ((n-1-k)*lo + k*hi)/(n-1)
 rather than lo + k*step, so round decimal endpoints produce round decimal
@@ -28,13 +30,14 @@ objective cell by summing out one axis at a time, each sum one np.einsum
 over the masks and counts that read the axis, a sum of products that never
 builds their product: a matrix product of two factors runs as matmul, any
 other sum as one loop.  Counts are float64, exact while a block has fewer
-than 2**53 points.  A block is as large as its counts allow: at most
-CHUNK // 2 bytes held at once by the arrays any one of them builds, or at
-most CHUNK points.  Those bytes are the masks' count copies, the einsums'
-outputs and what numpy makes besides: a copy of both factors for a matrix
-product other than a plain one of two matrices, which matmul reads as
-views, and iterator buffers for a loop whose operands broadcast against
-each other.  A lattice that fits whole is one block.  A block that
+than 2**53 points, and int64 past that, so a lattice of more than 2**63 - 1
+points raises OracleError before anything is evaluated.  A block is as
+large as its counts allow: at most CHUNK // 2 bytes held at once by the
+arrays any one of them builds, or at most CHUNK points.  Those bytes are
+the masks' count copies, the einsums' outputs and what numpy makes
+besides: a copy of both factors for a matrix product other than a plain one
+of two matrices, which matmul reads as views, and iterator buffers for a
+loop whose operands broadcast against each other.  A lattice that fits whole is one block.  A block that
 improves on the best point so far finds its first minimizing point from
 its own counts and then by the same counts, one axis at a time: the
 leading axes the objective reads are fixed at the first objective cell at
@@ -46,10 +49,11 @@ Feasible sampling is the one place that narrows a box: sample_feasible first
 shrinks it by interval propagation, which cannot drop a point it would
 accept.  The lattice scans never do, since their nodes are defined by the box.
 
-An eliminated equality is solved once, into Elimination.formula; both lattice
-scans and the sampler evaluate that expression, and the interval propagation
-narrows through it, so none of them can drift from the others.  The reference
-twins in the tests write the formula out again on their own.
+An eliminated equality is chosen by find_elimination and solved once, into
+Elimination.formula; both lattice scans and the sampler evaluate that
+expression, and the interval propagation narrows through it, so none of
+them can drift from the others.  The reference twins in the tests write the
+formula out again on their own.
 """
 
 import functools
@@ -70,6 +74,7 @@ from .problem import (
     Call,
     ConifyError,
     Const,
+    Constraint,
     Expr,
     Param,
     Problem,
@@ -221,37 +226,26 @@ def _feasible(p: Problem, elim: Elimination | None, env, full: SearchBox, tol: f
     return masks
 
 
-def _first_solvable(rows, variables, var: str | None) -> Elimination | None:
-    """Elimination for the first of rows, (index, row, rhs) triples, that
-    _solve_for can solve for var (or by its rule); None when none can."""
-    for i, row, rhs in rows:
-        elim = _solve_for(i, variables, row, rhs, var)
-        if elim is not None:
-            return elim
-    return None
-
-
 def find_elimination(p: Problem, params: Assignment, var: str | None = None) -> Elimination | None:
     """First affine equality that can be solved for a variable (var, or by
     _solve_for's rule).  Raises OracleError when an equality's constant part
     cannot be evaluated, such as sqrt(0 - 2) or an unbound parameter.
     """
     vidx = {v: i for i, v in enumerate(p.variables)}
-
-    def rows():
-        for i, c in enumerate(p.constraints):
-            if c.op != "=":
-                continue
-            try:
-                rl, cl = _linear(c.lhs, vidx, params)
-                rr, cr = _linear(c.rhs, vidx, params)
-            except _NotAffine:
-                continue
-            except ConicError as err:
-                raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
-            yield i, rl - rr, cr - cl
-
-    return _first_solvable(rows(), p.variables, var)
+    for i, c in enumerate(p.constraints):
+        if c.op != "=":
+            continue
+        try:
+            rl, cl = _linear(c.lhs, vidx, params)
+            rr, cr = _linear(c.rhs, vidx, params)
+        except _NotAffine:
+            continue
+        except ConicError as err:
+            raise OracleError(f"constraint {i} ({print_constraint(c)}): {err}") from None
+        elim = _solve_for(i, p.variables, rl - rr, cr - cl, var)
+        if elim is not None:
+            return elim
+    return None
 
 
 def _complete(env: dict, elim: Elimination | None, params: Assignment) -> None:
@@ -490,6 +484,8 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
         raise OracleError("elimination leaves no grid axis")
 
     shape = tuple(ax.points for ax in axes)
+    if math.prod(shape) > 2**63 - 1:
+        raise OracleError(f"the lattice has {math.prod(shape)} points; a scan counts at most 2**63 - 1")
     values = [ax.values() for ax in axes]
     n = len(axes)
     reads = _read_axes(reads, axes, elim)
@@ -533,6 +529,28 @@ def _scan_grid(full: SearchBox, variables, elim: Elimination | None, params, rea
     return GridResult({v: float(env[v]) for v in variables}, best_val, feasible)
 
 
+def _minimize(p: Problem, params: Assignment, box, tol: float, eliminate: str | None, cones=()) -> GridResult:
+    """grid_minimize of p with cones, (kind, slack-row expressions) pairs,
+    as further constraints: each holds where its rows lie in the cone."""
+    full = _as_box(box, p.variables)
+    elim = None
+    if eliminate is not None:
+        elim = find_elimination(p, params, None if eliminate == "auto" else eliminate)
+        if elim is None:
+            raise OracleError("no affine equality available to eliminate")
+
+    def mask_and_obj(env):
+        masks = _feasible(p, elim, env, full, tol)
+        masks += [_cone_mask(kind, [_veval(r, env) for r in rows], tol) for kind, rows in cones]
+        return masks, np.asarray(_veval(p.objective, env), dtype=float)
+
+    # the variables of each mask, in mask_and_obj's order, then of the objective
+    reads = [] if elim is None else [{elim.var}]
+    reads += [_names(c.lhs, c.rhs)[0] for i, c in enumerate(p.constraints) if elim is None or i != elim.constraint]
+    reads += [_names(*rows)[0] for _, rows in cones]
+    return _scan_grid(full, p.variables, elim, params, [*reads, _names(p.objective)[0]], mask_and_obj)
+
+
 def grid_minimize(
     p: Problem,
     params: Assignment,
@@ -549,72 +567,34 @@ def grid_minimize(
     variable name forces the choice; the solved variable keeps its box bounds
     as a membership filter but costs no axis.
     """
-    full = _as_box(box, p.variables)
-    elim = None
-    if eliminate is not None:
-        elim = find_elimination(p, params, None if eliminate == "auto" else eliminate)
-        if elim is None:
-            raise OracleError("no affine equality available to eliminate")
-
-    def mask_and_obj(env):
-        return _feasible(p, elim, env, full, tol), np.asarray(_veval(p.objective, env), dtype=float)
-
-    # the variables of each of _feasible's masks, then of the objective
-    reads = [] if elim is None else [{elim.var}]
-    reads += [_names(c.lhs, c.rhs)[0] for i, c in enumerate(p.constraints) if elim is None or i != elim.constraint]
-    return _scan_grid(full, p.variables, elim, params, [*reads, _names(p.objective)[0]], mask_and_obj)
-
-
-# --- conic grid search ----------------------------------------------------------
+    return _minimize(p, params, box, tol, eliminate)
 
 
 def grid_minimize_conic(
     cp: ConicProblem, box, tol: float = 1e-6, eliminate: str | None = None
 ) -> GridResult:
-    """Grid search directly on conic data.
+    """Grid search directly on conic data: grid_minimize of its rows.
 
-    eliminate solves an equality row for one variable as grid_minimize
-    solves an affine equality, first row first, so that row holds to
-    rounding rather than to tol.
+    Each row is the expression 0.0 + a_j * x_j + ... over its nonzero
+    columns, in column order, so it is shaped over just the axes it reads;
+    the equality rows are = constraints, each cone row that expression less
+    h.  eliminate solves an equality row as grid_minimize solves an affine
+    equality, so that row holds to rounding rather than to tol.
     """
-    full = _as_box(box, cp.variables)
-    elim = None
-    if eliminate is not None:
-        rows = ((r, cp.A[r], float(cp.b[r])) for r in range(cp.A.shape[0]))
-        elim = _first_solvable(rows, cp.variables, None if eliminate == "auto" else eliminate)
-        if elim is None:
-            raise OracleError("no affine equality available to eliminate")
 
-    def nonzero(row):
-        # Only the nonzero columns, in column order, so an affine value is
-        # shaped over just the axes its row reads.
-        return [(row[i], cp.variables[i]) for i in np.flatnonzero(row)]
-
-    def affine(terms, env):
-        acc = 0.0
-        for coeff, v in terms:
-            acc = acc + coeff * env[v]
+    def row(coeffs) -> Expr:
+        acc = Const(0.0)
+        for v, a in zip(cp.variables, coeffs.tolist()):
+            if a:
+                acc = Call("add", (acc, Call("mul", (Const(a), Var(v)))))
         return acc
 
-    equalities = [
-        (nonzero(cp.A[r]), cp.b[r]) for r in range(cp.A.shape[0]) if elim is None or r != elim.constraint
-    ]
+    equalities = tuple(Constraint(row(a), "=", Const(b)) for a, b in zip(cp.A, cp.b.tolist()))
     cones = [
-        (bl.kind, [(nonzero(cp.G[r]), cp.h[r]) for r in range(sl.start, sl.stop)])
+        (bl.kind, [Call("sub", (row(cp.G[r]), Const(float(cp.h[r])))) for r in range(sl.start, sl.stop)])
         for bl, sl in cp.block_slices()
     ]
-    objective = nonzero(cp.c)
-
-    def mask_and_obj(env):
-        masks = [] if elim is None else [_solved_in_box(elim, env, full)]
-        masks += [np.abs(affine(terms, env) - b) <= tol for terms, b in equalities]
-        masks += [_cone_mask(kind, [affine(terms, env) - h for terms, h in rows], tol) for kind, rows in cones]
-        return masks, affine(objective, env)
-
-    reads = [] if elim is None else [{elim.var}]
-    reads += [{v for _, v in terms} for terms, _ in equalities]
-    reads += [{v for terms, _ in rows for _, v in terms} for _, rows in cones]
-    return _scan_grid(full, cp.variables, elim, {}, [*reads, {v for _, v in objective}], mask_and_obj)
+    return _minimize(Problem(cp.variables, (), row(cp.c), equalities), {}, box, tol, eliminate, cones)
 
 
 # --- feasible sampling ----------------------------------------------------------

@@ -127,6 +127,15 @@ class TestCanon:
         assert main(["canon", str(src), "--param", "p=0"]) == 1
         assert capsys.readouterr().err == "divisor p is zero: div applied outside its domain (argument 0.0)\n"
 
+    @pytest.mark.parametrize("constraints", ["0 * x * y <= 1, -1 <= x", "abs(0 * y) <= x, x <= 1"])
+    def test_constant_with_a_variable_term_emits(self, tmp_path, capsys, constraints):
+        # dcp types 0 * x * y and abs(0 * y) constant, and so does emit
+        src = tmp_path / "zero.opt"
+        src.write_text(f"minimization\n!vars x y\n!objective x\n!constraints\n{constraints}\n")
+        assert main(["check", str(src)]) == 0
+        assert main(["canon", str(src)]) == 0
+        assert "trace verified on 200 backward and 200 forward samples" in capsys.readouterr().out
+
     @pytest.mark.parametrize("option", ["--out", "--trace"])
     def test_unwritable_output_exits_two(self, tmp_path, chain_file, capsys, option):
         bad = tmp_path / "no" / "such" / "dir" / "x"
@@ -273,6 +282,22 @@ class TestSolveOracle:
         )
         assert code == 0
         assert "minimum" in capsys.readouterr().out
+
+    def test_lattice_past_int64_fails_in_one_line(self, tmp_path, capsys):
+        src = tmp_path / "big.opt"
+        src.write_text("minimization\n!vars x a b c d e\n!objective x\n!constraints\nx >= 0\n")
+        assert main(["solve-oracle", str(src), "--res", "2001"]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"the lattice has {2001**6} points; a scan counts at most 2**63 - 1\n"
+        assert not src.with_suffix(".sol").exists()
+
+    def test_eliminates_past_a_zero_product(self, tmp_path, capsys):
+        # x * 0 * y is constant, so the equality is x = 1
+        src = tmp_path / "zero.opt"
+        src.write_text("minimization\n!vars x y\n!objective x\n!constraints\nx * 0 * y + x = 1, -3 <= y, y <= 3\n")
+        argv = ["solve-oracle", str(src), "--eliminate", "auto", "--box", "y=-3:3", "--res", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("minimum 1.0 at x=1.0, y=-3.0 (3 feasible lattice points)")
 
     def test_infeasible_box_fails(self, capsys):
         code = main(

@@ -3,12 +3,14 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference import evaluate
 from conify.atoms import Curvature, Sign, flip_curvature, flip_sign
+from conify.conic import ConicError, _linear, _NotAffine
 from conify.dcp import (
     OccPath,
     Polarity,
@@ -300,6 +302,28 @@ def _value(e, env):
         assume(False)
     assume(math.isfinite(v) and abs(v) < 1e8)
     return v
+
+
+class TestLinearAgreesWithDcp:
+    @settings(max_examples=400, deadline=None)
+    @given(e=st.recursive(st.one_of(_leaves, st.just(Const(0.0))), _compound, max_leaves=8))
+    def test_not_affine_exactly_where_dcp_says(self, e):
+        # conic._linear raises _NotAffine exactly where is_affine fails, with
+        # params bound to nonzero values.  A 0 leaf makes subterms such as
+        # 0 * x * y constant.  Where a constant cannot be valued (sqrt of a
+        # negative, a zero divisor) _linear raises ConicError instead, as
+        # soon as its walk reaches it, so such an expression has no verdict.
+        with np.errstate(all="ignore"):
+            try:
+                _linear(e, {"x": 0, "y": 1}, {"a": 1.5, "b": -0.5})
+            except _NotAffine:
+                affine = False
+            except ConicError:
+                affine = None
+            else:
+                affine = True
+        assume(affine is not None)
+        assert affine == is_affine(e)
 
 
 class TestNumericSoundness:

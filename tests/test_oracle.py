@@ -990,6 +990,14 @@ class TestCountingBlocks:
             assert fast.feasible_count == 45**10 > 2**53
             assert (fast.point, fast.value) == (first, 0.0)
 
+    def test_lattice_past_int64_raises_before_evaluating(self, monkeypatch):
+        # 2001**6 points: more than the int64 counts and flat indices hold
+        p = mini("x >= 0", vars="x a b c d e")
+        box = SearchBox.uniform(p.variables, -5.0, 5.0, 2001)
+        message = f"^the lattice has {2001**6} points; a scan counts at most 2\\*\\*63 - 1$"
+        for scan in (lambda: grid_minimize(p, {}, box), lambda: grid_minimize_conic(emit(p, {}), box)):
+            assert evaluations(monkeypatch, lambda: pytest.raises(OracleError, scan).match(message)) == 0
+
 
 class TestReadSets:
     """The read sets the scans state, closed through the solved formula,
@@ -1067,6 +1075,46 @@ class TestConicGrid:
         cp = emit(p, {})
         with pytest.raises(OracleError):
             grid_minimize_conic(cp, SearchBox.uniform(("x",), -2.0, 2.0, 5))
+
+    # Each of scripts/equivalence.py's CONIC_CASES, rows emit never writes,
+    # at each of its eliminate settings: (point, value, feasible count) or
+    # the error, as grid_minimize_conic gave them before it scanned its rows
+    # as expressions
+    PINNED = {
+        ("all-zero row before the solvable one", None): ({"x": 1.0, "y": 0.0}, 1.0, 3),
+        ("all-zero row before the solvable one", "auto"): ({"x": 1.0, "y": 0.0}, 1.0, 3),
+        ("all-zero row before the solvable one", "y"): ({"x": 1.0, "y": 0.0}, 1.0, 3),
+        ("-0.0 coefficients", None): ({"x": 0.0, "y": 0.5}, 0.5, 3),
+        ("-0.0 coefficients", "auto"): ({"x": 0.0, "y": 0.5}, 0.5, 3),
+        ("-0.0 coefficients", "x"): (OracleError, "no affine equality available to eliminate"),
+        ("-0.0 coefficients", "y"): ({"x": 0.0, "y": 0.5}, 0.5, 3),
+        ("all-zero c", None): ({"x": 0.5, "y": 0.5}, 0.0, 4),
+        ("all-zero c", "auto"): (OracleError, "no affine equality available to eliminate"),
+        ("cone rows that read no variable", None): ({"x": -1.0, "y": -0.5, "z": -1.0}, -1.5, 20),
+        ("cone rows that read no variable", "auto"): ({"x": -1.0, "y": -0.5, "z": -1.0}, -1.5, 20),
+        ("a cone row false everywhere", None): (Infeasible, "no feasible lattice point"),
+        ("a variable only a later row holds", None): ({"x": 0.0, "y": 1.0, "z": -0.5}, 0.5, 5),
+        ("a variable only a later row holds", "auto"): ({"x": 0.0, "y": 1.0, "z": -0.5}, 0.5, 5),
+        ("a variable only a later row holds", "z"): ({"x": 0.0, "y": 1.0, "z": -0.5}, 0.5, 5),
+    }
+
+    def test_pins_every_case(self):
+        cases = {(case[0], eliminate) for case in EQUIVALENCE.CONIC_CASES for eliminate in case[-1]}
+        assert cases == set(self.PINNED)
+
+    @pytest.mark.parametrize("label,eliminate", list(PINNED))
+    def test_rows_emit_never_writes(self, label, eliminate):
+        names, c, equalities, cones, (lo, hi), n, _ = next(k[1:] for k in EQUIVALENCE.CONIC_CASES if k[0] == label)
+        cp = EQUIVALENCE.conic_problem(names, c, equalities, cones)
+        box = SearchBox.uniform(cp.variables, lo, hi, n)
+        want = self.PINNED[label, eliminate]
+        if isinstance(want[0], type):
+            with pytest.raises(want[0], match=f"^{want[1]}$"):
+                grid_minimize_conic(cp, box, eliminate=eliminate)
+            return
+        got = grid_minimize_conic(cp, box, eliminate=eliminate)
+        assert (got.point, got.value, got.feasible_count) == want
+        assert math.copysign(1.0, got.value) == math.copysign(1.0, want[1])
 
 
 class TestSampleFeasible:
