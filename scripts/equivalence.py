@@ -32,18 +32,22 @@ count past int32) only at the default CHUNK.  Then each problem of
 CONIC_CASES, conic data emit never writes (an all-zero or -0.0 row, an
 all-zero c, cone rows that read no variable), goes through
 grid_minimize_conic at each of its eliminate settings at the default CHUNK.
+Last, PARSE_CASES texts, each a corpus file with one to three seeded edits
+(see mutated_text), go through parse and print one line each: "ok" and the
+first 16 hex digits of the sha256 of print_problem's text, or the error.
 A case that raises prints the error's type and message instead of its
 result.  Parameters are bound to 1.0; boxes are the corpus manifest's where
 it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines, 130 edge-case lines and 15 conic-case
-lines: 411 in all.
+solution-map lines, 6 k-chain lines, 130 edge-case lines, 15 conic-case
+lines and 300 parse lines: 711 in all.
 """
 
 import hashlib
 import json
 import pathlib
+import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -112,6 +116,32 @@ CONIC_CASES = (
 )
 
 
+PARSE_CASES = 300
+# What an edit may insert: tokens, their fragments, characters no token
+# starts with, whitespace that moves line:col, and literals past the float
+# range (as a number and as an exponent).
+INSERTS = ("(", ")", ",", "-", "+", "*", "/", "^", "^ 0", "<=", "=", ":", "!", "@", "\t", "\r", "\n", " ", "#",
+           "x", "zz", "1", ".5", "2e", " * 1e400", "-1e400 + ", " ^ " + "9" * 400, "1e-400 * ", "exp(", "sin(",
+           "sqrt", "!vars", "!params a, a", "!constraints", "minimization", ": none", ": pos", "\u00e9")
+
+
+def mutated_text(texts: list, case: int) -> str:
+    """One of texts with one to three edits, seeded by case: each inserts one
+    of INSERTS, deletes one to three characters, or swaps two neighbours."""
+    rng = random.Random(case)
+    text = rng.choice(texts)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + rng.choice(INSERTS) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + rng.randint(1, 3):]
+        else:
+            text = text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+    return text
+
+
 def conic_problem(names, c, equalities, cones):
     """The ConicProblem of one of CONIC_CASES' rows.  It imports conify
     when called, from the tree main puts first on sys.path."""
@@ -150,7 +180,7 @@ def main(src: str) -> None:
     sys.path.insert(0, str(ROOT))
     from conify import Axis, SearchBox, backmap, check_feasible, check_primal, emit, forward_map, grid_minimize
     from conify import grid_minimize_conic, objective_value, oracle, parse, read_trace, reduce_problem
-    from conify import sample_feasible, write_conic, write_trace
+    from conify import print_problem, sample_feasible, write_conic, write_trace
     from perfbench.kchain import chain_text
 
     manifest = json.loads((CORPUS / "manifest.json").read_text())
@@ -226,6 +256,15 @@ def main(src: str) -> None:
         for eliminate in eliminates:
             got = show(lambda: grid_minimize_conic(cp, box, eliminate=eliminate))
             print(f"conic {label} eliminate={eliminate}: {got}")
+
+    texts = [(CORPUS / name).read_text() for name in sorted(manifest)]
+    for case in range(PARSE_CASES):
+        try:
+            printed = print_problem(parse(mutated_text(texts, case)))
+            got = f"ok {hashlib.sha256(printed.encode()).hexdigest()[:16]}"
+        except Exception as e:  # every error is a result to compare
+            got = f"{type(e).__name__}: {e}"
+        print(f"parse {case}: {got}")
 
 
 if __name__ == "__main__":

@@ -119,22 +119,14 @@ def _sign_mul(a: Sign, b: Sign) -> Sign:
     return Sign.NEG if strict else Sign.NONPOS
 
 
-# Monotonicity of a scalar factor position: the product grows with this factor
-# when the *other* factor is nonnegative.
-def _factor_mono(other: Sign) -> Monotonicity:
-    if other == Sign.ZERO:
-        return Monotonicity.NONDECREASING  # constant in this argument
-    if other.is_nonneg():
+# Monotonicity in an argument that grows the result where the sign s is
+# nonnegative and shrinks it where s is nonpositive: a factor, with s the
+# other factor's sign (a ZERO factor leaves the product constant, which counts
+# as nondecreasing), and the base of abs or pow, with s its own sign.
+def _sign_mono(s: Sign) -> Monotonicity:
+    if s.is_nonneg():
         return Monotonicity.NONDECREASING
-    if other.is_nonpos():
-        return Monotonicity.NONINCREASING
-    return Monotonicity.NONE
-
-
-def _even_power_mono(base: Sign) -> Monotonicity:
-    if base.is_nonneg():
-        return Monotonicity.NONDECREASING
-    if base.is_nonpos():
+    if s.is_nonpos():
         return Monotonicity.NONINCREASING
     return Monotonicity.NONE
 
@@ -161,20 +153,20 @@ ATOMS: dict[str, AtomSig] = {
     "sub": AtomSig(Curvature.AFFINE, lambda s: (_ND, _NI), lambda s: _sign_add(s[0], flip_sign(s[1]))),
     "neg": AtomSig(Curvature.AFFINE, lambda s: (_NI,), lambda s: flip_sign(s[0])),
     "mul": AtomSig(Curvature.UNKNOWN,
-                   lambda s: (_factor_mono(s[1]), _factor_mono(s[0])),
+                   lambda s: (_sign_mono(s[1]), _sign_mono(s[0])),
                    lambda s: _sign_mul(s[0], s[1])),
     "div": AtomSig(Curvature.UNKNOWN,
-                   lambda s: (_factor_mono(s[1]), _NM),
+                   lambda s: (_sign_mono(s[1]), _NM),
                    lambda s: _sign_mul(s[0], s[1])),
     "pow": AtomSig(Curvature.CONVEX,
-                   lambda s: (_even_power_mono(s[0]), _NM),
+                   lambda s: (_sign_mono(s[0]), _NM),
                    lambda s: Sign.NONNEG if s[0] != Sign.ZERO else Sign.ZERO),
     "exp": AtomSig(Curvature.CONVEX, lambda s: (_ND,), lambda s: Sign.POS),
     "log": AtomSig(Curvature.CONCAVE, lambda s: (_ND,), lambda s: Sign.UNKNOWN),
     "sqrt": AtomSig(Curvature.CONCAVE, lambda s: (_ND,),
                     lambda s: Sign.POS if s[0] == Sign.POS else Sign.NONNEG),
     "abs": AtomSig(Curvature.CONVEX,
-                   lambda s: (_even_power_mono(s[0]),),
+                   lambda s: (_sign_mono(s[0]),),
                    lambda s: Sign.POS if s[0] in (Sign.POS, Sign.NEG) else Sign.NONNEG),
 }
 

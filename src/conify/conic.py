@@ -247,12 +247,15 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
     raise _NotAffine
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def emit(p: Problem, params: Assignment) -> ConicProblem:
     """Emit conic form with parameters bound.
 
     Row order is deterministic: equality rows in constraint order, then cone
     blocks in constraint order.  A parameter bound to inf or nan raises
-    ConicError before any arithmetic.
+    ConicError before any arithmetic, and so does an objective or constraint
+    whose rows hold a number that is not finite, such as a product that
+    overflowed.
     """
     for name, value in params.items():
         if not math.isfinite(value):
@@ -268,6 +271,7 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
         raise UnrecognizedShape(
             "objective has a constant offset; conic form carries none"
         )
+    _finite("objective", c_row)
 
     A_rows, b_vals, G_rows, h_vals, blocks = [], [], [], [], []
 
@@ -285,6 +289,7 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
             rr, cr = affine_parts(c.rhs, i)
             A_rows.append(rl - rr)
             b_vals.append(cr - cl)
+            _finite(f"constraint {i}", A_rows[-1], b_vals[-1])
 
     for i, c in enumerate(p.constraints):
         if c.op == "=":
@@ -294,7 +299,7 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
             raise StrictComparatorRemains(
                 f"constraint {i} keeps a strict comparator; it cannot emit"
             )
-        shape = constraint_shape(c)
+        shape, rows = constraint_shape(c), len(h_vals)
         if shape == "soc":
             ru, du = affine_parts(lo.args[0], i)
             re_, de = affine_parts(hi, i)
@@ -315,8 +320,14 @@ def emit(p: Problem, params: Assignment) -> ConicProblem:
             blocks.append(ConeBlock("ORTHANT", 1))
         else:
             raise UnrecognizedShape(f"constraint {i} is not an emittable shape")
+        _finite(f"constraint {i}", G_rows[rows:], h_vals[rows:])
 
     return _assemble(p.variables, c_row, A_rows, b_vals, G_rows, h_vals, blocks)
+
+
+def _finite(what: str, *parts) -> None:
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ConicError(f"{what} has a coefficient or constant that is not finite")
 
 
 def _assemble(variables, c, A_rows, b_vals, G_rows, h_vals, blocks) -> ConicProblem:
@@ -500,18 +511,23 @@ def _numbers(no: int, text: str, count: int | None = None) -> list[float]:
     return out
 
 
+def _count(lines: _Lines, key: str, what: str) -> int:
+    """The count of a '<key> <count>' header line: an integer >= 0."""
+    no, ln = lines.next(key)
+    parts = ln.split()
+    if parts[0] != key:
+        raise ConicFormatError(f"line {no}: expected '{key} <count>'")
+    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+        raise ConicFormatError(f"line {no}: unreadable {what} count")
+    return int(parts[1])
+
+
 def read_conic(text: str) -> ConicProblem:
     lines = _Lines(text)
     no, ln = lines.next("header")
     if ln != "CONICFORM 1":
         raise ConicFormatError(f"line {no}: expected 'CONICFORM 1'")
-    no, ln = lines.next("VARS")
-    if not ln.startswith("VARS "):
-        raise ConicFormatError(f"line {no}: expected 'VARS <count>'")
-    try:
-        n = int(ln.split()[1])
-    except (IndexError, ValueError):
-        raise ConicFormatError(f"line {no}: unreadable variable count") from None
+    n = _count(lines, "VARS", "variable")
     no, ln = lines.next("variable names")
     names = tuple(ln.split())
     if len(names) != n:
@@ -522,13 +538,7 @@ def read_conic(text: str) -> ConicProblem:
     if not ln.startswith("OBJ"):
         raise ConicFormatError(f"line {no}: expected 'OBJ'")
     c = np.array(_numbers(no, ln[3:], n))
-    no, ln = lines.next("EQ")
-    if not ln.startswith("EQ"):
-        raise ConicFormatError(f"line {no}: expected 'EQ <count>'")
-    try:
-        m = int(ln.split()[1])
-    except (IndexError, ValueError):
-        raise ConicFormatError(f"line {no}: unreadable equality count") from None
+    m = _count(lines, "EQ", "equality")
     A_rows, b_vals = [], []
     for _ in range(m):
         no, ln = lines.next("equality row")

@@ -11,18 +11,21 @@
 Expression precedence, loosest first: "+ -", "* /", unary "-", "^" (integer
 literal exponent only), then atom application ident(expr) for exp, log, sqrt
 and abs.  Whitespace is insignificant, "#" starts a line comment, numeric
-literals are decimals with an optional exponent part.  Files use the .opt
-extension by convention.
+literals are decimals with an optional exponent part, and a literal past the
+float range is an error.  Files use the .opt extension by convention.
 
 The printer is deterministic: declaration order preserved, one constraint per
 line, minimal parentheses.  Printing then reparsing reproduces the same tree.
 """
 
+import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .problem import (
     ATOM_ARITY,
+    SIGN_ATTRS,
     Call,
     ConifyError,
     Const,
@@ -36,6 +39,15 @@ from .problem import (
 
 # Atoms callable from the surface syntax.
 CALLABLE_ATOMS = ("exp", "log", "sqrt", "abs")
+
+# Each binary operator's atom and precedence level, loosest first.  Unary
+# minus binds at _UNARY, "^" at _POW, and a literal, name, call or
+# parenthesised expression at _PRIMARY.  The parser's precedence loop and the
+# printer's parentheses both read this table.
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
+_UNARY, _POW, _PRIMARY = 3, 4, 5
+_SYMBOL = {atom: op for op, (atom, _) in _BINARY.items()}
+_LEVEL = {**dict(_BINARY.values()), "neg": _UNARY, "pow": _POW}
 
 
 @dataclass(frozen=True)
@@ -54,59 +66,51 @@ class DslError(ConifyError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "number" | "op" | "cmp" | "kw" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source text
 
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
   | (?P<kw>!(?:params|vars|objective|constraints)\b)
   | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<cmp><=|>=|<|>|=)
   | (?P<op>[-+*/^(),:])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
+def _error(text: str, pos: int, message: str) -> DslError:
+    """A DslError at offset pos, where every character is one column."""
+    col = pos - text.rfind("\n", 0, pos)
+    return DslError([ParseIssue(text.count("\n", 0, pos) + 1, col, message)])
+
+
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError([ParseIssue(line, col, f"unexpected character {text[pos]!r}")])
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "ident" and lexeme == "minimization":
-                kind = "kw"
-            toks.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {lexeme!r}")
+        if kind != "skip":
+            toks.append(Token("kw" if lexeme == "minimization" else kind, lexeme, m.start()))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str, variables=(), params=()):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
-        self.variables: list[str] = []
-        self.params: list[ParamDecl] = []
+        self.variables: list[str] = list(variables)
+        self.params: list[ParamDecl] = list(params)
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -116,62 +120,70 @@ class _Parser:
         self.i += 1
         return t
 
-    def fail(self, tok: Token, msg: str) -> "DslError":
-        return DslError([ParseIssue(tok.line, tok.col, msg)])
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is text (an op, cmp or kw text)."""
+        if self.peek().text == text:
+            self.i += 1
+            return True
+        return False
+
+    def fail(self, tok: Token, msg: str) -> DslError:
+        return _error(self.text, tok.pos, msg)
+
+    def expected(self, what: str, tok: Token) -> DslError:
+        return self.fail(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
+        t = self.next()
         if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            got = t.text or "end of input"
-            raise self.fail(t, f"expected {want!r}, found {got!r}")
-        return self.next()
+            raise self.expected(repr(text or kind), t)
+        return t
+
+    def end(self, what: str) -> None:
+        t = self.peek()
+        if t.kind != "eof":
+            raise self.fail(t, f"unexpected {t.text!r} after {what}")
+
+    def comma_list(self, item, out: list) -> list:
+        """item() ("," item())*, each appended to out as it is parsed."""
+        out.append(item())
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def number(self, tok: Token) -> float:
+        v = float(tok.text)
+        if not math.isfinite(v):
+            raise self.fail(tok, f"number {tok.text!r} is past the float range")
+        return v
 
     # --- declarations -----------------------------------------------------
 
     def parse_problem(self) -> Problem:
         self.expect("kw", "minimization")
-        if self.peek().kind == "kw" and self.peek().text == "!params":
-            self.next()
-            self.params.append(self.parse_pdecl())
-            while self.peek().kind == "op" and self.peek().text == ",":
-                self.next()
-                self.params.append(self.parse_pdecl())
+        if self.accept("!params"):
+            self.comma_list(self.parse_pdecl, self.params)
         self.expect("kw", "!vars")
         first = self.expect("ident")
         self.variables.append(first.text)
         while self.peek().kind == "ident":
             self.variables.append(self.next().text)
-        self._check_distinct(first)
+        names = self.variables + [d.name for d in self.params]
+        if len(set(names)) < len(names):
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            raise self.fail(first, f"name {dup!r} declared more than once")
         self.expect("kw", "!objective")
         objective = self.parse_expr()
-        constraints: list[Constraint] = []
-        if self.peek().kind == "kw" and self.peek().text == "!constraints":
-            self.next()
-            constraints.append(self.parse_constraint())
-            while self.peek().kind == "op" and self.peek().text == ",":
-                self.next()
-                constraints.append(self.parse_constraint())
-        t = self.peek()
-        if t.kind != "eof":
-            raise self.fail(t, f"unexpected {t.text!r} after problem")
+        constraints = self.comma_list(self.parse_constraint, []) if self.accept("!constraints") else []
+        self.end("problem")
         return Problem(tuple(self.variables), tuple(self.params), objective, tuple(constraints))
-
-    def _check_distinct(self, at: Token) -> None:
-        names = self.variables + [d.name for d in self.params]
-        seen: set = set()
-        for n in names:
-            if n in seen:
-                raise self.fail(at, f"name {n!r} declared more than once")
-            seen.add(n)
 
     def parse_pdecl(self) -> ParamDecl:
         name = self.expect("ident")
         sign = "none"
-        if self.peek().kind == "op" and self.peek().text == ":":
-            self.next()
+        if self.accept(":"):
             attr = self.expect("ident")
-            if attr.text not in ("nonneg", "pos", "nonpos", "neg"):
+            if attr.text == "none" or attr.text not in SIGN_ATTRS:  # "none" is the unwritten default
                 raise self.fail(attr, f"unknown sign attribute {attr.text!r}")
             sign = attr.text
         if any(d.name == name.text for d in self.params):
@@ -182,119 +194,82 @@ class _Parser:
 
     def parse_constraint(self) -> Constraint:
         lhs = self.parse_expr()
-        t = self.peek()
+        t = self.next()
         if t.kind != "cmp":
-            raise self.fail(t, f"expected a comparator, found {t.text or 'end of input'!r}")
-        self.next()
-        rhs = self.parse_expr()
-        return Constraint(lhs, t.text, rhs)
+            raise self.expected("a comparator", t)
+        return Constraint(lhs, t.text, self.parse_expr())
 
-    def parse_expr(self) -> Expr:
-        return self.parse_sum()
-
-    def parse_sum(self) -> Expr:
-        e = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.parse_term()
-            e = Call("add" if op == "+" else "sub", (e, rhs))
-        return e
-
-    def parse_term(self) -> Expr:
+    def parse_expr(self, level: int = 1) -> Expr:
+        """An expression whose binary operators all bind at level or tighter;
+        each is left-associative."""
         e = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.parse_unary()
-            e = Call("mul" if op == "*" else "div", (e, rhs))
+        while (op := _BINARY.get(self.peek().text)) and op[1] >= level:
+            self.next()
+            e = Call(op[0], (e, self.parse_expr(op[1] + 1)))
         return e
 
     def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
+        if self.accept("-"):
             inner = self.parse_unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Call("neg", (inner,))
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
+            return Const(-inner.value) if isinstance(inner, Const) else Call("neg", (inner,))
         base = self.parse_primary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            t = self.peek()
-            if t.kind != "number" or not re.fullmatch(r"\d+", t.text):
-                raise self.fail(t, "exponent must be an integer literal")
-            self.next()
-            k = int(t.text)
-            if k < 1:
-                raise self.fail(t, "exponent must be at least 1")
-            return Call("pow", (base, Const(float(k))))
-        return base
+        if not self.accept("^"):
+            return base
+        t = self.next()
+        if t.kind != "number" or not t.text.isdigit():
+            raise self.fail(t, "exponent must be an integer literal")
+        k = self.number(t)
+        if k < 1:
+            raise self.fail(t, "exponent must be at least 1")
+        return Call("pow", (base, Const(k)))
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
+        t = self.next()
         if t.kind == "number":
-            self.next()
-            return Const(float(t.text))
-        if t.kind == "op" and t.text == "(":
-            self.next()
+            return Const(self.number(t))
+        if t.text == "(":
             e = self.parse_expr()
             self.expect("op", ")")
             return e
-        if t.kind == "ident":
-            self.next()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if t.text not in CALLABLE_ATOMS:
-                    raise self.fail(t, f"unknown atom {t.text!r}")
-                self.next()
-                args = [self.parse_expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_expr())
-                self.expect("op", ")")
-                if len(args) != ATOM_ARITY[t.text]:
-                    raise self.fail(
-                        t, f"{t.text} expects {ATOM_ARITY[t.text]} argument(s), got {len(args)}"
-                    )
-                return Call(t.text, tuple(args))
-            if t.text in self.variables:
-                return Var(t.text)
-            if any(d.name == t.text for d in self.params):
-                return Param(t.text)
-            raise self.fail(t, f"unknown identifier {t.text!r}")
-        raise self.fail(t, f"expected an expression, found {t.text or 'end of input'!r}")
+        if t.kind != "ident":
+            raise self.expected("an expression", t)
+        if self.accept("("):
+            if t.text not in CALLABLE_ATOMS:
+                raise self.fail(t, f"unknown atom {t.text!r}")
+            args = self.comma_list(self.parse_expr, [])
+            self.expect("op", ")")
+            if len(args) != ATOM_ARITY[t.text]:
+                raise self.fail(t, f"{t.text} expects {ATOM_ARITY[t.text]} argument(s), got {len(args)}")
+            return Call(t.text, tuple(args))
+        if t.text in self.variables:
+            return Var(t.text)
+        if any(d.name == t.text for d in self.params):
+            return Param(t.text)
+        raise self.fail(t, f"unknown identifier {t.text!r}")
 
 
 def parse(text: str) -> Problem:
-    return _Parser(_tokenize(text)).parse_problem()
+    return _Parser(text).parse_problem()
+
+
+def _parse_in(text: str, p: Problem, rule, what: str):
+    """rule's parse of all of text, against p's declarations."""
+    parser = _Parser(text, p.variables, p.params)
+    result = rule(parser)
+    parser.end(what)
+    return result
 
 
 def parse_expr_in(text: str, p: Problem) -> Expr:
     """Parse a bare expression against a problem's declarations."""
-    parser = _Parser(_tokenize(text))
-    parser.variables = list(p.variables)
-    parser.params = [d for d in p.params]
-    e = parser.parse_expr()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise parser.fail(t, f"unexpected {t.text!r} after expression")
-    return e
+    return _parse_in(text, p, _Parser.parse_expr, "expression")
 
 
 def parse_constraint_in(text: str, p: Problem) -> Constraint:
-    parser = _Parser(_tokenize(text))
-    parser.variables = list(p.variables)
-    parser.params = [d for d in p.params]
-    c = parser.parse_constraint()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise parser.fail(t, f"unexpected {t.text!r} after constraint")
-    return c
+    return _parse_in(text, p, _Parser.parse_constraint, "constraint")
 
 
 # --- printing ---------------------------------------------------------------
-
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_PRIMARY = 1, 2, 3, 4, 5
 
 
 def _num(v: float) -> str:
@@ -305,26 +280,13 @@ def _num(v: float) -> str:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Const):
-        return _LEVEL_PRIMARY if e.value >= 0 else _LEVEL_UNARY
-    if isinstance(e, (Var, Param)):
-        return _LEVEL_PRIMARY
-    assert isinstance(e, Call)
-    return {
-        "add": _LEVEL_SUM,
-        "sub": _LEVEL_SUM,
-        "mul": _LEVEL_TERM,
-        "div": _LEVEL_TERM,
-        "neg": _LEVEL_UNARY,
-        "pow": _LEVEL_POW,
-    }.get(e.atom, _LEVEL_PRIMARY)
+        return _PRIMARY if e.value >= 0 else _UNARY
+    return _LEVEL.get(e.atom, _PRIMARY) if isinstance(e, Call) else _PRIMARY
 
 
-def _wrap(e: Expr, level: int, right_of_same: bool = False) -> str:
-    text = print_expr(e)
-    p = _prec(e)
-    if p < level or (right_of_same and p == level):
-        return f"({text})"
-    return text
+def _wrap(e: Expr, level: int) -> str:
+    """e printed as an operand that must bind at level or tighter."""
+    return f"({print_expr(e)})" if _prec(e) < level else print_expr(e)
 
 
 def print_expr(e: Expr) -> str:
@@ -334,16 +296,14 @@ def print_expr(e: Expr) -> str:
         return e.name
     assert isinstance(e, Call)
     a = e.args
-    if e.atom in ("add", "sub"):
-        op = "+" if e.atom == "add" else "-"
-        return f"{_wrap(a[0], _LEVEL_SUM)} {op} {_wrap(a[1], _LEVEL_SUM, right_of_same=True)}"
-    if e.atom in ("mul", "div"):
-        op = "*" if e.atom == "mul" else "/"
-        return f"{_wrap(a[0], _LEVEL_TERM)} {op} {_wrap(a[1], _LEVEL_TERM, right_of_same=True)}"
+    if e.atom in _SYMBOL:
+        # left-associative: a right operand at the same level keeps its parentheses
+        level = _LEVEL[e.atom]
+        return f"{_wrap(a[0], level)} {_SYMBOL[e.atom]} {_wrap(a[1], level + 1)}"
     if e.atom == "neg":
-        return f"-{_wrap(a[0], _LEVEL_UNARY)}"
+        return f"-{_wrap(a[0], _UNARY)}"
     if e.atom == "pow":
-        return f"{_wrap(a[0], _LEVEL_PRIMARY)} ^ {_num(a[1].value)}"
+        return f"{_wrap(a[0], _PRIMARY)} ^ {_num(a[1].value)}"
     return f"{e.atom}({print_expr(a[0])})"
 
 

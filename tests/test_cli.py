@@ -590,8 +590,10 @@ class TestNanAndTol:
 
 class TestUnusableData:
     """A --param value that is not finite or contradicts its declared sign,
-    and a cone file with non-finite data, exit 2 with one line that names
-    the parameter or the line, and no numpy warning."""
+    a numeric literal past the float range, and a cone file with non-finite
+    data or a negative count, exit 2 with one line that names the parameter
+    or the line, and no numpy warning; coefficients that overflow in emit
+    exit 1 the same way."""
 
     @staticmethod
     def run(argv, capsys):
@@ -647,6 +649,40 @@ class TestUnusableData:
         code, err = self.run(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")], capsys)
         assert (code, err) == (2, f"error: line {line}: non-finite number\n")
         assert not (tmp_path / "bad.sol").exists()
+
+    @pytest.mark.parametrize(
+        "command", [["canon"], ["check"], ["step", "--schema", "eliminate", "--drop", "0"]], ids=["canon", "check", "step"]
+    )
+    @pytest.mark.parametrize("bound,col", [("1e400", 6), ("-1e400", 7)])
+    def test_literal_past_float_range(self, tmp_path, capsys, command, bound, col):
+        src = tmp_path / "big.opt"
+        src.write_text(f"minimization\n!vars x\n!objective x\n!constraints\nx >= {bound}, x <= 1\n")
+        code, err = self.run([command[0], str(src), *command[1:]], capsys)
+        assert (code, err) == (2, f"error: {src}:5:{col}: number '1e400' is past the float range\n")
+        assert not src.with_suffix(".cone").exists()
+
+    @pytest.mark.parametrize(
+        "objective,constraint,what",
+        [("x", "1e300 * (1e300 * x) <= 1", "constraint 0"), ("1e308 * x * 10", "0 <= x", "objective")],
+        ids=["constraint", "objective"],
+    )
+    @pytest.mark.parametrize("verify", [[], ["--skip-verify"]])
+    def test_overflowing_coefficients(self, tmp_path, capsys, objective, constraint, what, verify):
+        src = tmp_path / "over.opt"
+        src.write_text(f"minimization\n!vars x\n!objective {objective}\n!constraints\n{constraint}, x <= 1\n")
+        code, err = self.run(["canon", str(src), *verify], capsys)
+        assert (code, err) == (1, f"{what} has a coefficient or constant that is not finite\n")
+        assert not src.with_suffix(".cone").exists()
+
+    @pytest.mark.parametrize(
+        "header,line", [("VARS -1\nx y", "2: unreadable variable"), ("EQ -1", "5: unreadable equality")], ids=["vars", "eq"]
+    )
+    def test_negative_cone_count(self, tmp_path, capsys, header, line):
+        text = "CONICFORM 1\nVARS 2\nx y\nOBJ 1 0\nEQ 0\nEND\n"
+        src = tmp_path / "neg.cone"
+        src.write_text(text.replace("VARS 2\nx y" if header.startswith("VARS") else "EQ 0", header))
+        code, err = self.run(["solve-oracle", str(src), "--res", "3"], capsys)
+        assert (code, err) == (2, f"error: line {line} count\n")
 
 
 class TestOptionNames:

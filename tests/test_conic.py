@@ -161,6 +161,29 @@ class TestEmit:
         with pytest.raises(Exception):
             emit(mini("0 <= x", vars="x", objective="exp(x)"), {})
 
+    @pytest.mark.parametrize(
+        "constraints,objective,what",
+        [
+            ("1e300 * (1e300 * x) <= 1", "x", "constraint 0"),
+            ("0 <= x, 1e300 * (1e300 * x) = y", "x", "constraint 1"),
+            ("0 <= x, 1e308 * x - -1e308 * x <= y", "x", "constraint 1"),
+            ("1e300 * (1e300 * x) - 1e300 * (1e300 * x) <= y", "x", "constraint 0"),
+            ("x <= 1e300 * 1e300", "x", "constraint 0"),
+            ("exp(x) <= 1e308 * 10 * y", "x", "constraint 0"),
+            ("0 <= x", "1e308 * x * 10", "objective"),
+        ],
+        ids=["orthant", "equality", "difference", "nan", "constant", "exp-cone", "objective"],
+    )
+    def test_overflow_names_its_row_without_a_warning(self, constraints, objective, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConicError, match=rf"^{what} has a coefficient or constant that is not finite$"):
+                emit(mini(constraints, objective=objective), {})
+
+    def test_largest_finite_coefficients_emit(self):
+        cp = emit(mini("1e300 * (1e8 * x) <= 1e308 * y", objective="1e308 * x"), {})
+        assert cp.c.tolist() == [1e308, 0.0] and cp.G.tolist() == [[-1e308, 1e308]]
+
 
 class TestConeMembership:
     @pytest.mark.parametrize(
@@ -403,6 +426,32 @@ class TestConicFiles:
     def test_non_finite_problem_data_names_its_line(self, rows, line):
         with pytest.raises(ConicFormatError, match=rf"^line {line}: non-finite number$"):
             read_conic(f"CONICFORM 1\nVARS 2\nx y\n{rows}END\n")
+
+    @pytest.mark.parametrize(
+        "header,line,what",
+        [
+            ("VARS -1\nx y", 2, "variable"),
+            ("VARS\nx y", 2, "variable"),
+            ("VARS 2 2\nx y", 2, "variable"),
+            ("VARS 2.0\nx y", 2, "variable"),
+            ("EQ -1", 5, "equality"),
+            ("EQ +0", 5, "equality"),
+            ("EQ", 5, "equality"),
+            ("EQ 0 1", 5, "equality"),
+        ],
+    )
+    def test_count_must_be_an_integer_at_least_zero(self, header, line, what):
+        text = "CONICFORM 1\nVARS 2\nx y\nOBJ 1 0\nEQ 0\nEND\n"
+        text = text.replace("VARS 2\nx y" if header.startswith("VARS") else "EQ 0", header)
+        with pytest.raises(ConicFormatError, match=rf"^line {line}: unreadable {what} count$"):
+            read_conic(text)
+
+    @pytest.mark.parametrize("header,line,key", [("VARS2\nx y", 2, "VARS"), ("EQUALITIES 0", 5, "EQ")])
+    def test_count_header_needs_its_key(self, header, line, key):
+        text = "CONICFORM 1\nVARS 2\nx y\nOBJ 1 0\nEQ 0\nEND\n"
+        text = text.replace("VARS 2\nx y" if key == "VARS" else "EQ 0", header)
+        with pytest.raises(ConicFormatError, match=rf"^line {line}: expected '{key} <count>'$"):
+            read_conic(text)
 
     def test_solution_may_hold_non_finite_numbers(self):
         # a nan or infinite solution reads, and then fails its check

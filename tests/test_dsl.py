@@ -97,6 +97,42 @@ class TestParsing:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("minimization\n\t!vars x\n\t\t!objective x + )", "3:18"),  # a tab is one column
+            ("minimization\r\n!vars x\r\n!objective x +\r\n", "4:1"),  # and so is \r
+            ("minimization !vars x !objective x !constraints", "1:47"),  # end of input
+            ("minimization\n!vars x\n# a comment, x <= )\n!objective x <= 1", "4:14"),
+        ],
+        ids=["tab", "cr", "eof", "comment"],
+    )
+    def test_line_and_column_count_characters(self, text, where):
+        with pytest.raises(DslError, match=rf"^{where}: "):
+            parse(text)
+
+    def test_unexpected_character_reported_before_parse_errors(self):
+        with pytest.raises(DslError, match=r"^3:3: unexpected character '@'$"):
+            parse("minimization !vars x x\n!objective )\n  @")
+
+    @pytest.mark.parametrize(
+        "text,where,literal",
+        [
+            ("1e400", "1:1", "1e400"),
+            ("x - -1e400", "1:6", "1e400"),
+            ("x * 1.8e308", "1:5", "1.8e308"),
+            ("x ^ " + "9" * 400, "1:5", "9" * 400),
+        ],
+        ids=["number", "negated", "past-max", "exponent"],
+    )
+    def test_literal_past_float_range_rejected(self, text, where, literal):
+        with pytest.raises(DslError, match=rf"^{where}: number '{literal}' is past the float range$"):
+            parse_expr_in(text, SCOPE)
+
+    def test_largest_and_smallest_literals_read(self):
+        assert parse_expr_in("1.7976931348623157e308", SCOPE) == Const(1.7976931348623157e308)
+        assert parse_expr_in("-1e-400", SCOPE) == Const(-0.0)
+
     def test_duplicate_declarations_rejected(self):
         with pytest.raises(DslError, match="declared more than once"):
             parse("minimization !vars x x !objective x")
