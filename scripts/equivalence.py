@@ -32,16 +32,20 @@ count past int32) only at the default CHUNK.  Then each problem of
 CONIC_CASES, conic data emit never writes (an all-zero or -0.0 row, an
 all-zero c, cone rows that read no variable), goes through
 grid_minimize_conic at each of its eliminate settings at the default CHUNK.
-Last, PARSE_CASES texts, each a corpus file with one to three seeded edits
+Then PARSE_CASES texts, each a corpus file with one to three seeded edits
 (see mutated_text), go through parse and print one line each: "ok" and the
 first 16 hex digits of the sha256 of print_problem's text, or the error.
-A case that raises prints the error's type and message instead of its
-result.  Parameters are bound to 1.0; boxes are the corpus manifest's where
-it gives one, else [-5, 5].
+Last, FILE_CASES texts go through read_conic or read_solution in turn:
+each is the .cone text of a problem that canonizes, or a .sol text of its
+sizes, with one to three seeded edits of FILE_INSERTS, and prints one line
+the same way, hashing the text write_conic or write_solution gives back.
+A case that raises prints the error's type and message instead of
+its result.  Parameters are bound to 1.0; boxes are the corpus manifest's
+where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
 solution-map lines, 6 k-chain lines, 130 edge-case lines, 15 conic-case
-lines and 300 parse lines: 711 in all.
+lines, 300 parse lines and 300 file lines: 1 011 in all.
 """
 
 import hashlib
@@ -125,16 +129,26 @@ INSERTS = ("(", ")", ",", "-", "+", "*", "/", "^", "^ 0", "<=", "=", ":", "!", "
            "sqrt", "!vars", "!params a, a", "!constraints", "minimization", ": none", ": pos", "\u00e9")
 
 
-def mutated_text(texts: list, case: int) -> str:
+FILE_CASES = 300
+FILE_SEED = 1000  # file case k draws from random.Random(FILE_SEED + k)
+# What an edit of a .cone or .sol text may insert: keywords, suffixes that
+# lengthen a keyword, counts that are not one word of ASCII digits, non-finite
+# numbers and lines after END.
+FILE_INSERTS = ("X", "S", "+", "-", "\u0661", " junk", " ", "\n", "#", "0", "1", "-2", "nan", "inf", "1e400",
+                "END\n", "\nEND", "PRIMAL 1\n", "DUAL_EQ 1\n", "DUAL_CONE\n", "CONE ", "SOC", "ORTHANT", "EXP", "OBJ",
+                "EQ", "VARS")
+
+
+def mutated_text(texts: list, case: int, inserts: tuple = INSERTS) -> str:
     """One of texts with one to three edits, seeded by case: each inserts one
-    of INSERTS, deletes one to three characters, or swaps two neighbours."""
+    of inserts, deletes one to three characters, or swaps two neighbours."""
     rng = random.Random(case)
     text = rng.choice(texts)
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(text))
         edit = rng.randrange(3)
         if edit == 0:
-            text = text[:at] + rng.choice(INSERTS) + text[at:]
+            text = text[:at] + rng.choice(inserts) + text[at:]
         elif edit == 1:
             text = text[:at] + text[at + rng.randint(1, 3):]
         else:
@@ -163,6 +177,16 @@ def as_points(sampled) -> list:
     return sampled
 
 
+def digest(run) -> str:
+    """"ok" and the first 16 hex digits of the sha256 of the text run()
+    returns, or the error it raises."""
+    try:
+        text = run()
+    except Exception as e:  # every error is a result to compare
+        return f"{type(e).__name__}: {e}"
+    return f"ok {hashlib.sha256(text.encode()).hexdigest()[:16]}"
+
+
 def show(run) -> str:
     """repr of run()'s result, or the error it raises; a long repr is
     shortened to its digest."""
@@ -178,12 +202,15 @@ def show(run) -> str:
 def main(src: str) -> None:
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
     sys.path.insert(0, str(ROOT))
+    import numpy as np
     from conify import Axis, SearchBox, backmap, check_feasible, check_primal, emit, forward_map, grid_minimize
     from conify import grid_minimize_conic, objective_value, oracle, parse, read_trace, reduce_problem
     from conify import print_problem, sample_feasible, write_conic, write_trace
+    from conify.conic import SolutionFile, read_conic, read_solution, write_solution
     from perfbench.kchain import chain_text
 
     manifest = json.loads((CORPUS / "manifest.json").read_text())
+    cone_texts, sol_texts = [], []
     for name, meta in manifest.items():
         p = parse((CORPUS / name).read_text())
         params = {d.name: 1.0 for d in p.params}
@@ -210,6 +237,11 @@ def main(src: str) -> None:
                 got = show(lambda: grid_minimize_conic(emit(q, params), box, eliminate=eliminate))
                 print(f"{case} grid_minimize_conic eliminate={eliminate}: {got}")
         if "reduced" in forms:
+            cp = emit(trace.final, params)
+            cone_texts.append(write_conic(cp))
+            primal = np.linspace(-1.0, 1.0, len(cp.variables))
+            sol = SolutionFile(primal, np.full(len(cp.b), 0.5), np.full(len(cp.h), 0.25))
+            sol_texts.append(write_solution(sol))
 
             def primal_at_lattice_point():
                 cp = emit(trace.final, params)
@@ -259,12 +291,14 @@ def main(src: str) -> None:
 
     texts = [(CORPUS / name).read_text() for name in sorted(manifest)]
     for case in range(PARSE_CASES):
-        try:
-            printed = print_problem(parse(mutated_text(texts, case)))
-            got = f"ok {hashlib.sha256(printed.encode()).hexdigest()[:16]}"
-        except Exception as e:  # every error is a result to compare
-            got = f"{type(e).__name__}: {e}"
-        print(f"parse {case}: {got}")
+        print(f"parse {case}: {digest(lambda: print_problem(parse(mutated_text(texts, case))))}")
+
+    files = {"cone": (cone_texts, read_conic, write_conic), "sol": (sol_texts, read_solution, write_solution)}
+    for case in range(FILE_CASES):
+        kind = ("cone", "sol")[case % 2]
+        texts, read, write = files[kind]
+        got = digest(lambda: write(read(mutated_text(texts, FILE_SEED + case, FILE_INSERTS))))
+        print(f"{kind} {case}: {got}")
 
 
 if __name__ == "__main__":

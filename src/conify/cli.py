@@ -201,11 +201,10 @@ def _cmd_step(args) -> int:
         path = None if args.path is None else OccPath.parse(args.path)
     except ValueError as e:
         raise _Unusable(str(e)) from None
-    try:
-        removed = tuple(int(s) for s in args.drop.split(",")) if args.drop else ()
-    except ValueError:
-        raise _Unusable(f"bad --drop {args.drop!r}, expected indices like 2,3") from None
-    q, _ = apply_step(p, args.schema, path, removed)
+    removed = [s.strip() for s in args.drop.split(",")] if args.drop else []
+    if not all(s.isascii() and s.isdigit() for s in removed):
+        raise _Unusable(f"bad --drop {args.drop!r}, expected indices like 2,3")
+    q, _ = apply_step(p, args.schema, path, tuple(map(int, removed)))
     print(print_problem(q), end="")
     return 0
 

@@ -493,17 +493,25 @@ class _Lines:
         self.at += 1
         return item
 
-    def done(self) -> bool:
-        return self.at >= len(self.items)
+    def keyed(self, what: str, expected: str, *keys: str) -> tuple[int, str, list[str]]:
+        """The next line (what, at end of file): its number, its first word,
+        which must be one of keys (else 'expected ...'), and its other words.
+        END stands alone, and no line follows it."""
+        no, ln = self.next(what)
+        key, *words = ln.split()
+        if key not in keys or key == "END" and words:
+            raise ConicFormatError(f"line {no}: expected {expected}")
+        if key == "END" and self.at < len(self.items):
+            raise ConicFormatError(f"line {self.items[self.at][0]}: content after END")
+        return no, key, words
 
 
-def _numbers(no: int, text: str, count: int | None = None) -> list[float]:
+def _numbers(no: int, words: list[str], count: int | None = None) -> list[float]:
     """A line's numbers.  With count given, problem data: count finite numbers."""
-    parts = text.split()
-    if count is not None and len(parts) != count:
-        raise ConicFormatError(f"line {no}: expected {count} numbers, found {len(parts)}")
+    if count is not None and len(words) != count:
+        raise ConicFormatError(f"line {no}: expected {count} numbers, found {len(words)}")
     try:
-        out = [float(x) for x in parts]
+        out = [float(x) for x in words]
     except ValueError:
         raise ConicFormatError(f"line {no}: unreadable number") from None
     if count is not None and not all(map(math.isfinite, out)):
@@ -511,15 +519,11 @@ def _numbers(no: int, text: str, count: int | None = None) -> list[float]:
     return out
 
 
-def _count(lines: _Lines, key: str, what: str) -> int:
-    """The count of a '<key> <count>' header line: an integer >= 0."""
-    no, ln = lines.next(key)
-    parts = ln.split()
-    if parts[0] != key:
-        raise ConicFormatError(f"line {no}: expected '{key} <count>'")
-    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
-        raise ConicFormatError(f"line {no}: unreadable {what} count")
-    return int(parts[1])
+def _count(no: int, words: list[str], what: str) -> int:
+    """A count: one word of ASCII digits."""
+    if len(words) != 1 or not (words[0].isascii() and words[0].isdigit()):
+        raise ConicFormatError(f"line {no}: unreadable {what}")
+    return int(words[0])
 
 
 def read_conic(text: str) -> ConicProblem:
@@ -527,54 +531,42 @@ def read_conic(text: str) -> ConicProblem:
     no, ln = lines.next("header")
     if ln != "CONICFORM 1":
         raise ConicFormatError(f"line {no}: expected 'CONICFORM 1'")
-    n = _count(lines, "VARS", "variable")
+    no, _, words = lines.keyed("VARS", "'VARS <count>'", "VARS")
+    n = _count(no, words, "variable count")
     no, ln = lines.next("variable names")
     names = tuple(ln.split())
     if len(names) != n:
         raise ConicFormatError(f"line {no}: expected {n} variable names")
     if len(set(names)) != n:
         raise ConicFormatError(f"line {no}: variable names must be distinct")
-    no, ln = lines.next("OBJ")
-    if not ln.startswith("OBJ"):
-        raise ConicFormatError(f"line {no}: expected 'OBJ'")
-    c = np.array(_numbers(no, ln[3:], n))
-    m = _count(lines, "EQ", "equality")
+    no, _, words = lines.keyed("OBJ", "'OBJ'", "OBJ")
+    c = np.array(_numbers(no, words, n))
+    no, _, words = lines.keyed("EQ", "'EQ <count>'", "EQ")
     A_rows, b_vals = [], []
-    for _ in range(m):
+    for _ in range(_count(no, words, "equality count")):
         no, ln = lines.next("equality row")
-        row = _numbers(no, ln, n + 1)
+        row = _numbers(no, ln.split(), n + 1)
         A_rows.append(row[:n])
         b_vals.append(row[n])
     G_rows, h_vals, blocks = [], [], []
     while True:
-        no, ln = lines.next("'CONE ...' or 'END'")
-        if ln == "END":
-            break
-        parts = ln.split()
-        if parts[0] != "CONE" or len(parts) < 2 or parts[1] not in CONE_KINDS:
+        no, key, words = lines.keyed("'CONE ...' or 'END'", "'CONE ORTHANT|SOC|EXP'", "CONE", "END")
+        if key == "END":
+            return _assemble(names, c, A_rows, b_vals, G_rows, h_vals, blocks)
+        if not words or words[0] not in CONE_KINDS:
             raise ConicFormatError(f"line {no}: expected 'CONE ORTHANT|SOC|EXP'")
-        if parts[1] == "EXP":
-            dim = 3
-            if len(parts) != 2:
-                raise ConicFormatError(f"line {no}: 'CONE EXP' takes no dimension")
-        else:
-            try:
-                dim = int(parts[2])
-            except (IndexError, ValueError):
-                raise ConicFormatError(f"line {no}: missing cone dimension") from None
+        kind, *dim = words
+        if kind == "EXP" and dim:
+            raise ConicFormatError(f"line {no}: 'CONE EXP' takes no dimension")
         try:
-            blocks.append(ConeBlock(parts[1], dim))
+            blocks.append(ConeBlock(kind, 3 if kind == "EXP" else _count(no, dim, "cone dimension")))
         except ValueError as err:
             raise ConicFormatError(f"line {no}: {err}") from None
-        for _ in range(dim):
+        for _ in range(blocks[-1].dim):
             no, ln = lines.next("cone row")
-            row = _numbers(no, ln, n + 1)
+            row = _numbers(no, ln.split(), n + 1)
             G_rows.append(row[:n])
             h_vals.append(row[n])
-    if not lines.done():
-        no, ln = lines.next("nothing")
-        raise ConicFormatError(f"line {no}: content after END")
-    return _assemble(names, c, A_rows, b_vals, G_rows, h_vals, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,19 +606,12 @@ def read_solution(text: str) -> SolutionFile:
     no, ln = lines.next("header")
     if ln != "SOLUTION 1":
         raise ConicFormatError(f"line {no}: expected 'SOLUTION 1'")
-    no, ln = lines.next("PRIMAL")
-    if not ln.startswith("PRIMAL"):
-        raise ConicFormatError(f"line {no}: expected 'PRIMAL'")
-    primal = np.array(_numbers(no, ln[len("PRIMAL"):]))
-    duals = {}
+    no, _, words = lines.keyed("PRIMAL", "'PRIMAL'", "PRIMAL")
+    primal, duals = np.array(_numbers(no, words)), {}
     while True:
-        no, ln = lines.next("'DUAL_...' or 'END'")
-        if ln == "END":
-            break
-        key = next((k for k in ("DUAL_EQ", "DUAL_CONE") if ln.startswith(k)), None)
-        if key is None:
-            raise ConicFormatError(f"line {no}: expected DUAL_EQ, DUAL_CONE or END")
+        no, key, words = lines.keyed("'DUAL_...' or 'END'", "DUAL_EQ, DUAL_CONE or END", "DUAL_EQ", "DUAL_CONE", "END")
+        if key == "END":
+            return SolutionFile(primal, duals.get("DUAL_EQ"), duals.get("DUAL_CONE"))
         if key in duals:
             raise ConicFormatError(f"line {no}: second {key}")
-        duals[key] = np.array(_numbers(no, ln[len(key):]))
-    return SolutionFile(primal, duals.get("DUAL_EQ"), duals.get("DUAL_CONE"))
+        duals[key] = np.array(_numbers(no, words))

@@ -303,7 +303,7 @@ def print_expr(e: Expr) -> str:
     if e.atom == "neg":
         return f"-{_wrap(a[0], _UNARY)}"
     if e.atom == "pow":
-        return f"{_wrap(a[0], _PRIMARY)} ^ {_num(a[1].value)}"
+        return f"{_wrap(a[0], _PRIMARY)} ^ {int(a[1].value)}"
     return f"{e.atom}({print_expr(a[0])})"
 
 

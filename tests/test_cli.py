@@ -199,6 +199,20 @@ class TestStep:
         out = capsys.readouterr().out
         assert "0 <= x" not in out
 
+    @pytest.mark.parametrize("drop", ["\u0661", "+0", "-1", "1,", "1 2"])
+    def test_drop_indices_are_ascii_digits(self, capsys, tmp_path, drop):
+        src = tmp_path / "p.opt"
+        src.write_text("minimization\n!vars x t\n!objective x\n!constraints\nt ^ 2 <= x, 0 <= x, 0 <= x\n")
+        assert main(["step", str(src), "--schema", "eliminate", "--drop", drop]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: bad --drop {drop!r}, expected indices like 2,3\n"
+
+    def test_drop_indices_may_be_spaced(self, capsys, tmp_path):
+        src = tmp_path / "p.opt"
+        src.write_text("minimization\n!vars x t\n!objective x\n!constraints\nt ^ 2 <= x, 0 <= x, 0 <= x\n")
+        assert main(["step", str(src), "--schema", "eliminate", "--drop", " 1, 2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].strip() == "t ^ 2 <= x"
+
     def test_unprovable_drop_fails(self, capsys, tmp_path):
         src = tmp_path / "p.opt"
         src.write_text(
@@ -348,10 +362,15 @@ class TestSolveOracle:
         "names,cone,message",
         [
             ("x", "CONE ORTHANT 0\n", "line 6: cone blocks need dimension >= 1"),
-            ("x", "CONE SOC -2\n", "line 6: cone blocks need dimension >= 1"),
+            ("x", "CONE SOC -2\n", "line 6: unreadable cone dimension"),
+            ("x", "CONE ORTHANT +1\n1 0\n", "line 6: unreadable cone dimension"),
+            ("x", "CONE ORTHANT \u0661\n1 0\n", "line 6: unreadable cone dimension"),
+            ("x", "CONE ORTHANT 1 junk\n1 0\n", "line 6: unreadable cone dimension"),
+            ("x", "CONE SOC\n", "line 6: unreadable cone dimension"),
             ("x x", "", "line 3: variable names must be distinct"),
         ],
-        ids=["orthant-0", "soc-negative", "repeated-name"],
+        ids=["orthant-0", "soc-negative", "plus-sign", "arabic-indic-digit", "trailing-word", "soc-missing",
+             "repeated-name"],
     )
     def test_malformed_cone_file_exits_two(self, tmp_path, capsys, names, cone, message):
         src = tmp_path / "bad.cone"
@@ -590,10 +609,11 @@ class TestNanAndTol:
 
 class TestUnusableData:
     """A --param value that is not finite or contradicts its declared sign,
-    a numeric literal past the float range, and a cone file with non-finite
-    data or a negative count, exit 2 with one line that names the parameter
-    or the line, and no numpy warning; coefficients that overflow in emit
-    exit 1 the same way."""
+    a numeric literal past the float range, a cone file with non-finite
+    data, a negative count or a keyword that is not exact, and a solution
+    file with a keyword that is not exact or a line after END, exit 2 with
+    one line that names the parameter or the line, and no numpy warning;
+    coefficients that overflow in emit exit 1 the same way."""
 
     @staticmethod
     def run(argv, capsys):
@@ -683,6 +703,33 @@ class TestUnusableData:
         src.write_text(text.replace("VARS 2\nx y" if header.startswith("VARS") else "EQ 0", header))
         code, err = self.run(["solve-oracle", str(src), "--res", "3"], capsys)
         assert (code, err) == (2, f"error: line {line} count\n")
+
+    def test_cone_keyword_is_exact(self, tmp_path, capsys):
+        src = tmp_path / "bad.cone"
+        src.write_text("CONICFORM 1\nVARS 2\nx y\nOBJX 1 0\nEQ 0\nEND\n")
+        code, err = self.run(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")], capsys)
+        assert (code, err) == (2, "error: line 4: expected 'OBJ'\n")
+        assert not (tmp_path / "bad.sol").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("SOLUTION 1\nPRIMALS 0.5 0.5\nEND\n", "line 2: expected 'PRIMAL'"),
+            ("SOLUTION 1\nPRIMAL 0.5 0.5\nDUAL_EQX 1\nEND\n", "line 3: expected DUAL_EQ, DUAL_CONE or END"),
+            ("SOLUTION 1\nPRIMAL 0.5 0.5\nEND\nPRIMAL 2 2\n", "line 4: content after END"),
+        ],
+        ids=["longer-primal", "longer-dual", "after-end"],
+    )
+    def test_solution_keywords(self, tmp_path, capsys, text, message):
+        src = tmp_path / "eq.opt"
+        src.write_text("minimization\n!vars x y\n!objective x\n!constraints\nx + y = 1\n")
+        assert main(["canon", str(src), "--skip-verify"]) == 0
+        sol = tmp_path / "eq.sol"
+        sol.write_text(text)
+        before = sorted(tmp_path.iterdir())
+        code, err = self.run(["verify", str(src), str(tmp_path / "eq.trace"), str(sol)], capsys)
+        assert (code, err) == (2, f"error: solution: {message}\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestOptionNames:

@@ -402,11 +402,36 @@ class TestConicFiles:
         with pytest.raises(ConicFormatError):
             read_conic(text)
 
-    @pytest.mark.parametrize("cone", ["CONE ORTHANT 0", "CONE SOC -2"])
-    def test_non_positive_cone_dimension_rejected(self, cone):
+    @pytest.mark.parametrize(
+        "cone,message",
+        [("CONE ORTHANT 0", "cone blocks need dimension >= 1"), ("CONE SOC -2", "unreadable cone dimension")],
+        ids=["CONE ORTHANT 0", "CONE SOC -2"],
+    )
+    def test_non_positive_cone_dimension_rejected(self, cone, message):
         text = f"CONICFORM 1\nVARS 1\nx\nOBJ 1\nEQ 0\n{cone}\nEND\n"
-        with pytest.raises(ConicFormatError, match=r"^line 6: cone blocks need dimension >= 1$"):
+        with pytest.raises(ConicFormatError, match=rf"^line 6: {message}$"):
             read_conic(text)
+
+    @pytest.mark.parametrize(
+        "cone", ["CONE ORTHANT +1", "CONE ORTHANT \u0661", "CONE ORTHANT 1 junk", "CONE SOC"],
+        ids=["plus-sign", "arabic-indic-digit", "trailing-word", "missing"],
+    )
+    def test_cone_dimension_is_one_word_of_ascii_digits(self, cone):
+        text = f"CONICFORM 1\nVARS 1\nx\nOBJ 1\nEQ 0\n{cone}\n1 0\nEND\n"
+        with pytest.raises(ConicFormatError, match=r"^line 6: unreadable cone dimension$"):
+            read_conic(text)
+
+    @pytest.mark.parametrize(
+        "tail,message",
+        [
+            ("OBJX 1\nEQ 0\nEND\n", "line 4: expected 'OBJ'"),
+            ("OBJ 1\nEQ 0\nEND\n\n# note\nEND\n", "line 9: content after END"),
+        ],
+        ids=["longer-keyword", "after-end"],
+    )
+    def test_conic_keywords_are_exact(self, tail, message):
+        with pytest.raises(ConicFormatError, match=rf"^{message}$"):
+            read_conic(f"CONICFORM 1\nVARS 1\nx\n{tail}")
 
     def test_repeated_variable_names_rejected(self):
         text = "CONICFORM 1\nVARS 2\nx x\nOBJ 1 0\nEQ 0\nEND\n"
@@ -475,6 +500,20 @@ class TestConicFiles:
     def test_solution_section_given_twice_names_its_line(self, key):
         with pytest.raises(ConicFormatError, match=rf"^line 4: second {key}$"):
             read_solution(f"SOLUTION 1\nPRIMAL 1 2\n{key} 1\n{key} 5 6\nEND\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("SOLUTION 1\nPRIMALS 1\nEND\n", "line 2: expected 'PRIMAL'"),
+            ("SOLUTION 1\nPRIMAL 1\nDUAL_EQX 1\nEND\n", "line 3: expected DUAL_EQ, DUAL_CONE or END"),
+            ("SOLUTION 1\nPRIMAL 1\nEND\nPRIMAL 2\n", "line 4: content after END"),
+            ("SOLUTION 1\nPRIMAL 1\nEND\n# note\n\nEND\n", "line 6: content after END"),
+        ],
+        ids=["longer-primal", "longer-dual", "primal-after-end", "end-after-end"],
+    )
+    def test_solution_keywords_are_exact(self, text, message):
+        with pytest.raises(ConicFormatError, match=rf"^{message}$"):
+            read_solution(text)
 
     def test_solution_garbage_rejected(self):
         with pytest.raises(ConicFormatError):

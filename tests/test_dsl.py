@@ -207,6 +207,12 @@ class TestRoundTrips:
         c = Constraint(lhs, op, rhs)
         assert parse_constraint_in(print_constraint(c), SCOPE) == c
 
+    @pytest.mark.parametrize("k", [1e16, 2.0**60], ids=["1e16", "2**60"])
+    def test_large_exponent_round_trip(self, k):
+        p = parse(f"minimization\n!vars x\n!objective x\n!constraints\nx ^ {int(k)} <= 1\n")
+        assert print_constraint(p.constraints[0]) == f"x ^ {int(k)} <= 1"
+        assert parse(print_problem(p)) == p
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.opt")))
     def test_corpus_problem_round_trip(self, name):
         p = parse((CORPUS / name).read_text())
