@@ -8,7 +8,9 @@ workload and seed it runs `perfbench/run.py --workload W --seed S --seconds
 T --trace 0` once in each checkout, one after the other, with T
 BENCHMARK.json's run_seconds; the parent runs first at even pair numbers
 and second at odd ones, so neither side always meets a warmer or cooler
-machine.  A run that prints no JSON result is recorded as null.
+machine.  Then, per workload, each side runs once more with `--trace 1` at
+the first seed, parent first: the traced run checks the per-layer spans as
+well as the outputs.  A run that prints no JSON result is recorded as null.
 
 BENCH_<label>.json, written to the working directory, holds per workload:
 every run's result line (`correct`, `attempted`, `failed`, `metrics`), the
@@ -16,8 +18,10 @@ seeds of the runs that are null or not correct per side ("left_out"), and
 per end-to-end metric of BENCHMARK.json, over the pairs whose runs are both
 correct, the parent's and the change's median, the distance between the
 parent's quartiles (statistics.quantiles, inclusive method; null below two
-pairs) and in how many pairs the change was better.  The script exits 1
-when any run is null or not correct, after writing the file.
+pairs) and in how many pairs the change was better.  The traced runs'
+result lines sit under "traced", with their seed, outside the medians.  The
+script names every run, untraced or traced, that is null or not correct,
+and then exits 1, after writing the file.
 """
 
 import argparse
@@ -28,9 +32,9 @@ import subprocess
 import sys
 
 
-def run(checkout: pathlib.Path, workload: str, seed: int, seconds: float):
+def run(checkout: pathlib.Path, workload: str, seed: int, seconds: float, trace: int = 0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run([*cmd, "--trace", "0"], cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run([*cmd, "--trace", str(trace)], cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -93,11 +97,22 @@ def main(argv=None) -> int:
                 pair[side] = run(getattr(args, side), workload, seed, seconds)
                 print(workload, seed, side, json.dumps(pair[side] and pair[side]["metrics"]), flush=True)
             pairs.append(pair)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, spec["end_to_end"])}
+        traced = {"seed": args.seeds[0]}
+        for side in ("parent", "change"):
+            traced[side] = run(getattr(args, side), workload, traced["seed"], seconds, trace=1)
+            print(workload, traced["seed"], side, "traced", json.dumps(traced[side] and traced[side]["correct"]), flush=True)
+        report["workloads"][workload] = {
+            "pairs": pairs,
+            "summary": summary(pairs, spec["end_to_end"]),
+            "traced": traced,
+        }
         for side, dropped in report["workloads"][workload]["summary"]["left_out"].items():
             if dropped:
                 missing = True
                 print(f"{workload}: {side} runs at seeds {dropped} printed no result or one not correct", flush=True)
+            if not usable(traced[side]):
+                missing = True
+                print(f"{workload}: traced {side} run at seed {traced['seed']} printed no result or one not correct", flush=True)
     out = pathlib.Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")

@@ -30,6 +30,7 @@ inner-product oracle before it is trusted anywhere.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -506,14 +507,18 @@ class _Lines:
         return no, key, words
 
 
+# One number as the writers' repr prints it, in ASCII: a decimal with an
+# optional exponent, or inf, -inf or nan, which only a .sol row may hold.
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|-?inf|nan", re.ASCII)
+
+
 def _numbers(no: int, words: list[str], count: int | None = None) -> list[float]:
     """A line's numbers.  With count given, problem data: count finite numbers."""
     if count is not None and len(words) != count:
         raise ConicFormatError(f"line {no}: expected {count} numbers, found {len(words)}")
-    try:
-        out = [float(x) for x in words]
-    except ValueError:
-        raise ConicFormatError(f"line {no}: unreadable number") from None
+    if not all(map(_NUMBER.fullmatch, words)):
+        raise ConicFormatError(f"line {no}: unreadable number")
+    out = [float(x) for x in words]
     if count is not None and not all(map(math.isfinite, out)):
         raise ConicFormatError(f"line {no}: non-finite number")
     return out

@@ -1,11 +1,15 @@
+import os
 import pathlib
 import random
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import conify
 from conify.cli import main
 from conify.conic import SolutionFile, emit, read_conic, write_solution
 from conify.dsl import parse
@@ -85,6 +89,22 @@ class TestCanon:
     def test_skip_verify(self, tmp_path, chain_file):
         code = main(["canon", str(chain_file), *UNIT_ARGS, "--skip-verify"])
         assert code == 0
+
+    def test_sampling_imports_neither_numpy_random_nor_hashlib(self, tmp_path, chain_file):
+        # The sampler's own stream keeps numpy.random, and the hashlib and
+        # OpenSSL modules it loads, out of a canon process.
+        script = (
+            "import sys\n"
+            "from conify.cli import main\n"
+            f"code = main(['canon', {str(chain_file)!r}, *{UNIT_ARGS!r}])\n"
+            "print(code, 'numpy.random' in sys.modules, 'hashlib' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(conify.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "trace verified on 200 backward and 200 forward samples" in done.stdout
+        assert done.stdout.splitlines()[-1] == "0 False False"
 
     def test_unbound_parameter_fails(self, tmp_path, chain_file, capsys):
         code = main(["canon", str(chain_file), "--param", "a=1", "--skip-verify"])
@@ -610,8 +630,9 @@ class TestNanAndTol:
 class TestUnusableData:
     """A --param value that is not finite or contradicts its declared sign,
     a numeric literal past the float range, a cone file with non-finite
-    data, a negative count or a keyword that is not exact, and a solution
-    file with a keyword that is not exact or a line after END, exit 2 with
+    data, a number that is not one ASCII decimal word, a negative count or
+    a keyword that is not exact, and a solution file with a keyword that
+    is not exact, such a number or a line after END, exit 2 with
     one line that names the parameter or the line, and no numpy warning;
     coefficients that overflow in emit exit 1 the same way."""
 
@@ -704,6 +725,16 @@ class TestUnusableData:
         code, err = self.run(["solve-oracle", str(src), "--res", "3"], capsys)
         assert (code, err) == (2, f"error: line {line} count\n")
 
+    @pytest.mark.parametrize(
+        "rows,line", [("OBJ \u0661 0\nEQ 0\n", 4), ("OBJ 1 0\nEQ 1\n1_000 0 1\n", 6)], ids=["obj-digit", "eq-underscore"]
+    )
+    def test_cone_number_not_ascii_decimal(self, tmp_path, capsys, rows, line):
+        src = tmp_path / "bad.cone"
+        src.write_text(f"CONICFORM 1\nVARS 2\nx y\n{rows}END\n")
+        code, err = self.run(["solve-oracle", str(src), "--res", "3", "--out", str(tmp_path / "bad.sol")], capsys)
+        assert (code, err) == (2, f"error: line {line}: unreadable number\n")
+        assert not (tmp_path / "bad.sol").exists()
+
     def test_cone_keyword_is_exact(self, tmp_path, capsys):
         src = tmp_path / "bad.cone"
         src.write_text("CONICFORM 1\nVARS 2\nx y\nOBJX 1 0\nEQ 0\nEND\n")
@@ -717,8 +748,9 @@ class TestUnusableData:
             ("SOLUTION 1\nPRIMALS 0.5 0.5\nEND\n", "line 2: expected 'PRIMAL'"),
             ("SOLUTION 1\nPRIMAL 0.5 0.5\nDUAL_EQX 1\nEND\n", "line 3: expected DUAL_EQ, DUAL_CONE or END"),
             ("SOLUTION 1\nPRIMAL 0.5 0.5\nEND\nPRIMAL 2 2\n", "line 4: content after END"),
+            ("SOLUTION 1\nPRIMAL Infinity \u0663\nEND\n", "line 2: unreadable number"),
         ],
-        ids=["longer-primal", "longer-dual", "after-end"],
+        ids=["longer-primal", "longer-dual", "after-end", "not-ascii-number"],
     )
     def test_solution_keywords(self, tmp_path, capsys, text, message):
         src = tmp_path / "eq.opt"

@@ -433,6 +433,33 @@ class TestConicFiles:
         with pytest.raises(ConicFormatError, match=rf"^{message}$"):
             read_conic(f"CONICFORM 1\nVARS 1\nx\n{tail}")
 
+    @pytest.mark.parametrize(
+        "word",
+        ["\u0661", "1_000", "Infinity", "+inf", "INF", "NaN", "-nan", "0x1", "1e", ".", "+", "1.5.2", "e5", "1e+", "\uff11"],
+        ids=["arabic-indic-digit", "underscore", "Infinity", "plus-inf", "upper-inf", "mixed-nan",
+             "minus-nan", "hex", "bare-exponent", "dot", "sign", "two-dots", "exponent-only", "no-mantissa", "fullwidth-digit"],
+    )
+    def test_conic_number_is_one_ascii_decimal(self, word):
+        cases = [f"OBJ {word} 1\nEQ 0\n", f"OBJ 1 0\nEQ 1\n1 {word} 1\n", f"OBJ 1 0\nEQ 0\nCONE ORTHANT 1\n1 0 {word}\n"]
+        for rows, line in zip(cases, (4, 6, 7)):
+            with pytest.raises(ConicFormatError, match=rf"^line {line}: unreadable number$"):
+                read_conic(f"CONICFORM 1\nVARS 2\nx y\n{rows}END\n")
+
+    @pytest.mark.parametrize(
+        "words,values",
+        [
+            ("1 -2", [1.0, -2.0]),
+            ("+1.5 -.25", [1.5, -0.25]),
+            ("7. 1e3", [7.0, 1000.0]),
+            ("-0.0 2.5E-07", [-0.0, 2.5e-07]),
+            ("1e+300 -1E-300", [1e300, -1e-300]),
+        ],
+    )
+    def test_conic_reads_every_decimal_form(self, words, values):
+        cp = read_conic(f"CONICFORM 1\nVARS 2\nx y\nOBJ {words}\nEQ 0\nEND\n")
+        assert cp.c.tolist() == values
+        assert [math.copysign(1.0, v) for v in cp.c] == [math.copysign(1.0, v) for v in values]
+
     def test_repeated_variable_names_rejected(self):
         text = "CONICFORM 1\nVARS 2\nx x\nOBJ 1 0\nEQ 0\nEND\n"
         with pytest.raises(ConicFormatError, match=r"^line 3: variable names must be distinct$"):
@@ -525,8 +552,22 @@ class TestConicFiles:
             ("SOLUTION 1\nPRIMAL 1.0 abc\nEND\n", 2),
             ("SOLUTION 1\nPRIMAL 1.0\nDUAL_EQ x\nEND\n", 3),
             ("SOLUTION 1\nPRIMAL 1.0\nDUAL_CONE 1 2 -\nEND\n", 3),
+            *[
+                (text.format(word), line)
+                for word in ["\u0663", "1_000", "Infinity", "+inf", "INF", "NaN", "-nan", "0x1", "1e", "."]
+                for text, line in [
+                    ("SOLUTION 1\nPRIMAL 1 {}\nEND\n", 2),
+                    ("SOLUTION 1\nPRIMAL 1\nDUAL_EQ {}\nEND\n", 3),
+                    ("SOLUTION 1\nPRIMAL 1\nDUAL_CONE 0 {}\nEND\n", 3),
+                ]
+            ],
         ],
     )
     def test_solution_unreadable_number_names_its_line(self, text, line):
-        with pytest.raises(ConicFormatError, match=rf"line {line}: unreadable number"):
+        with pytest.raises(ConicFormatError, match=rf"^line {line}: unreadable number$"):
             read_solution(text)
+
+    def test_solution_reads_inf_and_nan(self):
+        sol = read_solution("SOLUTION 1\nPRIMAL inf -inf nan -.5\nDUAL_EQ 1e3\nEND\n")
+        assert sol.primal[:2].tolist() == [math.inf, -math.inf] and math.isnan(sol.primal[2])
+        assert sol.primal[3] == -0.5 and sol.dual_eq.tolist() == [1000.0]

@@ -1152,7 +1152,7 @@ class TestSampleFeasible:
         def no_draws(*args, **kwargs):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(oracle.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(oracle, "_draws", no_draws)
         with pytest.raises(OracleError, match=f"n={n}"):
             sample_feasible(mini("0 <= x"), {}, (0.0, 5.0), n)
 
@@ -1170,6 +1170,46 @@ class TestSampleFeasible:
             assert list(cols) == list(p.variables)
             assert all(c.dtype == np.float64 and c.shape == (n,) for c in cols.values())
             assert points(cols) == _sample_pointwise(p, params, (-5.0, 5.0), n, seed=seed)
+
+
+def _splitmix64(seed, i):
+    """Draw i of SplitMix64 seeded with seed, written with Python ints mod
+    2**64: the published mix of state + (i+1) * gamma, kept to its top 53
+    bits and scaled into [0, 1)."""
+    m = 1 << 64
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) % m
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % m
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % m
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1, 2**64 + 5])
+    def test_matches_scalar_splitmix64(self, seed):
+        got = oracle._draws(seed, 0, 50)
+        assert got.dtype == np.float64 and got.shape == (50,)
+        assert got.tolist() == [_splitmix64(seed, i) for i in range(50)]
+        assert oracle._draws(seed, 10**6, 5).tolist() == [_splitmix64(seed, 10**6 + i) for i in range(5)]
+
+    def test_published_first_output(self):
+        # SplitMix64 seeded with 0 first returns 0xE220A8397B1DCDAF.
+        assert oracle._draws(0, 0, 1)[0] == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+
+    @pytest.mark.parametrize("a, b", [(0, 7), (1, 1), (256, 1000), (4097, 0)])
+    def test_a_stretch_continues_the_stream(self, a, b):
+        whole = oracle._draws(3, 0, a + b)
+        assert whole.tolist() == np.concatenate([oracle._draws(3, 0, a), oracle._draws(3, a, b)]).tolist()
+
+    def test_uniform_by_chi_squared(self):
+        u = oracle._draws(0, 0, 100_000)
+        assert ((0.0 <= u) & (u < 1.0)).all()
+        counts = np.bincount((u * 64).astype(int), minlength=64)
+        chi2 = float(((counts - 100_000 / 64) ** 2).sum() / (100_000 / 64))
+        # 63 degrees of freedom: P(chi2 > 103.44) = 0.001 for a uniform stream.
+        assert chi2 < 103.44
+
+    def test_seeds_0_and_1_share_no_draw(self):
+        assert np.intersect1d(oracle._draws(0, 0, 100_000), oracle._draws(1, 0, 100_000)).size == 0
 
 
 # --- the tightened sampling box -------------------------------------------------
@@ -1208,11 +1248,14 @@ def _sample_pointwise(p, params, box, n, seed=0):
     elim = find_elimination(p, params)
     full = SearchBox.uniform(p.variables, box[0], box[1], 2)
     bounds = oracle._tighten(p, params, full, elim)
-    rng = np.random.default_rng(seed)
+    free = [v for v in p.variables if elim is None or v != elim.var]
     batch = max(256, min(8192, 8 * n))
-    out = []
+    out, start = [], 0
     while len(out) < n:
-        draws = {v: rng.uniform(*bounds[v], size=batch) for v in p.variables if elim is None or v != elim.var}
+        # one call per batch: row k of the (axes, batch) draws is free axis k's
+        u = oracle._draws(seed, start, len(free) * batch).reshape(len(free), batch)
+        start += len(free) * batch
+        draws = {v: bounds[v][0] + (bounds[v][1] - bounds[v][0]) * u[k] for k, v in enumerate(free)}
         env, mask = _plain_rejection(p, params, box, draws)
         for k in np.flatnonzero(mask)[: n - len(out)]:
             out.append({v: float(env[v][k]) for v in p.variables})
@@ -1353,7 +1396,7 @@ class TestTightenedBox:
         def no_draws(*args, **kwargs):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(oracle.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(oracle, "_draws", no_draws)
         p = mini("x <= -10")
         with pytest.raises(Infeasible, match=r"constraint 0 \(x <= -10\).*x"):
             sample_feasible(p, {}, (0.0, 5.0), 5)
