@@ -27,8 +27,10 @@ of their counting blocks and first-point search (a best cell whose first
 points are infeasible, a minimizer only at the last lattice point), and of
 their read sets (constraints that read a solved variable, scanned with
 eliminate="auto"), goes through grid_minimize and grid_minimize_conic at
-the default CHUNK and at CHUNK 1, 7 and 50; each problem of WIDE_CASES (a
-count past int32) only at the default CHUNK.  Then each problem of
+the default CHUNK and at CHUNK 1, 7 and 50; each problem of BUCKET_CASES
+(a bucket that is a batched matrix product, and one that fuses two axes) at
+the default CHUNK and at CHUNK 7; each problem of WIDE_CASES (a count past
+int32) only at the default CHUNK.  Then each problem of
 CONIC_CASES, conic data emit never writes (an all-zero or -0.0 row, an
 all-zero c, cone rows that read no variable), goes through
 grid_minimize_conic at each of its eliminate settings at the default CHUNK.
@@ -44,8 +46,8 @@ its result.  Parameters are bound to 1.0; boxes are the corpus manifest's
 where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
-solution-map lines, 6 k-chain lines, 130 edge-case lines, 15 conic-case
-lines, 300 parse lines and 300 file lines: 1 011 in all.
+solution-map lines, 6 k-chain lines, 138 edge-case lines, 15 conic-case
+lines, 300 parse lines and 300 file lines: 1 019 in all.
 """
 
 import hashlib
@@ -88,6 +90,15 @@ EDGE_CASES = (
     # masks come out shaped over the axes of x and y, z's formula's variables
     ("solved variable read by another constraint", "x y z", "x + y + z = 1, 0 <= z, z <= x", "x - y",
      (-1.0, 1.0), 9, "auto"),
+)
+# Problems whose block count sums an axis out of exactly two masks by a
+# matrix product that is not a plain one: summing z out of x + y + z <= 1
+# and z - x <= w is batched over x ("abc,acd->abd"), and summing y out of
+# x + y + z <= 1 and y <= w fuses x and z ("abc,bd->acd").  Both scans plan
+# these steps at the default CHUNK.
+BUCKET_CASES = (
+    ("batched product", "x y z w", "x + y + z <= 1, z - x <= w", "x + y + w", (-1.0, 1.0), 5, None),
+    ("axis-fusing sum", "x y z w", "x + y + z <= 1, y <= w", "x + z + w", (-1.0, 1.0), 5, None),
 )
 # 50**6 points, too many to scan at CHUNK 1, 7 or 50; the one cell counts
 # more than 2**31 feasible points
@@ -270,7 +281,8 @@ def main(src: str) -> None:
         print(f"kchain k={k} write_trace, read back: {show(trace_digest)}")
 
     default_chunk = oracle.CHUNK
-    for cases, chunks in ((EDGE_CASES, (default_chunk, 1, 7, 50)), (WIDE_CASES, (default_chunk,))):
+    scans = ((EDGE_CASES, (default_chunk, 1, 7, 50)), (BUCKET_CASES, (default_chunk, 7)), (WIDE_CASES, (default_chunk,)))
+    for cases, chunks in scans:
         for label, names, constraints, objective, (lo, hi), points, eliminate in cases:
             q = parse(f"minimization\n!vars {names}\n!objective {objective}\n!constraints\n{constraints}\n")
             box = SearchBox.uniform(q.variables, lo, hi, points)

@@ -75,7 +75,7 @@ _EXITS = (
 
 def _read_text(path: str) -> str:
     try:
-        return pathlib.Path(path).read_text()
+        return pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _Unusable(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
@@ -84,7 +84,7 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: pathlib.Path, text: str) -> None:
     try:
-        pathlib.Path(path).write_text(text)
+        pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise _Unusable(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -284,7 +284,10 @@ def _cmd_verify(args) -> int:
         if not report.accepted:
             raise ConifyError("FAIL dual: " + "; ".join(report.failures))
         gap = primal.objective - report.bound
-        print(f"certified lower bound {report.bound!r}, duality gap {gap!r}")
+        print(
+            f"approximate lower bound {report.bound!r} "
+            f"(stationarity residual {report.residual!r}), duality gap {gap!r}"
+        )
         if not gap >= -args.tol:  # a nan gap fails too
             raise ConifyError("FAIL dual: bound exceeds objective")
     print("OK")

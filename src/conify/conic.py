@@ -418,11 +418,17 @@ class DualReport:
     accepted: bool
     bound: float | None
     failures: tuple[str, ...] = ()
+    residual: float | None = None  # largest |c - A~y - G~z|; None when y or z has the wrong length
 
 
 def check_dual_bound(cp: ConicProblem, cert: DualCertificate, tol: float = 1e-7) -> DualReport:
-    """Accept a certificate iff stationarity holds and every z block is dual
-    feasible; the certified lower bound is b.y + h.z."""
+    """Accept a certificate iff its stationarity residual, the largest
+    entry of |c - A~y - G~z|, is at most tol and every z block is dual
+    feasible; bound is then b.y + h.z.
+
+    The bound is approximate: weak duality makes b.y + h.z a lower bound
+    only where the residual is exactly 0, and a residual r adds r.x to the
+    objective at x, which no tol bounds on an unbounded feasible set."""
     y = np.asarray(cert.y, dtype=float)
     z = np.asarray(cert.z, dtype=float)
     failures = []
@@ -432,15 +438,15 @@ def check_dual_bound(cp: ConicProblem, cert: DualCertificate, tol: float = 1e-7)
         failures.append("dual cone multiplier length mismatch")
     if failures:
         return DualReport(False, None, tuple(failures))
-    residual = cp.A.T @ y + cp.G.T @ z - cp.c
-    if not np.abs(residual).max(initial=0.0) <= tol:  # a nan residual fails too
-        failures.append(f"stationarity residual {np.abs(residual).max():.3e}")
+    residual = float(np.abs(cp.A.T @ y + cp.G.T @ z - cp.c).max(initial=0.0))
+    if not residual <= tol:  # a nan residual fails too
+        failures.append(f"stationarity residual {residual:.3e}")
     for j, (bl, sl) in enumerate(cp.block_slices()):
         if not dual_cone_member(bl.kind, z[sl], tol):
             failures.append(f"dual cone block {j}")
     if failures:
-        return DualReport(False, None, tuple(failures))
-    return DualReport(True, float(cp.b @ y + cp.h @ z))
+        return DualReport(False, None, tuple(failures), residual)
+    return DualReport(True, float(cp.b @ y + cp.h @ z), (), residual)
 
 
 # --- files ----------------------------------------------------------------------

@@ -26,22 +26,21 @@ own dimension and size 1 on every other, so a constraint, a cone row or the
 objective is computed only over the axes it reads.  Every lattice point is
 still judged, in exactly the arithmetic of a pointwise evaluation.  The scan
 walks counting blocks: in each, the per-constraint masks are counted per
-objective cell by summing out one axis at a time, each sum one np.einsum
-over the masks and counts that read the axis, a sum of products that never
-builds their product: a matrix product of two factors runs as matmul, any
-other sum as one loop.  Counts are float64, exact while a block has fewer
-than 2**53 points, and int64 past that, so a lattice of more than 2**63 - 1
+objective cell by summing out one axis at a time over the masks and counts
+that read it, a sum of products that never builds their product.  A sum of
+two factors that each read two axes, the summed one and one of their own,
+is a plain matrix product and runs as np.matmul; every other sum is one
+np.einsum loop.  Counts are float64, exact while a block has fewer than
+2**53 points, and int64 past that, so a lattice of more than 2**63 - 1
 points raises OracleError before anything is evaluated.  A block is as
 large as its counts allow: at most CHUNK // 2 bytes held at once by the
-arrays any one of them builds, or at most CHUNK points.  Those bytes are
-the masks' count copies, the einsums' outputs and what numpy makes
-besides: a copy of both factors for a matrix product other than a plain one
-of two matrices, which matmul reads as views, and iterator buffers for a
-loop whose operands broadcast against each other.  A lattice that fits whole is one block.  A block that
-improves on the best point so far finds its first minimizing point from
-its own counts and then by the same counts, one axis at a time: the
-leading axes the objective reads are fixed at the first objective cell at
-the block's low that holds a feasible point, then each later axis at its
+arrays any one of them builds (the masks' count copies, the sums' outputs
+and the iterator buffers of a loop whose operands broadcast against each
+other), or at most CHUNK points.  A lattice that fits whole is one block.
+A block that improves on the best point so far finds its first minimizing
+point from its own counts and then by the same counts, one axis at a time:
+the leading axes the objective reads are fixed at the first objective cell
+at the block's low that holds a feasible point, then each later axis at its
 first index with a feasible point at the low, and so on.  So the masks
 never meet over a block or any part of one.
 
@@ -302,7 +301,7 @@ def _count_type(block: tuple[int, ...]) -> np.dtype:
 
 
 class _Plan(NamedTuple):
-    steps: tuple  # (positions, subscripts, matmul, shape), one per einsum
+    steps: tuple  # (positions, subscripts, matmul, shape), one per sum
     scale: int  # the lengths of the summed axes no factor reads, multiplied
     peak: int  # bytes
 
@@ -310,33 +309,28 @@ class _Plan(NamedTuple):
 # The same shapes recur in every block of a scan and in every scan of a problem.
 @functools.lru_cache(maxsize=256)
 def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan:
-    """The einsums by which _cell_counts counts from factors of the given
+    """The steps by which _cell_counts counts from factors of the given
     shapes, and the most bytes the arrays they build hold at once.
 
     The factors are the masks and, last, the scale as a 0-d count.  A step
-    takes the factors at its positions out of the list and appends their
-    einsum over the axes they read, reshaped to shape.  There is one step
-    per axis that cell does not read and some factor reads, which sums it
-    out of the factors that read it, and a last step that multiplies the
-    factors left.  A step is one np.einsum call: matmul is True when it is
-    a matrix product, two factors that share the summed axis and each keep
-    an axis the other lacks, which np.einsum hands to matmul; otherwise the
-    einsum runs as one loop.
+    takes the factors at its positions out of the list and appends the sum
+    of their product over its summed axis, reshaped to shape.  There is one
+    step per axis that cell does not read and some factor reads, which sums
+    it out of the factors that read it, and a last step that multiplies the
+    factors left.  A step is one of two kinds:
+    - a plain product (matmul True): two factors that each read two axes,
+      the summed one and one the other lacks.  It runs as np.matmul, the
+      factor whose kept axis comes first in the output first;
+    - a loop, any other step: one np.einsum call over the subscripts.
 
     The bytes held during a step are the counts earlier steps built that are
-    still factors, a count-type copy of each mask the step reads, the step's
-    output and its scratch, the copies and buffers numpy makes besides:
-    - a matrix product whose output reads two axes, so that each factor
-      reads two, makes none: numpy's _parse_eq_to_batch_matmul hands matmul
-      both factors as they are or transposed, views that need no copy;
-    - any other matrix product, batched or fusing axes, a copy of both
-      factors, since fusing a transposed factor's axes copies it;
-    - a loop whose operands other than 0-d ones all read the same axes
-      makes none: its iterator walks every operand in step, unbuffered;
-    - any other loop an iterator's buffers, at most np.getbufsize()
-      elements for each factor and the output.
-    The next axis is the one whose step holds the fewest, the earliest axis
-    on a tie.
+    still factors, a count-type copy of each mask the step reads and the
+    step's output.  matmul reads its factors as views, transposed or not,
+    and a loop whose operands other than 0-d ones all read the same axes
+    walks them in step, unbuffered; any other loop also fills an iterator's
+    buffers, at most np.getbufsize() elements for each factor and the
+    output.  The next axis is the one whose step holds the fewest, the
+    earliest axis on a tie.
     """
     n, itemsize = len(block), _count_type(block).itemsize
 
@@ -348,20 +342,21 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
 
     def step(take, summed):
         """(bytes held beyond the counts built before, output axes,
-        subscripts, matmul) of the einsum of the factors at take."""
+        subscripts, matmul, positions, summed) of the step over the
+        factors at take."""
         ops = [factors[i][0] for i in take]
         axes = functools.reduce(operator.or_, ops)
         out = axes & ~summed
-        matmul = bool(summed) and len(ops) == 2 and bool(ops[0] & ~ops[1] and ops[1] & ~ops[0])
+        matmul = bool(summed) and len(ops) == 2 and ops[0] != ops[1] and {a.bit_count() for a in ops} == {2}
         if matmul:
-            scratch = 0 if out.bit_count() == 2 else nbytes(ops[0]) + nbytes(ops[1])
-        elif len(set(ops) - {0}) <= 1:
+            take, ops = zip(*sorted(zip(take, ops), key=lambda f: f[1] & ~summed))
+        if matmul or len(set(ops) - {0}) <= 1:
             scratch = 0
         else:
             scratch = (len(ops) + 1) * min(nbytes(axes), itemsize * np.getbufsize())
         held = sum(nbytes(a) for a, made in (factors[i] for i in take) if not made)
         subscripts = ",".join(map(subscript, ops)) + "->" + subscript(out)
-        return held + scratch + nbytes(out), out, subscripts, matmul
+        return held + scratch + nbytes(out), out, subscripts, matmul, take, summed
 
     # (axes read, one bit each; whether _cell_counts built it)
     factors = [(sum(1 << d for d, k in enumerate(s) if k > 1), False) for s in shapes] + [(0, True)]
@@ -371,7 +366,7 @@ def _plan(shapes: tuple, block: tuple[int, ...], cell: tuple[int, ...]) -> _Plan
     steps, built, peak = [], itemsize, 0
     while True:
         buckets = [(tuple(i for i, (a, _) in enumerate(factors) if a >> d & 1), 1 << d) for d in todo]
-        options = ((*step(*b), *b) for b in buckets or [(tuple(range(len(factors))), 0)])
+        options = (step(*b) for b in buckets or [(tuple(range(len(factors))), 0)])
         top, out, subscripts, matmul, take, summed = min(options, key=lambda o: o[0])
         peak = max(peak, built + top)
         built += nbytes(out) - sum(nbytes(factors[i][0]) for i in take if factors[i][1])
@@ -388,11 +383,13 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
 
     Each mask is 0-d or shaped over the block's axes with size 1 on those it
     does not read.  The axes cell does not read are summed out one at a time
-    in _plan's order, which is bucket elimination (Dechter, 1999): one
-    np.einsum sums an axis out of the factors that read it, a sum of
-    products that never builds their product and runs as matmul where it
-    is a matrix product, so no count spans more axes than its factors do
-    together.  An axis no factor reads multiplies the count by its length.
+    in _plan's order, which is bucket elimination (Dechter, 1999): each step
+    sums an axis out of the factors that read it, a sum of products that
+    never builds their product, so no count spans more axes than its factors
+    do together.  A plain product "ab,bc->ac", either factor's axes maybe
+    swapped, is np.matmul of the two squeezed factors, each transposed where
+    its summed axis is on the wrong side; every other step is one np.einsum
+    loop.  An axis no factor reads multiplies the count by its length.
     Counts are in _count_type(block): every partial sum counts points of
     the block, so float64 is exact while the block has fewer than 2**53.
     The result broadcasts to cell.
@@ -403,7 +400,9 @@ def _cell_counts(masks, block: tuple[int, ...], cell: tuple[int, ...]):
     for take, subscripts, matmul, shape in plan.steps:
         operands = [factors[i].squeeze().astype(count, copy=False) for i in take]
         factors = [f for i, f in enumerate(factors) if i not in take]
-        factors.append(np.einsum(subscripts, *operands, optimize=matmul).reshape(shape))
+        if matmul:  # transpose each factor whose summed axis is on the wrong side
+            operands = [o.T if subscripts[k] not in subscripts[-2:] else o for o, k in zip(operands, (0, 4))]
+        factors.append((np.matmul(*operands) if matmul else np.einsum(subscripts, *operands)).reshape(shape))
         del operands  # the step's mask copies, gone before the next step's are made
     return factors[0]
 

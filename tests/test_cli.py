@@ -70,6 +70,31 @@ class TestCheck:
         assert main(["check", str(tmp_path / "nope.opt")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode, Python's default encoding is
+        # ASCII; a comment with an accent still reads, and canon writes
+        src = tmp_path / "accent.opt"
+        src.write_bytes("# café\nminimization\n!vars x\n!objective x\n!constraints\n1 <= x\n".encode())
+        script = (
+            "import codecs, locale\n"
+            "from conify.cli import main\n"
+            "default = codecs.lookup(locale.getpreferredencoding(False)).name\n"
+            "print(default, main(['check', 'accent.opt']), main(['canon', 'accent.opt']))\n"
+        )
+        root = str(pathlib.Path(conify.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])),
+        }
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "DCP: conformant" in done.stdout
+        assert done.stdout.splitlines()[-1] == "ascii 0 0"
+        assert read_conic((tmp_path / "accent.cone").read_text(encoding="utf-8")).variables == ("x",)
+
 
 class TestCanon:
     def test_writes_cone_and_trace(self, tmp_path, chain_file, capsys):
@@ -522,6 +547,23 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert "bound" in out and "gap" in out
+
+    def test_dual_bound_is_called_approximate(self, tmp_path, capsys):
+        # The residual 5e-8 passes tol, yet x = -1e9 is feasible: the bound
+        # -999999950 does not hold, so verify does not call it certified
+        src, sol = tmp_path / "lb.opt", tmp_path / "lb.sol"
+        src.write_text("minimization\n!vars x\n!objective x\n!constraints\n-1000000000 <= x\n")
+        assert main(["canon", str(src), "--skip-verify"]) == 0
+        sol.write_text("SOLUTION 1\nPRIMAL 100.0\nDUAL_CONE 0.99999995\nEND\n")
+        capsys.readouterr()
+        assert main(["verify", str(src), str(tmp_path / "lb.trace"), str(sol)]) == 0
+        out = capsys.readouterr().out
+        assert "certified" not in out
+        assert out.splitlines()[-2:] == [
+            "approximate lower bound -999999950.0 (stationarity residual 5.000000002919336e-08), "
+            "duality gap 1000000050.0",
+            "OK",
+        ]
 
     def test_broken_dual_reports_stationarity(self, tmp_path, chain_file, capsys):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from _reference import comparison_holds, evaluate
 from conify import oracle
 from conify.conic import ConicError, emit
-from conify.dsl import parse
+from conify.dsl import parse, print_expr
 from conify.oracle import (
     Axis,
     GridResult,
@@ -66,6 +67,17 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def forbid_path_search(monkeypatch) -> None:
+    """Make np.einsum_path raise, under its public name and under the name
+    np.einsum calls it by, a global of the module that defines np.einsum."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("np.einsum_path called")
+
+    monkeypatch.setattr(np, "einsum_path", no_search)
+    monkeypatch.setitem(inspect.unwrap(np.einsum).__globals__, "einsum_path", no_search)
 
 
 def points(cols):
@@ -659,16 +671,18 @@ class TestCellCounts:
     # One structure per charge class of _plan, with the step that shows it:
     # (block, the axes each mask reads, cell, first step's subscripts, matmul)
     CHARGE_CLASSES = [
-        # a matrix product of two matrices runs on views, one transposed
+        # a plain product runs as matmul on views: the right factor
+        # transposed, its summed axis last
         ((2, 6, 7, 8), [{1, 3}, {2, 3}], (1, 6, 7, 1), "bd,cd->bc", True),
-        # and one whose output numpy permutes
-        ((6, 7, 2, 8), [{1, 3}, {0, 1}], (6, 1, 1, 8), "bd,ab->ad", True),
-        # a batched product that fuses a and c, from the transposed bacd:
-        # np.einsum copies the first factor
-        ((2, 2, 2, 2, 3), [{0, 1, 2, 3}, {1, 3, 4}], (2, 2, 2, 1, 3), "abcd,bde->abce", True),
-        # a sum that fuses a and c, from the transposed acb: np.einsum
-        # copies the first factor
-        ((5, 7, 5, 5), [{0, 1, 2}, {1, 3}], (5, 1, 5, 5), "abc,bd->acd", True),
+        # neither transposed, once the factor that keeps a is put first
+        ((6, 7, 2, 8), [{1, 3}, {0, 1}], (6, 1, 1, 8), "ab,bd->ad", True),
+        # the left factor transposed, its summed axis first.  The right one
+        # keeps the later output axis, so both are never transposed at once
+        ((6, 7, 8), [{0, 1}, {0, 2}], (1, 7, 8), "ab,ac->bc", True),
+        # a batched product is a loop over operands that broadcast
+        ((2, 2, 2, 2, 3), [{0, 1, 2, 3}, {1, 3, 4}], (2, 2, 2, 1, 3), "abcd,bde->abce", False),
+        # and so is a product whose matrix form would fuse a and c
+        ((5, 7, 5, 5), [{0, 1, 2}, {1, 3}], (5, 1, 5, 5), "abc,bd->acd", False),
         # a loop over operands that read the same axes needs no buffers
         ((9, 2, 10), [{0, 2}, {0, 2}], (9, 1, 1), "ac,ac->a", False),
         # a loop over operands that broadcast fills np.getbufsize() buffers
@@ -697,6 +711,7 @@ class TestCellCounts:
             masks = [self.mask(rng, block, r) for r in reads]
             step = oracle._plan(tuple(np.shape(m) for m in masks), block, cell).steps[0]
             assert step[1:3] == (subscripts, matmul)
+            self.check(masks, block, cell)
             classes.append((masks, block, cell))
         large = 0
         for masks, block, cell in [*self.random_structures(), *classes]:
@@ -739,16 +754,50 @@ class TestCellCounts:
     def test_three_factor_bucket_is_one_loop(self, monkeypatch):
         # ab,bc,b->ac holds the matrix product ab,bc->ac, but a bucket of
         # three factors is one np.einsum loop, planned with no path search
-        def no_search(*args, **kwargs):
-            raise AssertionError("np.einsum_path called")
-
-        monkeypatch.setattr(np, "einsum_path", no_search)
+        forbid_path_search(monkeypatch)
         block, cell = (5, 6, 7), (5, 1, 7)
         rng = np.random.default_rng(5)
         masks = [self.mask(rng, block, r) for r in ({0, 1}, {1, 2}, {1})]
         plan = oracle._plan.__wrapped__(tuple(np.shape(m) for m in masks), block, cell)
         assert plan.steps == (((0, 1, 2), "ab,bc,b->ac", False, cell), ((0, 1), ",ac->ac", False, cell))
         self.check(masks, block, cell)
+
+    def test_plain_products_in_int64_counts(self, monkeypatch):
+        # _count_type forced to int64, as past 2**53 points: matmul then
+        # multiplies integer counts, exactly and within _plan's peak
+        monkeypatch.setattr(oracle, "_count_type", lambda block: np.dtype(np.int64))
+        oracle._plan.cache_clear()
+        try:
+            rng = np.random.default_rng(6)
+            for block, reads, cell, subscripts, _ in [c for c in self.CHARGE_CLASSES if c[-1]]:
+                block, cell = tuple(7 * k if k > 1 else 1 for k in block), tuple(7 * k if k > 1 else 1 for k in cell)
+                masks = [self.mask(rng, block, r) for r in reads]
+                plan = oracle._plan(tuple(np.shape(m) for m in masks), block, cell)
+                assert plan.steps[0][1:3] == (subscripts, True)
+                assert oracle._cell_counts(masks, block, cell).dtype == np.int64
+                self.check(masks, block, cell)
+                assert traced_peak(lambda: oracle._cell_counts(masks, block, cell)) <= plan.peak + 8192
+        finally:
+            oracle._plan.cache_clear()
+
+    def test_scans_never_search_an_einsum_path(self, monkeypatch, chain1, chain1_trace):
+        # a step is matmul or one np.einsum loop, and neither plans a path;
+        # criterion 4's scans and the random structures run both kinds
+        kinds, plan = set(), oracle._plan
+
+        def recorded(*args):
+            got = plan(*args)
+            kinds.update(matmul for _, _, matmul, _ in got.steps)
+            return got
+
+        forbid_path_search(monkeypatch)
+        monkeypatch.setattr(oracle, "_plan", recorded)
+        for abcd in TestGoldenScanCounts.GOLDEN:
+            for scan in TestGoldenScanCounts.scans(chain1, chain1_trace, abcd):
+                scan()
+        assert kinds == {True, False}
+        for masks, block, cell in self.random_structures():
+            self.check(masks, block, cell)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_zero_d_masks_multiply_through(self, value):
@@ -1360,6 +1409,39 @@ class TestTightenedBox:
         free = len(p.variables) - (find_elimination(p, params) is not None)
         cols = _candidates(p, params, (-5.0, 5.0), 200_000, {1: 2001, 2: 201, 3: 41}.get(free, 17))
         assert _assert_inside(p, params, (-5.0, 5.0), cols) > 0
+
+    @pytest.mark.parametrize("name,params,which", _corpus_cases())
+    def test_sweep_keeps_what_the_sampler_accepts(self, name, params, which):
+        # The sampler's own acceptance, _feasible at tol 0, on uniform draws
+        # from the caller's box: every accepted point lies in _tighten's
+        # box.  And the forward pass the sweep narrows by holds there:
+        # _hull of each constraint side, and of the solved formula,
+        # encloses _veval at uniform points of the tightened box.
+        p = parse(CORPUS.joinpath(name).read_text())
+        if which == "final":
+            p = reduce_problem(p).final
+        full = SearchBox.uniform(p.variables, -5.0, 5.0, 2)
+        elim = find_elimination(p, params)
+        rng = np.random.default_rng(sum(map(ord, name + which)))
+        env = {v: rng.uniform(-5.0, 5.0, 200_000) for v in oracle._free(p.variables, elim)}
+        with np.errstate(all="ignore"):
+            oracle._complete(env, elim, params)
+            accepted = functools.reduce(np.logical_and, oracle._feasible(p, elim, env, full, 0.0), np.True_)
+        box = oracle._tighten(p, params, full, elim)
+        assert np.count_nonzero(accepted) > 0
+        for v in p.variables:
+            lo, hi = box[v]
+            assert -5.0 <= lo <= hi <= 5.0
+            at = np.broadcast_to(env[v], accepted.shape)[accepted]
+            assert ((at >= lo) & (at <= hi)).all(), (v, (lo, hi))
+        inside = {v: rng.uniform(lo, hi, 4000) for v, (lo, hi) in box.items()}
+        sides = [side for c in p.constraints for side in (c.lhs, c.rhs)]
+        for side in sides + ([] if elim is None else [elim.formula]):
+            with np.errstate(all="ignore"):
+                values = np.broadcast_to(oracle._veval(side, {**inside, **params}), (4000,))
+                lo, hi, _ = oracle._hull(side, box, params)
+            values = values[~np.isnan(values)]
+            assert ((values >= lo) & (values <= hi)).all(), (print_expr(side), (lo, hi))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
