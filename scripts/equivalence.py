@@ -37,17 +37,18 @@ grid_minimize_conic at each of its eliminate settings at the default CHUNK.
 Then PARSE_CASES texts, each a corpus file with one to three seeded edits
 (see mutated_text), go through parse and print one line each: "ok" and the
 first 16 hex digits of the sha256 of print_problem's text, or the error.
-Last, FILE_CASES texts go through read_conic or read_solution in turn:
+Then FILE_CASES texts go through read_conic or read_solution in turn:
 each is the .cone text of a problem that canonizes, or a .sol text of its
 sizes, with one to three seeded edits of FILE_INSERTS, and prints one line
 the same way, hashing the text write_conic or write_solution gives back.
+Last, each problem of REDUCE_CASES prints its write_trace text.
 A case that raises prints the error's type and message instead of
 its result.  Parameters are bound to 1.0; boxes are the corpus manifest's
 where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
 solution-map lines, 6 k-chain lines, 138 edge-case lines, 15 conic-case
-lines, 300 parse lines and 300 file lines: 1 019 in all.
+lines, 300 parse lines, 300 file lines and 3 reduce lines: 1 022 in all.
 """
 
 import hashlib
@@ -128,6 +129,18 @@ CONIC_CASES = (
      (-1.0, 1.0), 5, (None,)),
     ("a variable only a later row holds", "x y z", [1.0, 1.0, 1.0], [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.5]],
      [("ORTHANT", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0]])], (-1.0, 1.0), 9, (None, "auto", "z")),
+)
+
+
+# Problems at the edges of reduce_problem's driver: (label, variables,
+# constraints).  A sweep drop that a later drop takes back (README's
+# put-back example), an atom at the head of a constraint with no conic rule
+# and no graph implementation, and a linearize at a head whose other side is
+# not affine followed by a graph_expand.
+REDUCE_CASES = (
+    ("put-back", "x y z u", "x <= y, z <= y, x <= z, x <= u, u <= z"),
+    ("refused head", "x y", "abs(x) <= y"),
+    ("linearize then graph_expand", "x y", "exp(x) <= log(y), 0 < y"),
 )
 
 
@@ -311,6 +324,10 @@ def main(src: str) -> None:
         texts, read, write = files[kind]
         got = digest(lambda: write(read(mutated_text(texts, FILE_SEED + case, FILE_INSERTS))))
         print(f"{kind} {case}: {got}")
+
+    for label, names, constraints in REDUCE_CASES:
+        q = parse(f"minimization\n!vars {names}\n!objective 0\n!constraints\n{constraints}\n")
+        print(f"reduce {label}: {show(lambda: write_trace(reduce_problem(q)))}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ numerically.
 
 Exit codes: 0 success, 1 semantic failure (non-conformance, failed check,
 infeasible grid), 2 unusable input or output (parse or file format errors,
-bad option values, files that cannot be read or written).  Every error a
-subcommand raises gets its code and message from one table, _EXITS.
+input nested too deeply, bad option values, files that cannot be read or
+written).  Every error a subcommand raises gets its code and message from
+one table, _EXITS.
 """
 
 import argparse
@@ -62,6 +63,7 @@ class _Unusable(ConifyError):
 _EXITS = (
     ("*", _Unusable, 2, "error: {e}"),
     ("*", DslError, 2, "error: {issues}"),
+    ("*", RecursionError, 2, "error: input nested too deeply"),
     ("solve-oracle", ConicFormatError, 2, "error: {e}"),
     ("verify", ConicFormatError, 2, "error: solution: {e}"),
     ("verify", ReduceError, 2, "error: trace: {e}"),
@@ -276,6 +278,9 @@ def _cmd_verify(args) -> int:
     at = ", ".join(f"{v}={back[v]!r}" for v in trace.original.variables)
     print(f"backmapped point feasible: {at}")
     print(f"original objective {original_value!r}")
+    scale = max(1.0, abs(primal.objective), abs(original_value))
+    if not abs(primal.objective - original_value) <= args.tol * scale:  # a nan fails too
+        raise ConifyError(f"FAIL objective: conic {primal.objective!r}, original {original_value!r}")
 
     if sol.dual_cone is not None or sol.dual_eq is not None:
         y = sol.dual_eq if sol.dual_eq is not None else np.zeros(cp.A.shape[0])
@@ -354,7 +359,7 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise _Unusable(f"bad --tol {args.tol}, expected a finite number >= 0")
         return args.func(args)
-    except (ConifyError, IndexError, ValueError) as e:
+    except (ConifyError, IndexError, ValueError, RecursionError) as e:
         for command, family, code, message in _EXITS:
             if command in ("*", args.command) and isinstance(e, family):
                 issues = "\n".join(f"{args.problem}:{issue}" for issue in getattr(e, "issues", ()))

@@ -50,6 +50,7 @@ from .problem import (
     Problem,
     UnboundName,
     Var,
+    _names,
     evaluate,
     oriented,
 )
@@ -171,14 +172,6 @@ class _NotAffine(Exception):
     pass
 
 
-def _has_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Call):
-        return any(_has_var(a) for a in e.args)
-    return False
-
-
 def _const_value(e: Expr, params: Assignment, variables=()) -> float:
     """e's value at params, with each of variables at 0."""
     try:
@@ -203,7 +196,7 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
     _linear raises _NotAffine exactly where is_affine fails, unless a
     constant the walk meets first cannot be valued (ConicError)."""
     n = len(vidx)
-    if not _has_var(e):
+    if not _names(e)[0]:
         return np.zeros(n), _const_value(e, params)
     if isinstance(e, Var):
         row = np.zeros(n)
@@ -222,7 +215,7 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
             r0, c0 = _linear(e.args[0], vidx, params)
             return -r0, -c0
         if e.atom == "mul":
-            if (i := next((i for i in (0, 1) if not _has_var(e.args[i])), None)) is not None:
+            if (i := next((i for i in (0, 1) if not _names(e.args[i])[0]), None)) is not None:
                 k = _const_value(e.args[i], params)
             elif (i := next((i for i in (0, 1) if _constant(e.args[i])), None)) is not None:
                 k = _const_value(e.args[i], params, vidx)
@@ -231,7 +224,7 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
             r, c = _linear(e.args[1 - i], vidx, params)
             return k * r, k * c
         if e.atom == "div":
-            if not _has_var(e.args[1]):
+            if not _names(e.args[1])[0]:
                 k = _const_value(e.args[1], params)
             elif _constant(e.args[1]):
                 k = _const_value(e.args[1], params, vidx)

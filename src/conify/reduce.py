@@ -270,10 +270,11 @@ def _innermost_nonaffine(e: Expr) -> tuple[int, ...] | None:
     return None
 
 
-def _pick_target(p: Problem) -> OccPath | None:
-    """Innermost non-affine occurrence in constraint order, skipping
-    constraints emission accepts whole.  Raises when the occurrence is already
-    a bare head with no implementation and no emission rule."""
+def _pick_target(p: Problem):
+    """Innermost non-affine occurrence (an atom of affine arguments) in
+    constraint order, skipping constraints emission accepts whole, and its
+    schema: graph_expand if the atom has a graph implementation, else
+    linearize.  Raises at a bare head with neither that nor an emission rule."""
     for i, c in enumerate(p.constraints):
         if constraint_shape(c) is not None:
             continue
@@ -283,37 +284,26 @@ def _pick_target(p: Problem) -> OccPath | None:
                 continue
             path = OccPath(i, side, steps)
             g = resolve(p, path)
-            other = c.rhs if side == "lhs" else c.lhs
-            at_head = (
-                steps == ()
-                and is_affine(other)
-                and isinstance(g, Call)
-                and all(is_affine(a) for a in g.args)
-            )
-            if at_head and graph_impl(g.atom) is None:
+            if graph_impl(g.atom) is not None:
+                return path, graph_expand
+            if steps == () and is_affine(c.rhs if side == "lhs" else c.lhs):
                 raise NotConeRepresentable(
                     f"constraint {i}: no conic emission rule or graph "
                     f"implementation for {g.atom} at {path}"
                 )
-            return path
+            return path, linearize
     return None
 
 
 def _sweep_redundant(p: Problem) -> tuple[int, ...]:
     removed: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(p.constraints):
-            if i in removed:
-                continue
-            rest = [d for j, d in enumerate(p.constraints) if j != i and j not in removed]
-            if _implied(c, rest) is not None:
-                removed.add(i)
-                changed = True
-    # A later drop can take away an earlier drop's premise.  Put back every
-    # drop the remainder does not imply; each rule only needs its premises
-    # present, so a larger remainder still implies the drops that stay.
+    for i, c in enumerate(p.constraints):
+        rest = [d for j, d in enumerate(p.constraints) if j != i and j not in removed]
+        if _implied(c, rest) is not None:
+            removed.add(i)
+    # Each rule only needs its premises present, so a second pass would drop
+    # nothing.  But a later drop can take away an earlier drop's premise: put
+    # back every drop the remainder does not imply.
     rest = [d for j, d in enumerate(p.constraints) if j not in removed]
     return tuple(i for i in sorted(removed) if _implied(p.constraints[i], rest) is not None)
 
@@ -333,14 +323,11 @@ def reduce_problem(p: Problem) -> ReductionTrace:
     steps: list[TraceStep] = []
     cur = p
     for _ in range(MAX_STEPS):
-        path = _pick_target(cur)
-        if path is None:
+        target = _pick_target(cur)
+        if target is None:
             break
-        g = resolve(cur, path)
-        if isinstance(g, Call) and graph_impl(g.atom) is not None:
-            cur, st = graph_expand(cur, path)
-        else:
-            cur, st = linearize(cur, path)
+        path, schema = target
+        cur, st = schema(cur, path)
         steps.append(st)
     else:
         raise NotConeRepresentable(f"no fixpoint after {MAX_STEPS} schema steps")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import random
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import conify
+from conify import cli
 from conify.cli import main
-from conify.conic import SolutionFile, emit, read_conic, write_solution
+from conify.conic import ConeBlock, ConicProblem, SolutionFile, emit, read_conic, write_conic, write_solution
 from conify.dsl import parse
 from conify.reduce import read_trace
 
@@ -565,6 +567,26 @@ class TestVerify:
             "OK",
         ]
 
+    def test_changed_objective_fails(self, tmp_path, chain_file, capsys, monkeypatch):
+        # emit with c doubled: the conic point is feasible and maps back to a
+        # feasible point, but the two objectives differ
+        trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
+        assert main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS]) == 0
+        assert capsys.readouterr().out.endswith("OK\n")
+
+        def doubled(p, params):
+            cp = emit(p, params)
+            return dataclasses.replace(cp, c=2 * cp.c)
+
+        monkeypatch.setattr(cli, "emit", doubled)
+        assert main(["verify", str(chain_file), str(trace), str(sol), *UNIT_ARGS]) == 1
+        out = capsys.readouterr()
+        conic = float(out.out.split("objective ")[1].split()[0])
+        original = float(out.out.split("original objective ")[1].split()[0])
+        assert conic == 2 * original != 0
+        assert out.err == f"FAIL objective: conic {conic!r}, original {original!r}\n"
+        assert "OK" not in out.out
+
     def test_broken_dual_reports_stationarity(self, tmp_path, chain_file, capsys):
         trace, sol = self.make_artifacts(tmp_path, chain_file, capsys)
         from conify.conic import read_solution
@@ -804,6 +826,41 @@ class TestUnusableData:
         code, err = self.run(["verify", str(src), str(tmp_path / "eq.trace"), str(sol)], capsys)
         assert (code, err) == (2, f"error: solution: {message}\n")
         assert sorted(tmp_path.iterdir()) == before
+
+
+def _opt(objective, constraints="0 <= x"):
+    return f"minimization\n!vars x\n!objective {objective}\n!constraints\n{constraints}\n"
+
+
+def _wide_cone(n):
+    """A .cone text whose one equality row and objective hold n variables."""
+    names = tuple(f"v{i}" for i in range(n))
+    one = (ConeBlock("ORTHANT", 1),)
+    return write_conic(ConicProblem(names, np.ones(n), np.ones((1, n)), np.ones(1), np.eye(n)[:1], np.zeros(1), one))
+
+
+class TestDeepInput:
+    """An expression nested past Python's recursion limit, as the parser,
+    dcp or emission walks it, exits 2 with one line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command,name,text,options",
+        [
+            ("check", "sum.opt", _opt(" + ".join(["x"] * 1500)), []),
+            ("check", "parens.opt", _opt("(" * 1500 + "x" + ")" * 1500), []),
+            ("check", "minuses.opt", _opt("-" * 1500 + "x"), []),
+            ("canon", "csum.opt", _opt("x", " + ".join(["x"] * 900) + " <= 1"), []),
+            ("solve-oracle", "wide.cone", _wide_cone(1200), ["--eliminate", "auto", "--res", "2"]),
+        ],
+        ids=["sum", "parentheses", "unary-minus", "constraint-sum", "wide-cone-row"],
+    )
+    def test_exits_two(self, tmp_path, capsys, command, name, text, options):
+        src = tmp_path / name
+        src.write_text(text)
+        code = main([command, str(src), *options])
+        assert code == 2
+        assert capsys.readouterr().err == "error: input nested too deeply\n"  # one line, no traceback
+        assert sorted(tmp_path.iterdir()) == [src]
 
 
 class TestOptionNames:

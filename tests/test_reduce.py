@@ -4,13 +4,15 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from _reference import check_feasible, evaluate
 from conify import reduce
 from conify.dcp import OccPath, Polarity
 from conify.dsl import parse, parse_expr_in, print_constraint, print_expr, print_problem
 from conify.oracle import OracleError, sample_feasible
-from conify.problem import Call, Const, DomainError, Problem, Var
+from conify.problem import Call, Const, Constraint, DomainError, Problem, Var
 from conify.reduce import (
     AffineTarget,
     MissingDomainFact,
@@ -242,6 +244,41 @@ minimization
 """
 
 
+def _sweep_problems(names):
+    """Problems over names whose constraints take the shapes _implied reads:
+    0 <= v or 0 < v, u^2 <= v, exp(u) <= v and a <= b, each written either
+    way round."""
+    var = st.sampled_from(names).map(Var)
+    shape = st.one_of(
+        st.tuples(st.just(Const(0.0)), st.sampled_from(("<=", "<")), var),
+        st.tuples(var.map(lambda u: Call("pow", (u, Const(2.0)))), st.just("<="), var),
+        st.tuples(var.map(lambda u: Call("exp", (u,))), st.just("<="), var),
+        st.tuples(var, st.just("<="), var),
+    )
+    flipped = {"<=": ">=", "<": ">"}
+
+    def build(drawn):
+        cs = [Constraint(hi, flipped[op], lo) if flip else Constraint(lo, op, hi) for (lo, op, hi), flip in drawn]
+        return Problem(names, (), Var(names[0]), tuple(cs))
+
+    return st.lists(st.tuples(shape, st.booleans()), min_size=1, max_size=9).map(build)
+
+
+def _sweep_to_fixpoint(p):
+    """The sweep as passes repeated until one drops nothing, then the
+    put-back of every drop the remainder does not imply."""
+    removed, changed = set(), True
+    while changed:
+        changed = False
+        for i, c in enumerate(p.constraints):
+            rest = [d for j, d in enumerate(p.constraints) if j != i and j not in removed]
+            if i not in removed and reduce._implied(c, rest) is not None:
+                removed.add(i)
+                changed = True
+    rest = [d for j, d in enumerate(p.constraints) if j not in removed]
+    return tuple(i for i in sorted(removed) if reduce._implied(p.constraints[i], rest) is not None)
+
+
 class TestDriver:
     def test_chain_schedule(self, chain1_trace):
         got = [(s.schema, s.fresh) for s in chain1_trace.steps]
@@ -300,6 +337,12 @@ class TestDriver:
         assert cons(tr.final) == ["x <= y", "z <= y", "x <= u", "u <= z"]
         report = verify_trace_sampled(tr, {})
         assert report.ok and report.backward_checked == report.forward_checked == 200
+
+    @seed(2018)
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.integers(3, 4).flatmap(lambda n: _sweep_problems(("x", "y", "z", "u")[:n])))
+    def test_sweep_matches_the_fixpoint_loop(self, p):
+        assert reduce._sweep_redundant(p) == _sweep_to_fixpoint(p)
 
     def test_max_steps_guard(self, chain1, monkeypatch):
         monkeypatch.setattr(reduce, "MAX_STEPS", 1)
