@@ -41,14 +41,16 @@ Then FILE_CASES texts go through read_conic or read_solution in turn:
 each is the .cone text of a problem that canonizes, or a .sol text of its
 sizes, with one to three seeded edits of FILE_INSERTS, and prints one line
 the same way, hashing the text write_conic or write_solution gives back.
-Last, each problem of REDUCE_CASES prints its write_trace text.
-A case that raises prints the error's type and message instead of
-its result.  Parameters are bound to 1.0; boxes are the corpus manifest's
-where it gives one, else [-5, 5].
+Then each problem of REDUCE_CASES prints its write_trace text.  Last,
+each problem of EMIT_CASES goes straight to emit and prints its
+write_conic text.  A case that raises prints the error's type and message
+instead of its result.  Parameters are bound to 1.0 (EMIT_CASES bind their
+own); boxes are the corpus manifest's where it gives one, else [-5, 5].
 
 That makes 240 oracle and file-format lines, 10 check_primal lines, 10
 solution-map lines, 6 k-chain lines, 138 edge-case lines, 15 conic-case
-lines, 300 parse lines, 300 file lines and 3 reduce lines: 1 022 in all.
+lines, 300 parse lines, 300 file lines, 3 reduce lines and 12 emit lines:
+1 034 in all.
 """
 
 import hashlib
@@ -129,6 +131,28 @@ CONIC_CASES = (
      (-1.0, 1.0), 5, (None,)),
     ("a variable only a later row holds", "x y z", [1.0, 1.0, 1.0], [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.5]],
      [("ORTHANT", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0]])], (-1.0, 1.0), 9, (None, "auto", "z")),
+)
+
+
+# Problems that go straight to emit: (label, constraints, parameter values),
+# each over the variables x y t with objective x and parameters p, q
+# declared.  Each shape with -0.0 constants and with parameters (q bound to
+# -0.0), then one failing constraint each: a row that overflows, an unbound
+# parameter, a strict comparator and a non-affine equality.
+EMIT_PARAMS = {"p": 2.0, "q": -0.0}
+EMIT_CASES = (
+    ("eq -0.0", "x = -0, y = -0 + x", {}),
+    ("eq parameters", "p * x = q + y", EMIT_PARAMS),
+    ("orthant -0.0", "x <= -0, -0 <= y, x <= y", {}),
+    ("orthant parameters", "p * x <= q, q <= y / p", EMIT_PARAMS),
+    ("soc -0.0", "t ^ 2 <= x + -0, (-0 + t) ^ 2 <= -0", {}),
+    ("soc parameters", "(p * t - q) ^ 2 <= p * x + q", EMIT_PARAMS),
+    ("exp -0.0", "exp(t) <= -0, exp(-0 - t) <= x", {}),
+    ("exp parameters", "exp(p * t + q) <= x / p", EMIT_PARAMS),
+    ("overflowing row", "0 <= x, 1e300 * (1e300 * y) <= 1", {}),
+    ("unbound parameter", "x <= p", {}),
+    ("strict comparator", "x < 1", {}),
+    ("non-affine equality", "x * y = 1", {}),
 )
 
 
@@ -328,6 +352,10 @@ def main(src: str) -> None:
     for label, names, constraints in REDUCE_CASES:
         q = parse(f"minimization\n!vars {names}\n!objective 0\n!constraints\n{constraints}\n")
         print(f"reduce {label}: {show(lambda: write_trace(reduce_problem(q)))}")
+
+    for label, constraints, params in EMIT_CASES:
+        q = parse(f"minimization\n!params p, q\n!vars x y t\n!objective x\n!constraints\n{constraints}\n")
+        print(f"emit {label}: {show(lambda: write_conic(emit(q, params)))}")
 
 
 if __name__ == "__main__":

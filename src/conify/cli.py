@@ -9,13 +9,14 @@ numerically.
 Exit codes: 0 success, 1 semantic failure (non-conformance, failed check,
 infeasible grid), 2 unusable input or output (parse or file format errors,
 input nested too deeply, bad option values, files that cannot be read or
-written).  Every error a subcommand raises gets its code and message from
-one table, _EXITS.
+written, an output over the problem file, running out of memory).  Every
+error a subcommand raises gets its code and message from one table, _EXITS.
 """
 
 import argparse
 import functools
 import math
+import os
 import pathlib
 import sys
 
@@ -64,6 +65,7 @@ _EXITS = (
     ("*", _Unusable, 2, "error: {e}"),
     ("*", DslError, 2, "error: {issues}"),
     ("*", RecursionError, 2, "error: input nested too deeply"),
+    ("*", MemoryError, 2, "error: out of memory"),
     ("solve-oracle", ConicFormatError, 2, "error: {e}"),
     ("verify", ConicFormatError, 2, "error: solution: {e}"),
     ("verify", ReduceError, 2, "error: trace: {e}"),
@@ -89,6 +91,20 @@ def _write_text(path: pathlib.Path, text: str) -> None:
         pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise _Unusable(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _check_outputs(problem: str, **outputs: pathlib.Path) -> None:
+    """Refuse, before anything is written, an output that is the problem file or an earlier output:
+    one file where it exists (by device and inode, so through any link), else one absolute path."""
+    taken = {}
+    for what, path in {"problem": problem, **outputs}.items():
+        try:
+            key = os.stat(path)[1:3]  # st_ino, st_dev
+        except OSError:
+            key = os.path.abspath(path)
+        if key in taken:
+            raise _Unusable(f"{what} output {path} would overwrite {taken[key]}")
+        taken[key] = "the problem file" if what == "problem" else f"the {what} output"
 
 
 def _parse_params(pairs: list[str], decls) -> dict[str, float]:
@@ -171,6 +187,10 @@ def _cmd_canon(args) -> int:
     params = _parse_params(args.param, p.params)
     if not args.skip_verify and args.samples < 1:
         raise _Unusable(f"bad --samples {args.samples}, expected at least 1 (or --skip-verify)")
+    src = pathlib.Path(args.problem)
+    out = pathlib.Path(args.out) if args.out else src.with_suffix(".cone")
+    tr = pathlib.Path(args.trace) if args.trace else src.with_suffix(".trace")
+    _check_outputs(args.problem, conic=out, trace=tr)
     cp, trace = canonize(p, params)
 
     if not args.skip_verify:
@@ -186,9 +206,6 @@ def _cmd_canon(args) -> int:
     else:
         print("trace verification skipped")
 
-    src = pathlib.Path(args.problem)
-    out = pathlib.Path(args.out) if args.out else src.with_suffix(".cone")
-    tr = pathlib.Path(args.trace) if args.trace else src.with_suffix(".trace")
     _write_text(out, write_conic(cp))
     _write_text(tr, write_trace(trace))
     kinds = " ".join(bl.kind for bl in cp.blocks) or "none"
@@ -199,6 +216,11 @@ def _cmd_canon(args) -> int:
 
 def _cmd_step(args) -> int:
     p = parse(_read_text(args.problem))
+    eliminate = args.schema.startswith("eliminate")
+    if args.drop is not None and not eliminate:
+        raise _Unusable(f"bad --drop {args.drop!r}: only eliminate reads it")
+    if args.path is not None and eliminate:
+        raise _Unusable(f"bad --path {args.path!r}: eliminate does not read it")
     try:
         path = None if args.path is None else OccPath.parse(args.path)
     except ValueError as e:
@@ -213,6 +235,8 @@ def _cmd_step(args) -> int:
 
 def _cmd_solve_oracle(args) -> int:
     text = _read_text(args.problem)
+    out = pathlib.Path(args.out) if args.out else pathlib.Path(args.problem).with_suffix(".sol")
+    _check_outputs(args.problem, solution=out)
     boxes = _parse_boxes(args.box)
     if args.res is not None and args.res < 2:
         raise _Unusable(f"bad --res {args.res}, expected at least 2 points per axis")
@@ -237,7 +261,6 @@ def _cmd_solve_oracle(args) -> int:
 
     at = ", ".join(f"{v}={result.point[v]!r}" for v in names)
     print(f"minimum {result.value!r} at {at} ({result.feasible_count} feasible lattice points)")
-    out = pathlib.Path(args.out) if args.out else pathlib.Path(args.problem).with_suffix(".sol")
     _write_text(out, write_solution(SolutionFile(np.array([result.point[v] for v in names]))))
     print(f"wrote {out}")
     return 0
@@ -359,7 +382,7 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise _Unusable(f"bad --tol {args.tol}, expected a finite number >= 0")
         return args.func(args)
-    except (ConifyError, IndexError, ValueError, RecursionError) as e:
+    except (ConifyError, IndexError, ValueError, RecursionError, MemoryError) as e:
         for command, family, code, message in _EXITS:
             if command in ("*", args.command) and isinstance(e, family):
                 issues = "\n".join(f"{args.problem}:{issue}" for issue in getattr(e, "issues", ()))

@@ -30,8 +30,9 @@ inner-product oracle before it is trusted anywhere.
 """
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .problem import (
     Constraint,
     DomainError,
     Expr,
-    Param,
     Problem,
     UnboundName,
     Var,
@@ -93,6 +93,15 @@ class ConeBlock:
             raise ValueError("cone blocks need dimension >= 1")
 
 
+def _fields_equal(a, b) -> bool:
+    """a == b field by field: arrays by np.array_equal, others by ==, and None equals only None."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(x is y if x is None or y is None else np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in pairs)
+
+
 @dataclass(frozen=True, eq=False)
 class ConicProblem:
     variables: tuple[str, ...]
@@ -114,18 +123,7 @@ class ConicProblem:
         if sum(bl.dim for bl in self.blocks) != self.G.shape[0]:
             raise ValueError("cone dimensions do not cover G")
 
-    def __eq__(self, other):
-        if not isinstance(other, ConicProblem):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.blocks == other.blocks
-            and np.array_equal(self.c, other.c)
-            and np.array_equal(self.A, other.A)
-            and np.array_equal(self.b, other.b)
-            and np.array_equal(self.G, other.G)
-            and np.array_equal(self.h, other.h)
-        )
+    __eq__ = _fields_equal
 
     def block_slices(self) -> list[tuple[ConeBlock, slice]]:
         out, at = [], 0
@@ -150,9 +148,7 @@ def constraint_shape(c: Constraint) -> str | None:
     Strict comparators never emit; sign-flipped forms (>=) normalize first.
     """
     if c.op == "=":
-        if is_affine(c.lhs) and is_affine(c.rhs):
-            return "eq"
-        return None
+        return "eq" if is_affine(c.lhs) and is_affine(c.rhs) else None
     lo, hi, strict = oriented(c)
     if strict or not is_affine(hi):
         return None
@@ -170,6 +166,10 @@ def constraint_shape(c: Constraint) -> str | None:
 
 class _NotAffine(Exception):
     pass
+
+
+# Atoms whose operator _linear maps over its arguments' parts: their rows, then their constants.
+_SUMS = {"add": operator.add, "sub": operator.sub, "neg": operator.neg}
 
 
 def _const_value(e: Expr, params: Assignment, variables=()) -> float:
@@ -203,37 +203,21 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
         row[vidx[e.name]] = 1.0
         return row, 0.0
     if isinstance(e, Call):
-        if e.atom == "add":
-            r0, c0 = _linear(e.args[0], vidx, params)
-            r1, c1 = _linear(e.args[1], vidx, params)
-            return r0 + r1, c0 + c1
-        if e.atom == "sub":
-            r0, c0 = _linear(e.args[0], vidx, params)
-            r1, c1 = _linear(e.args[1], vidx, params)
-            return r0 - r1, c0 - c1
-        if e.atom == "neg":
-            r0, c0 = _linear(e.args[0], vidx, params)
-            return -r0, -c0
-        if e.atom == "mul":
-            if (i := next((i for i in (0, 1) if not _names(e.args[i])[0]), None)) is not None:
+        if e.atom in _SUMS:
+            return tuple(map(_SUMS[e.atom], *[_linear(a, vidx, params) for a in e.args]))
+        if e.atom in ("mul", "div"):
+            # the constant factor: first a side that names no variable, then one dcp types constant
+            sides = (0, 1) if e.atom == "mul" else (1,)
+            if (i := next((i for i in sides if not _names(e.args[i])[0]), None)) is not None:
                 k = _const_value(e.args[i], params)
-            elif (i := next((i for i in (0, 1) if _constant(e.args[i])), None)) is not None:
+            elif (i := next((i for i in sides if _constant(e.args[i])), None)) is not None:
                 k = _const_value(e.args[i], params, vidx)
             else:
                 raise _NotAffine
-            r, c = _linear(e.args[1 - i], vidx, params)
-            return k * r, k * c
-        if e.atom == "div":
-            if not _names(e.args[1])[0]:
-                k = _const_value(e.args[1], params)
-            elif _constant(e.args[1]):
-                k = _const_value(e.args[1], params, vidx)
-            else:
-                raise _NotAffine
-            if k == 0.0:
+            if e.atom == "div" and k == 0.0:
                 raise ConicError(f"divisor {print_expr(e.args[1])} is zero: {DomainError('div', k)}")
-            r, c = _linear(e.args[0], vidx, params)
-            return r / k, c / k
+            r, c = _linear(e.args[1 - i], vidx, params)
+            return (k * r, k * c) if e.atom == "mul" else (r / k, c / k)
         if e.atom == "pow" and e.args[1] == Const(1.0):
             return _linear(e.args[0], vidx, params)
         if _constant(e):  # an atom of constant arguments, such as exp(0 * x)
@@ -241,80 +225,61 @@ def _linear(e: Expr, vidx: dict[str, int], params: Assignment) -> tuple[np.ndarr
     raise _NotAffine
 
 
+# Each shape's coefficient rows and constants from the _linear parts of its sides: lhs and rhs of an
+# equality (one A|b row), else lo and hi of lo <= hi (a G|h block), lo read through u ^ 2 or exp(u).
+_ROWS = {
+    "eq": lambda lhs, rhs: ([lhs[0] - rhs[0]], [rhs[1] - lhs[1]]),
+    "orthant": lambda lo, hi: ([hi[0] - lo[0]], [-(hi[1] - lo[1])]),
+    "soc": lambda u, e: ([e[0] / 2.0, e[0] / 2.0, u[0]], [-(e[1] + 1.0) / 2.0, -(e[1] - 1.0) / 2.0, -u[1]]),
+    "exp": lambda u, e: ([e[0], np.zeros_like(e[0]), u[0]], [-e[1], -1.0, -u[1]]),
+}
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def emit(p: Problem, params: Assignment) -> ConicProblem:
     """Emit conic form with parameters bound.
 
-    Row order is deterministic: equality rows in constraint order, then cone
-    blocks in constraint order.  A parameter bound to inf or nan raises
-    ConicError before any arithmetic, and so does an objective or constraint
-    whose rows hold a number that is not finite, such as a product that
-    overflowed.
+    One pass over the constraints in order: each one's shape comes from
+    constraint_shape and its rows from _ROWS, so equality rows and cone
+    blocks each keep constraint order.  The first constraint, in order, that
+    cannot emit raises: StrictComparatorRemains for < or >, else
+    UnrecognizedShape.  A parameter bound to inf or nan raises ConicError
+    before any arithmetic, and so does an objective or constraint whose rows
+    hold a number that is not finite, such as a product that overflowed.
     """
     for name, value in params.items():
         if not math.isfinite(value):
             raise ConicError(f"parameter {name} is {value}, expected a finite number")
     vidx = {v: i for i, v in enumerate(p.variables)}
-    n = len(p.variables)
 
     try:
         c_row, c_off = _linear(p.objective, vidx, params)
     except _NotAffine:
         raise UnrecognizedShape("objective is not affine") from None
     if c_off != 0.0:
-        raise UnrecognizedShape(
-            "objective has a constant offset; conic form carries none"
-        )
+        raise UnrecognizedShape("objective has a constant offset; conic form carries none")
     _finite("objective", c_row)
 
     A_rows, b_vals, G_rows, h_vals, blocks = [], [], [], [], []
-
-    def affine_parts(e: Expr, index: int) -> tuple[np.ndarray, float]:
-        try:
-            return _linear(e, vidx, params)
-        except _NotAffine:
-            raise UnrecognizedShape(
-                f"constraint {index} is not an emittable shape"
-            ) from None
-
     for i, c in enumerate(p.constraints):
-        if c.op == "=":
-            rl, cl = affine_parts(c.lhs, i)
-            rr, cr = affine_parts(c.rhs, i)
-            A_rows.append(rl - rr)
-            b_vals.append(cr - cl)
-            _finite(f"constraint {i}", A_rows[-1], b_vals[-1])
-
-    for i, c in enumerate(p.constraints):
-        if c.op == "=":
-            continue
-        lo, hi, strict = oriented(c)
-        if strict:
-            raise StrictComparatorRemains(
-                f"constraint {i} keeps a strict comparator; it cannot emit"
-            )
-        shape, rows = constraint_shape(c), len(h_vals)
-        if shape == "soc":
-            ru, du = affine_parts(lo.args[0], i)
-            re_, de = affine_parts(hi, i)
-            G_rows += [re_ / 2.0, re_ / 2.0, ru]
-            h_vals += [-(de + 1.0) / 2.0, -(de - 1.0) / 2.0, -du]
-            blocks.append(ConeBlock("SOC", 3))
-        elif shape == "exp":
-            ru, du = affine_parts(lo.args[0], i)
-            re_, de = affine_parts(hi, i)
-            G_rows += [re_, np.zeros(n), ru]
-            h_vals += [-de, -1.0, -du]
-            blocks.append(ConeBlock("EXP", 3))
-        elif shape == "orthant":
-            rl, dl = affine_parts(lo, i)
-            rr, dr = affine_parts(hi, i)
-            G_rows.append(rr - rl)
-            h_vals.append(-(dr - dl))
-            blocks.append(ConeBlock("ORTHANT", 1))
-        else:
+        shape = constraint_shape(c)
+        if shape is None and c.op in ("<", ">"):
+            raise StrictComparatorRemains(f"constraint {i} keeps a strict comparator; it cannot emit")
+        if shape is None:
             raise UnrecognizedShape(f"constraint {i} is not an emittable shape")
-        _finite(f"constraint {i}", G_rows[rows:], h_vals[rows:])
+        lo, hi = (c.lhs, c.rhs) if shape == "eq" else oriented(c)[:2]
+        if shape in ("soc", "exp"):
+            lo = lo.args[0]
+        # constraint_shape found both sides affine, so _linear raises no _NotAffine
+        rows, constants = _ROWS[shape](_linear(lo, vidx, params), _linear(hi, vidx, params))
+        _finite(f"constraint {i}", rows, constants)
+        if shape == "eq":
+            A_rows += rows
+            b_vals += constants
+        else:
+            G_rows += rows
+            h_vals += constants
+            blocks.append(ConeBlock(shape.upper(), len(rows)))
 
     return _assemble(p.variables, c_row, A_rows, b_vals, G_rows, h_vals, blocks)
 
@@ -579,20 +544,7 @@ class SolutionFile:
     dual_eq: np.ndarray | None = None
     dual_cone: np.ndarray | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, SolutionFile):
-            return NotImplemented
-
-        def same(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return np.array_equal(a, b)
-
-        return (
-            same(self.primal, other.primal)
-            and same(self.dual_eq, other.dual_eq)
-            and same(self.dual_cone, other.dual_cone)
-        )
+    __eq__ = _fields_equal
 
 
 def write_solution(sol: SolutionFile) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conify
-from conify import cli
+from conify import cli, oracle
 from conify.cli import main
 from conify.conic import ConeBlock, ConicProblem, SolutionFile, emit, read_conic, write_conic, write_solution
 from conify.dsl import parse
@@ -189,6 +189,22 @@ class TestCanon:
         assert main(["canon", str(chain_file), *UNIT_ARGS, "--skip-verify", option, str(bad)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
 
+    def test_default_output_over_the_problem_exits_two(self, tmp_path, chain_file, capsys):
+        # an .opt text named .cone: the default conic output is the problem file
+        src = tmp_path / "p.cone"
+        shutil.copy(chain_file, src)
+        assert main(["canon", str(src), *UNIT_ARGS, "--skip-verify"]) == 2
+        assert capsys.readouterr().err == f"error: conic output {src} would overwrite the problem file\n"
+        assert src.read_text() == chain_file.read_text()
+        assert not src.with_suffix(".trace").exists()
+
+    def test_both_outputs_on_one_path_exit_two(self, tmp_path, chain_file, capsys):
+        text, both = chain_file.read_text(), tmp_path / "x"
+        argv = ["canon", str(chain_file), *UNIT_ARGS, "--skip-verify", "--out", str(both), "--trace", str(both)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: trace output {both} would overwrite the conic output\n"
+        assert chain_file.read_text() == text and not both.exists()
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_no_samples_exits_two(self, chain_file, capsys, samples):
         assert main(["canon", str(chain_file), *UNIT_ARGS, "--samples", samples]) == 2
@@ -280,6 +296,18 @@ class TestStep:
         out = capsys.readouterr().out
         assert "sqrt(x) <= 2" in out and "t1 <= 2" not in out
 
+    def test_drop_without_eliminate_exits_two(self, capsys):
+        argv = ["step", str(CORPUS / "chain1.opt"), "--schema", "linearize", "--path", "c0/rhs", "--drop", "1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: bad --drop '1': only eliminate reads it\n"
+
+    def test_path_with_eliminate_exits_two(self, capsys):
+        argv = ["step", str(CORPUS / "chain1.opt"), "--schema", "eliminate", "--path", "c0/rhs", "--drop", "1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: bad --path 'c0/rhs': eliminate does not read it\n"
+
     def test_malformed_path_exits_two(self, capsys):
         code = main(
             ["step", str(CORPUS / "chain1.opt"), "--schema", "linearize",
@@ -359,6 +387,30 @@ class TestSolveOracle:
         argv = ["solve-oracle", str(src), "--eliminate", "auto", "--box", "y=-3:3", "--res", "3"]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("minimum 1.0 at x=1.0, y=-3.0 (3 feasible lattice points)")
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_output_over_the_problem_exits_two(self, tmp_path, chain_file, capsys, link):
+        text, out = chain_file.read_text(), chain_file
+        if link:
+            out = tmp_path / "link.sol"
+            out.symlink_to(chain_file)
+        assert main(["solve-oracle", str(chain_file), *UNIT_ARGS, "--res", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: solution output {out} would overwrite the problem file\n"
+        assert chain_file.read_text() == text
+
+    def test_allocation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A lattice too large to allocate (such as --res 10000000000) fails
+        # in Axis.values; a real allocation of that size would depend on the
+        # host's overcommit policy, so the failure is simulated.
+        def refuse(self):
+            raise MemoryError
+
+        src = tmp_path / "lp_box.opt"
+        shutil.copy(CORPUS / "lp_box.opt", src)
+        monkeypatch.setattr(oracle.Axis, "values", refuse)
+        assert main(["solve-oracle", str(src), "--res", "3", "--eliminate", "auto"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not src.with_suffix(".sol").exists()
 
     def test_infeasible_box_fails(self, capsys):
         code = main(

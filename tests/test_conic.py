@@ -184,6 +184,40 @@ class TestEmit:
         cp = emit(mini("1e300 * (1e8 * x) <= 1e308 * y", objective="1e308 * x"), {})
         assert cp.c.tolist() == [1e308, 0.0] and cp.G.tolist() == [[-1e308, 1e308]]
 
+    @pytest.mark.parametrize(
+        "constraint,rows",
+        [
+            ("x = y", ["EQ 1", "1.0 -1.0 0.0 0.0"]),
+            ("x <= y", ["EQ 0", "CONE ORTHANT 1", "-1.0 1.0 0.0 -0.0"]),
+            ("t ^ 2 <= x", ["EQ 0", "CONE SOC 3", "0.5 0.0 0.0 -0.5", "0.5 0.0 0.0 0.5", "0.0 0.0 1.0 -0.0"]),
+            ("exp(t) <= x", ["EQ 0", "CONE EXP", "1.0 0.0 0.0 -0.0", "0.0 0.0 0.0 -1.0", "0.0 0.0 1.0 -0.0"]),
+        ],
+        ids=["eq", "orthant", "soc", "exp"],
+    )
+    def test_zero_constants_keep_their_sign(self, constraint, rows):
+        # b = rhs - lhs, and each h is the negated constant, so 0 - 0 gives
+        # b = 0.0 and h = -0.0
+        head = [
+            "CONICFORM 1", "VARS 3", "x y t",
+            "# minimize c.x with A x = b and G x - h in the listed cones;",
+            "# a dual (y, z) with A~y + G~z = c and z in the dual cones",
+            "# certifies the lower bound b.y + h.z.",
+            "OBJ 1.0 0.0 0.0",
+        ]
+        text = write_conic(emit(mini(constraint, vars="x y t"), {}))
+        assert text == "\n".join([*head, *rows, "END"]) + "\n"
+
+    def test_first_constraint_that_cannot_emit_is_named(self):
+        # one pass in constraint order: the strict comparator comes before
+        # the non-affine equality
+        with pytest.raises(StrictComparatorRemains, match=r"^constraint 0 keeps a strict comparator; it cannot emit$"):
+            emit(mini("x < 1, y * z = 1", vars="x y z"), {})
+
+    def test_first_unbound_parameter_in_constraint_order_is_named(self):
+        p = parse("minimization\n!params p, q\n!vars x\n!objective x\n!constraints\nx <= p, x = q\n")
+        with pytest.raises(UnboundParameter, match=r"^unbound parameter p$"):
+            emit(p, {})
+
 
 class TestConeMembership:
     @pytest.mark.parametrize(
